@@ -9,7 +9,10 @@ TIMEOUT_OPTS = --timeout=$(TIMEOUT)
 
 .PHONY: check check-fast test test-fast test-recovery test-detect test-remote test-fleet test-flows soak perf-smoke lint compile bench bench-figures
 
-check: lint test test-recovery test-remote test-fleet test-flows compile
+# `test` already runs every suite under tests/ (recovery, remote,
+# fleet, flows included); the per-marker targets below are for
+# targeted loops, not for check.
+check: lint test compile
 
 # Fast loop: skip the slow-marked full-figure/table benchmarks.
 check-fast: lint test-fast perf-smoke compile

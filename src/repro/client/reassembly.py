@@ -35,7 +35,7 @@ class DatagramReassembler:
 
     def receive(self, packet: Packet) -> None:
         """Accept a packet (PacketSink interface)."""
-        if not packet.is_fragmented:
+        if packet.fragment_count <= 1:  # not fragmented
             self.completed_datagrams += 1
             self.sink.receive(packet)
             return

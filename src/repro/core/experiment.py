@@ -13,6 +13,7 @@ configuration, assessed offline exactly as the paper did:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -37,10 +38,26 @@ from repro.vqm.tool import VqmResult, VqmTool
 #: startup buffer, retransmissions, and adaptation wobble.
 RUN_SLACK_S = 45.0
 
+#: Allowed values of the spec's closed-set string fields.
+SPEC_CHOICES = {
+    "server": ("videocharger", "adaptive-vc", "wmt", "largeudp"),
+    "transport": ("udp", "tcp"),
+    "testbed": ("qbone", "local", "af"),
+    "policer_action": ("drop", "remark"),
+    "reference": ("transmitted", "fixed"),
+    "decode_mode": ("gop", "independent"),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Complete description of one run (one point on a paper figure)."""
+    """Complete description of one run (one point on a paper figure).
+
+    Construction rejects a token rate or bucket depth that is not
+    finite and positive, and any closed-set string field outside
+    :data:`SPEC_CHOICES`: such a spec would otherwise run and return a
+    cacheable 100%-loss result, or fail only once simulation started.
+    """
 
     clip: str = "lost"
     codec: str = "mpeg1"
@@ -67,6 +84,18 @@ class ExperimentSpec:
     client_buffer_frames: int = 0  # playout buffer cap (0 = unbounded)
     capture_trace: bool = False  # per-packet detection trace (repro.detect)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("token_rate_bps", "bucket_depth_bytes"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive (got {value!r})")
+        for name, choices in SPEC_CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {name} {value!r} (expected one of {', '.join(choices)})"
+                )
 
     def with_token_bucket(
         self, token_rate_bps: float, bucket_depth_bytes: float

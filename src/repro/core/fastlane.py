@@ -44,7 +44,8 @@ point.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.core.experiment import (
@@ -199,14 +200,23 @@ def qualifies_for_batch(spec: ExperimentSpec) -> bool:
     return qualifies_for_fastpath(spec) and not spec.capture_trace
 
 
-def batch_key(spec: ExperimentSpec) -> ExperimentSpec:
-    """Grouping key: the spec with the grid axes neutralized.
+#: Grid axes a batch varies; every other spec field is in the batch key.
+BATCH_AXES = ("token_rate_bps", "bucket_depth_bytes", "seed")
+
+_batch_key_fields = attrgetter(
+    *(f.name for f in fields(ExperimentSpec) if f.name not in BATCH_AXES)
+)
+
+
+def batch_key(spec: ExperimentSpec) -> tuple:
+    """Grouping key: the spec's fields other than the grid axes.
 
     Two qualifying specs with equal keys share their message schedule,
     emission/link recurrences, and (per seed) the jitter RNG replay, so
-    the scheduler may run them as one array program.
+    the scheduler may run them as one array program. The key is a plain
+    tuple, not a spec: a spec with the axes zeroed would be invalid.
     """
-    return replace(spec, token_rate_bps=0.0, bucket_depth_bytes=0.0, seed=0)
+    return _batch_key_fields(spec)
 
 
 def run_batchpath(

@@ -20,10 +20,13 @@ from repro.sim.queues import PriorityQueueSet
 EF_LEVEL = 0
 BE_LEVEL = 1
 
+#: The EF codepoint as the plain int packets carry (no enum per packet).
+_EF = int(DSCP.EF)
+
 
 def ef_priority_classifier(packet: Packet) -> int:
     """EF-marked packets to the high-priority queue, the rest below."""
-    return EF_LEVEL if packet.dscp == int(DSCP.EF) else BE_LEVEL
+    return EF_LEVEL if packet.dscp == _EF else BE_LEVEL
 
 
 class PriorityScheduler(PriorityQueueSet):

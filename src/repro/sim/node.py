@@ -37,8 +37,9 @@ class Host:
         """Accept a packet (PacketSink interface)."""
         self.received_packets += 1
         self.received_bytes += packet.size
-        if self.application is not None:
-            self.application.receive(packet)
+        application = self.application
+        if application is not None:
+            application.receive(packet)
 
 
 class Router:

@@ -22,7 +22,7 @@ class PacketSink(Protocol):
         ...
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A single IP packet.
 

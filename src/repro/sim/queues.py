@@ -48,16 +48,13 @@ class DropTailQueue:
         """Total bytes currently queued."""
         return self._bytes
 
-    def _would_overflow(self, packet: Packet) -> bool:
-        if self.max_packets is not None and len(self._queue) >= self.max_packets:
-            return True
-        if self.max_bytes is not None and self._bytes + packet.size > self.max_bytes:
-            return True
-        return False
-
     def enqueue(self, packet: Packet) -> bool:
         """Append the packet; returns False (and counts a drop) if full."""
-        if self._would_overflow(packet):
+        max_packets = self.max_packets
+        max_bytes = self.max_bytes
+        if (max_packets is not None and len(self._queue) >= max_packets) or (
+            max_bytes is not None and self._bytes + packet.size > max_bytes
+        ):
             self.dropped_packets += 1
             self.dropped_bytes += packet.size
             if self._on_drop is not None:
@@ -70,9 +67,10 @@ class DropTailQueue:
 
     def dequeue(self) -> Optional[Packet]:
         """Pop the head of the queue, or None when empty."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return None
-        packet = self._queue.popleft()
+        packet = queue.popleft()
         self._bytes -= packet.size
         return packet
 
@@ -90,7 +88,9 @@ class PriorityQueueSet:
 
     Priority 0 is the highest. The classifier function maps a packet to
     a priority level; by default DSCP-marked packets get priority 0 and
-    everything else priority 1.
+    everything else priority 1. Every level is a plain
+    :class:`DropTailQueue`, so :meth:`dequeue` serves the level deques
+    directly.
     """
 
     def __init__(
@@ -138,8 +138,10 @@ class PriorityQueueSet:
     def dequeue(self) -> Optional[Packet]:
         """Serve the highest-priority non-empty queue."""
         for queue in self._queues:
-            packet = queue.dequeue()
-            if packet is not None:
+            fifo = queue._queue
+            if fifo:
+                packet = fifo.popleft()
+                queue._bytes -= packet.size
                 return packet
         return None
 

@@ -17,7 +17,7 @@ and JSON boundaries; :mod:`repro.detect` consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,9 +43,12 @@ POLICER_TRACE_COLUMNS = (
 RECEIVER_TRACE_COLUMNS = ("time", "packet_id", "size", "frame_id", "dscp")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One observed packet: when it passed and what it was."""
+class TraceRecord(NamedTuple):
+    """One observed packet: when it passed and what it was.
+
+    Immutable like a frozen dataclass, but a tuple builds in a third of
+    the time, and the taps build one per observed packet.
+    """
 
     time: float
     packet_id: int
@@ -176,20 +179,22 @@ class FlowTracer:
 
     def receive(self, packet: Packet) -> None:
         """Accept a packet (PacketSink interface)."""
-        if self.flow_id is None or packet.flow_id == self.flow_id:
+        flow_id = packet.flow_id
+        if self.flow_id is None or flow_id == self.flow_id:
             self.records.append(
                 TraceRecord(
-                    time=self.engine.now,
-                    packet_id=packet.packet_id,
-                    flow_id=packet.flow_id,
-                    size=packet.size,
-                    frame_id=packet.frame_id,
-                    datagram_id=packet.datagram_id,
-                    dscp=packet.dscp,
+                    self.engine.now,
+                    packet.packet_id,
+                    flow_id,
+                    packet.size,
+                    packet.frame_id,
+                    packet.datagram_id,
+                    packet.dscp,
                 )
             )
-        if self._sink is not None:
-            self._sink.receive(packet)
+        sink = self._sink
+        if sink is not None:
+            sink.receive(packet)
 
     # ------------------------------------------------------------------
     # summary statistics
