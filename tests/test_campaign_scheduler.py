@@ -295,6 +295,29 @@ class TestDeterminism:
             assert left.record.kind == right.record.kind
 
 
+class TestBatchGrouping:
+    """How a serial sweep coalesces into batch-lane grids.
+
+    Sweep throughput rides on this grouping (fewer, wider grids amortize
+    the shared schedule/jitter front end), so a queue change that alters
+    it must show up here rather than only in a benchmark.
+    """
+
+    RATES = tuple(mbps(r) for r in (1.5, 1.6, 1.7, 1.8, 1.9, 2.0, 2.1, 2.2))
+
+    def test_sixteen_point_serial_sweep_runs_as_two_grids(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BATCHPATH", raising=False)
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+        runner = make_runner(jobs=1)
+        sweep = token_rate_sweep(
+            fast_spec(), self.RATES, (3000.0, 4500.0), runner=runner
+        )
+        assert len(sweep.points) == 16
+        # The default window (8 units for one slot) bounds each grid.
+        assert runner.stats.batch_groups == 2
+        assert runner.stats.batch_points == 16
+
+
 class TestAggregator:
     def test_out_of_order_adds_finalize_in_submission_order(self):
         base = fast_spec()
