@@ -7,11 +7,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TIMEOUT ?= 300
 TIMEOUT_OPTS = --timeout=$(TIMEOUT)
 
-.PHONY: check check-fast test test-fast test-recovery test-detect test-remote test-fleet test-flows soak perf-smoke lint compile bench bench-figures
+.PHONY: check check-fast test test-fast test-recovery test-detect test-flows perf-smoke lint compile bench bench-figures
 
-# `test` already runs every suite under tests/ (recovery, remote,
-# fleet, flows included); the per-marker targets below are for
-# targeted loops, not for check.
+# `test` already runs every suite under tests/ (recovery, detect,
+# flows included); the per-marker targets below are for targeted
+# loops, not for check.
 check: lint test compile
 
 # Fast loop: skip the slow-marked full-figure/table benchmarks.
@@ -31,22 +31,6 @@ test-recovery:
 # the plain tier-1 run; the marker exists for a targeted loop).
 test-detect:
 	$(PYTHON) -m pytest -x -q -m detect $(TIMEOUT_OPTS)
-
-# Multi-host worker backend by itself: wire protocol, heartbeats,
-# chaos-killed fleets (also part of the plain tier-1 run).
-test-remote:
-	$(PYTHON) -m pytest -x -q -m remote $(TIMEOUT_OPTS)
-
-# Fleet supervision layer by itself: manifest supervisor, wire auth,
-# renewable leases, graceful drain (also part of the tier-1 run).
-test-fleet:
-	$(PYTHON) -m pytest -x -q -m fleet $(TIMEOUT_OPTS)
-
-# Long chaos soak over a real supervised fleet (kill -9, partitions,
-# rogue workers, concurrent campaigns). Opt-in: not part of check or
-# check-fast; the gate env var keeps it out of plain pytest runs too.
-soak:
-	REPRO_SOAK=1 $(PYTHON) -m pytest -x -q -s -m soak --timeout=900
 
 # Multi-flow aggregate / admission suite by itself: lane bit-identity,
 # shared-policer semantics, admission frontier (also in tier-1).

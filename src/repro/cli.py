@@ -1,21 +1,19 @@
 """Command-line interface.
 
-Eight subcommands mirror the library's main entry points::
+Seven subcommands mirror the library's main entry points::
 
     python -m repro run   --clip lost --encoding 1.7 --rate 1.9 --depth 3000
     python -m repro sweep --clip lost --encoding 1.7 \
         --rates 1.7,1.8,1.9,2.0 --depths 3000,4500 \
         [--jobs 4] [--cache] [--cache-dir DIR] [--csv out.csv] \
         [--max-retries 2] [--spec-timeout 600] [--journal FILE] [--resume] \
-        [--adaptive] [--cliff-threshold Q] [--progress] [--shards N]
+        [--adaptive] [--cliff-threshold Q] [--progress]
     python -m repro clips
     python -m repro detect    --clip test-300 --rate 1.5 --depth 3000
     python -m repro recommend --clip lost --depths 3000,4500 \
         [--target-score 0.05 | --target-loss F] [--jobs 4] [--cache | --warm]
+    python -m repro admit --clip lost --rate 4.0 --depth 9000 [--max-flows 4]
     python -m repro serve [--cache-dir DIR] [--jobs 4]
-    python -m repro worker [--host 127.0.0.1] [--port 0] [--slots 1] \
-        [--announce-host NAME] [--auth-token TOKEN]
-    python -m repro fleet  MANIFEST [--auth-token TOKEN] [--poll 0.1]
 
 ``run`` prints the headline measurements (and a MOS verdict) for one
 experiment; ``sweep`` prints a paper-style figure (optionally writing
@@ -45,30 +43,13 @@ Campaign features: ``sweep --adaptive`` runs the cliff-seeking sampler
 :mod:`repro.core.campaign.sampler`) instead of the full grid;
 ``--cliff-threshold`` sets the quality_score jump that triggers
 refinement. ``--progress`` streams a one-line progress/ETA report to
-stderr, fed by the scheduler's outcome stream. ``--shards`` overrides
-the scheduler's work-stealing shard count. ``recommend --warm`` binds
-the search to the warm result store through a
+stderr, fed by the scheduler's outcome stream. ``recommend --warm``
+binds the search to the warm result store through a
 :class:`~repro.core.campaign.service.CampaignService`, and ``serve``
 runs that service as a JSON-lines request/response loop on
-stdin/stdout.
-
-Multi-host execution: ``worker`` hosts one remote campaign worker (a
-TCP JSON-lines server announcing its bound address on stdout), and
-``sweep --workers HOST:PORT,...`` dispatches the sweep to such a
-fleet — with heartbeat liveness, automatic reassignment of units from
-dead or partitioned workers, per-host circuit breakers, and graceful
-degradation to local execution when every worker is lost (see
-:mod:`repro.core.campaign.remote`). ``fleet MANIFEST`` supervises such
-a fleet from a TOML/JSON manifest: it spawns the workers, respawns
-crashed ones with exponential backoff, quarantines crash-loopers, and
-prints the connectable roster to paste into ``sweep --workers`` (see
-:mod:`repro.core.campaign.fleet`). ``--auth-token TOKEN`` (or the
-``REPRO_AUTH_TOKEN`` environment variable) on ``worker``, ``sweep``
-and ``fleet`` enables mutual HMAC authentication on the wire; a peer
-without the shared token is rejected permanently. A worker bound to a
-wildcard interface (``--host 0.0.0.0``) announces a connectable
-hostname instead — override it with ``--announce-host`` when the
-resolved name is not reachable from the scheduler.
+stdin/stdout. ``admit`` probes 1..N-flow aggregates under one
+token bucket and compares QoE-floor admission against a naive
+bandwidth budget (see :mod:`repro.flows.admission`).
 
 Profiling: ``run --profile`` / ``sweep --profile`` (or the
 ``REPRO_PROFILE=1`` environment variable) execute the command under
@@ -196,8 +177,6 @@ def _cmd_sweep(args) -> int:
         )
     if args.journal_compact is not None and not args.journal:
         raise ValueError("--journal-compact requires --journal FILE")
-    if args.shards is not None and args.shards < 1:
-        raise ValueError(f"--shards must be at least 1 (got {args.shards})")
     # Validate the whole grid up front: a typo'd rate or duplicated
     # depth should die here, not an hour into the campaign.
     rates = [mbps(float(r)) for r in args.rates.split(",")]
@@ -237,25 +216,7 @@ def _cmd_sweep(args) -> int:
             max_retries=args.max_retries if args.max_retries is not None else 2,
             spec_timeout_s=args.spec_timeout,
         )
-    if args.workers:
-        # Multi-host execution: dispatch units to a fleet of
-        # `repro worker` processes; worker loss is survived via
-        # reassignment and, at worst, local serial fallback.
-        from repro.core.campaign import RemoteRunner, parse_worker_addresses
-
-        runner = RemoteRunner(
-            parse_worker_addresses(args.workers),
-            store=store,
-            retry=retry,
-            heartbeat_s=args.heartbeat,
-            liveness_timeout_s=args.heartbeat_timeout,
-            shards=args.shards,
-            auth_token=args.auth_token,
-        )
-    else:
-        runner = make_runner(
-            jobs=args.jobs, store=store, retry=retry, shards=args.shards
-        )
+    runner = make_runner(jobs=args.jobs, store=store, retry=retry)
     progress = None
     if args.progress:
         from repro.core.campaign import CampaignProgress
@@ -285,24 +246,6 @@ def _cmd_sweep(args) -> int:
             journal_compact_every=args.journal_compact,
         )
     print(render_sweep(sweep, title=f"sweep: {args.clip} ({args.codec})"))
-    if args.workers:
-        stats = runner.stats
-        print(
-            f"\nworkers [{args.workers}]: "
-            f"{stats.reassignments} reassignments, "
-            f"{stats.worker_losses} lost, "
-            f"{stats.degraded_units} degraded to local"
-        )
-        speeds = {
-            addr: rate
-            for addr, rate in sorted(stats.worker_speeds.items())
-            if ":" in addr  # per-address EWMA, not per-slot
-        }
-        if speeds:
-            print(
-                "worker speeds (points/s): "
-                + ", ".join(f"{addr} {rate:.2f}" for addr, rate in speeds.items())
-            )
     if sweep.sampling is not None:
         sampling = sweep.sampling
         print(
@@ -590,31 +533,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    from repro.core.campaign.worker import run_worker
-
-    if args.slots < 1:
-        raise ValueError(f"--slots must be at least 1 (got {args.slots})")
-    return run_worker(
-        host=args.host,
-        port=args.port,
-        slots=args.slots,
-        announce_host=args.announce_host,
-        auth_token=args.auth_token,
-    )
-
-
-def _cmd_fleet(args) -> int:
-    from repro.core.campaign.fleet import run_fleet
-
-    return run_fleet(
-        args.manifest,
-        auth_token=args.auth_token,
-        poll_s=args.poll,
-        duration_s=args.duration,
-    )
-
-
 def _cmd_clips(_args) -> int:
     rows = []
     for name, clip in CLIPS.items():
@@ -727,30 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--progress", action="store_true",
         help="stream a one-line progress/ETA report to stderr",
-    )
-    sweep_parser.add_argument(
-        "--shards", type=int, default=None,
-        help="work-stealing shard count (default: one per worker)",
-    )
-    sweep_parser.add_argument(
-        "--workers", default=None, metavar="HOST:PORT[,HOST:PORT...]",
-        help="dispatch the sweep to remote `repro worker` processes "
-        "instead of local jobs (fault-tolerant: dead workers are "
-        "reassigned, a lost fleet degrades to local execution)",
-    )
-    sweep_parser.add_argument(
-        "--heartbeat", type=float, default=1.0, metavar="S",
-        help="remote worker heartbeat interval in seconds (with --workers)",
-    )
-    sweep_parser.add_argument(
-        "--heartbeat-timeout", type=float, default=None, metavar="S",
-        help="declare a remote worker dead after this long without a "
-        "heartbeat (default: 4x the heartbeat interval)",
-    )
-    sweep_parser.add_argument(
-        "--auth-token", default=None,
-        help="shared fleet secret for mutual wire authentication "
-        "(default: the REPRO_AUTH_TOKEN environment variable)",
     )
     sweep_parser.add_argument(
         "--profile",
@@ -913,60 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.set_defaults(func=_cmd_serve)
 
-    worker_parser = commands.add_parser(
-        "worker",
-        help="host one remote campaign worker (the `sweep --workers` fleet)",
-    )
-    worker_parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to listen on (default 127.0.0.1)",
-    )
-    worker_parser.add_argument(
-        "--port", type=int, default=0,
-        help="port to listen on (0 = ephemeral; the bound address is "
-        "announced as a JSON line on stdout)",
-    )
-    worker_parser.add_argument(
-        "--slots", type=int, default=1,
-        help="concurrent units this worker accepts (default 1)",
-    )
-    worker_parser.add_argument(
-        "--announce-host", default=None,
-        help="hostname to announce instead of the bind address (for "
-        "wildcard binds like --host 0.0.0.0, which default to the "
-        "resolved hostname)",
-    )
-    worker_parser.add_argument(
-        "--auth-token", default=None,
-        help="shared fleet secret for mutual wire authentication "
-        "(default: the REPRO_AUTH_TOKEN environment variable)",
-    )
-    worker_parser.set_defaults(func=_cmd_worker)
-
-    fleet_parser = commands.add_parser(
-        "fleet",
-        help="supervise a worker fleet from a TOML/JSON manifest",
-    )
-    fleet_parser.add_argument(
-        "manifest",
-        help="fleet manifest: a [[workers]] array of host/port/slots "
-        "tables, plus an optional [defaults] table",
-    )
-    fleet_parser.add_argument(
-        "--auth-token", default=None,
-        help="shared fleet secret handed to every worker via its "
-        "environment (default: the REPRO_AUTH_TOKEN environment variable)",
-    )
-    fleet_parser.add_argument(
-        "--poll", type=float, default=0.1, metavar="S",
-        help="supervision poll interval in seconds (default 0.1)",
-    )
-    fleet_parser.add_argument(
-        "--duration", type=float, default=None, metavar="S",
-        help="stop the fleet after this many seconds (default: run "
-        "until interrupted)",
-    )
-    fleet_parser.set_defaults(func=_cmd_fleet)
     return parser
 
 

@@ -8,7 +8,7 @@ pool, against an on-disk result cache (`runner`, `resultstore`), with
 bounded retries, per-spec timeouts, quarantine, and checkpoint/resume
 (`faults`, `journal`, `chaos`) — and analyze/print the results
 (`analysis`, `report`). Execution is orchestrated by the `campaign`
-package: an async sharded scheduler with work-stealing, streaming
+package: an async scheduler over one bounded queue, streaming
 aggregation, cross-process single-flight, adaptive cliff-seeking
 sampling, and a warm-store query service.
 """

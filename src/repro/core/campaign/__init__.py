@@ -1,4 +1,4 @@
-"""Campaign layer: async sharded execution for million-point grids.
+"""Campaign layer: streamed, single-host execution for large grids.
 
 The paper's provisioning curves are step functions: almost every point
 of a dense (rate × depth) grid lands on a flat plateau, and the few
@@ -7,13 +7,12 @@ batch-oriented runner stack into a campaign scheduler built for that
 shape:
 
 * :mod:`~repro.core.campaign.scheduler` — an asyncio scheduler that
-  shards arbitrary spec streams into work units, serves them to a
-  pluggable worker backend with work-stealing between shards and a
-  bounded in-flight window, and deduplicates concurrent campaigns
-  through the result store's cross-process single-flight leases;
+  pulls arbitrary spec streams through one bounded queue, serves the
+  units to a worker backend, coalesces batch-lane grids, and
+  deduplicates concurrent campaigns through the result store's
+  cross-process single-flight leases;
 * :mod:`~repro.core.campaign.backends` — the worker backend API
-  (in-process serial and process-pool today; the surface is
-  deliberately small enough that a multi-host backend only needs
+  (in-process serial and process-pool; a backend only needs
   ``slots`` + ``execute``);
 * :mod:`~repro.core.campaign.aggregate` — streaming aggregation:
   a :class:`~repro.core.sweep.SweepResult` grown incrementally from
@@ -24,48 +23,20 @@ shape:
   or frame loss jumps across a cliff threshold;
 * :mod:`~repro.core.campaign.service` — ``CampaignService``, the
   long-running query API that answers provisioning questions from the
-  warm store and schedules only cache misses (``repro serve``);
-* :mod:`~repro.core.campaign.remote` /
-  :mod:`~repro.core.campaign.worker` — the multi-host tier: a
-  socket-backed :class:`RemoteBackend` dispatching units to ``repro
-  worker`` fleet processes over a JSON-lines wire protocol, with
-  heartbeat liveness, automatic reassignment of in-flight units when
-  a worker dies or partitions, per-host circuit breakers, and
-  graceful degradation to local execution when the whole fleet is
-  lost;
-* :mod:`~repro.core.campaign.fleet` — the ``repro fleet`` supervisor:
-  launches the worker fleet from a TOML/JSON manifest, respawns
-  abnormal deaths with exponential backoff, quarantines crash-looping
-  entries, pins ephemeral ports across respawns so a mid-sweep
-  scheduler can re-dial, and hands the shared auth token to workers
-  through their environment.
+  warm store and schedules only cache misses (``repro serve``).
 
-The legacy entry points (:meth:`repro.core.runner.Runner.run_batch`,
-:func:`repro.core.sweep.token_rate_sweep`, ``recommend``) are rewired
-through the scheduler, preserving the serial==parallel bit-identical
+The runner entry points (:meth:`repro.core.runner.Runner.run_batch`,
+:func:`repro.core.sweep.token_rate_sweep`, ``recommend``) run through
+the scheduler, preserving the serial==parallel bit-identical
 guarantee: every outcome is a pure function of its spec, so neither
-sharding, stealing, nor backend choice can perturb a result.
+scheduling order nor backend choice can perturb a result.
 """
 
 from repro.core.campaign.aggregate import CampaignProgress, SweepAggregator
-from repro.core.campaign.fleet import (
-    FleetEntry,
-    FleetSupervisor,
-    load_manifest,
-    run_fleet,
-)
 from repro.core.campaign.backends import (
-    LegacyRunnerBackend,
     ProcessPoolBackend,
     SerialBackend,
     WorkerBackend,
-    backend_for_runner,
-)
-from repro.core.campaign.remote import (
-    RemoteBackend,
-    RemoteRunner,
-    parse_worker_addresses,
-    shutdown_fleet,
 )
 from repro.core.campaign.sampler import (
     AdaptiveSampleReport,
@@ -77,29 +48,17 @@ from repro.core.campaign.scheduler import (
     run_stream_through_scheduler,
 )
 from repro.core.campaign.service import CampaignService
-from repro.core.campaign.worker import WorkerHost
 
 __all__ = [
     "AdaptiveSampleReport",
     "CampaignProgress",
     "CampaignScheduler",
     "CampaignService",
-    "FleetEntry",
-    "FleetSupervisor",
-    "LegacyRunnerBackend",
     "ProcessPoolBackend",
-    "RemoteBackend",
-    "RemoteRunner",
     "SerialBackend",
     "SweepAggregator",
     "WorkUnit",
     "WorkerBackend",
-    "WorkerHost",
     "adaptive_token_rate_sweep",
-    "backend_for_runner",
-    "load_manifest",
-    "parse_worker_addresses",
-    "run_fleet",
     "run_stream_through_scheduler",
-    "shutdown_fleet",
 ]

@@ -1,7 +1,7 @@
 """Streaming aggregation: grow a SweepResult from an outcome stream.
 
 The scheduler never hands back a batch — outcomes arrive one at a time
-through the emit callback, in whatever order shards resolve them. The
+through the emit callback, in whatever order the workers resolve them. The
 :class:`SweepAggregator` folds that stream into a
 :class:`~repro.core.sweep.SweepResult` incrementally, keyed by each
 unit's submission index so the finalized result is identical no matter
@@ -30,7 +30,7 @@ class SweepAggregator:
 
     ``add`` accepts outcomes in any order; ``finalize`` assembles the
     result with points and failures in submission order, which is what
-    makes serial, pooled, and sharded runs of the same grid compare
+    makes serial and pooled runs of the same grid compare
     bit-identical. Only resolved (index, spec, outcome) triples are
     held — the grid itself is never materialized here.
     """

@@ -1,22 +1,19 @@
 """Worker backends: where one work unit actually executes.
 
 A backend answers exactly one question for the scheduler: "run this
-spec, give me its outcome". Everything else — sharding, stealing,
-retries, quarantine, caching, single-flight — lives in the scheduler,
-so a backend stays small enough that adding a new execution substrate
-(a remote-host pool, a container fleet) means implementing ``slots``
-and ``execute`` and nothing more.
+spec, give me its outcome". Everything else — queueing, retries,
+quarantine, caching, single-flight — lives in the scheduler, so a
+backend only implements ``slots`` and ``execute`` (plus
+``execute_batch`` when it can run a coalesced grid as one program).
 
-Three backends ship today:
+Two backends ship, one per built-in runner (each runner builds its
+own in :meth:`~repro.core.runner.Runner.make_backend`):
 
 * :class:`SerialBackend` — in-process, one unit at a time, the only
   backend that can retain full-detail results;
 * :class:`ProcessPoolBackend` — worker processes; a persistent
   ``ProcessPoolExecutor`` on the plain path, one supervised process
-  per attempt when a retry policy needs hang/crash containment;
-* :class:`LegacyRunnerBackend` — adapter for custom
-  :class:`~repro.core.runner.Runner` subclasses (stub runners in
-  tests, downstream extensions) that only implement ``_execute``.
+  per attempt when a retry policy needs hang/crash containment.
 
 Every backend preserves the bit-identical guarantee: workers build
 their own engine and VQM tool per spec, so an outcome is a pure
@@ -36,7 +33,7 @@ from repro.core.faults import SpecTimeout, WorkerCrash, deadline
 from repro.vqm.tool import VqmTool
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.runner import BatchOutcome, Runner, RunnerStats
+    from repro.core.runner import BatchOutcome, RunnerStats
 
 
 class RemoteWorkerError(Exception):
@@ -59,21 +56,10 @@ class WorkerBackend:
 
     slots: int = 1
 
-    #: Whether the scheduler may take *renewable* store leases while
-    #: this backend executes. Requires ``execute`` to keep the event
-    #: loop responsive (thread/process/socket execution) so the
-    #: renewal task actually fires; a backend that blocks the loop
-    #: (serial, legacy adapters) must leave this False or its own live
-    #: leases would be declared stale mid-simulation.
-    supports_lease_renewal: bool = False
-
     #: Whether :meth:`execute_batch` actually coalesces. The scheduler
-    #: only drains batch-mates out of its shard queues when the backend
-    #: can run them as one array program.
+    #: only drains batch-mates out of its queue when the backend can
+    #: run them as one array program.
     batch_capable: bool = False
-
-    def prepare(self, plan_specs: Optional[Sequence[ExperimentSpec]]) -> None:
-        """One-time setup before the first unit (warm plans, pools)."""
 
     async def execute(
         self, spec: ExperimentSpec, timeout_s: Optional[float] = None
@@ -92,15 +78,6 @@ class WorkerBackend:
         members through the per-unit path).
         """
         return None
-
-    def worker_speeds(self) -> dict:
-        """Observed points/sec per execution slot, when tracked.
-
-        Keys are backend-specific (the remote backend reports
-        ``host:port``); an empty dict means the backend does not
-        distinguish slot speeds.
-        """
-        return {}
 
     def close(self) -> None:
         """Release pools/processes; called once per campaign, always."""
@@ -187,15 +164,12 @@ class ProcessPoolBackend(WorkerBackend):
     #: Seconds between supervision polls of a worker's pipe/liveness.
     POLL_S = 0.02
 
-    # Every execution path hands off to a thread or process, so the
-    # loop stays free to run the scheduler's lease-renewal tasks.
-    supports_lease_renewal = True
-
     def __init__(
         self,
         jobs: int,
         supervised: bool = False,
         stats: Optional["RunnerStats"] = None,
+        plan_specs: Optional[Sequence[ExperimentSpec]] = None,
     ):
         if jobs < 1:
             raise ValueError(f"need at least one worker (jobs={jobs})")
@@ -205,10 +179,8 @@ class ProcessPoolBackend(WorkerBackend):
         self.stats = stats
         self._pool = None
         self._broken = False
-        self._plan_specs: Optional[Sequence[ExperimentSpec]] = None
-        self._total_hint: Optional[int] = None
-
-    def prepare(self, plan_specs: Optional[Sequence[ExperimentSpec]]) -> None:
+        # The batch about to run, when known: sizes the pool and
+        # pre-warms worker clip caches.
         self._plan_specs = plan_specs
         self._total_hint = len(plan_specs) if plan_specs is not None else None
 
@@ -385,59 +357,3 @@ class ProcessPoolBackend(WorkerBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-
-
-class LegacyRunnerBackend(WorkerBackend):
-    """Adapter for Runner subclasses that predate the backend API.
-
-    Drives the subclass's ``_execute`` one spec at a time (its
-    historical unit of work), so stub runners and downstream
-    extensions keep working unmodified through the scheduler.
-    """
-
-    slots = 1
-
-    def __init__(self, runner: "Runner"):
-        self.runner = runner
-
-    async def execute(
-        self, spec: ExperimentSpec, timeout_s: Optional[float] = None
-    ) -> "BatchOutcome":
-        with deadline(timeout_s):
-            [outcome] = self.runner._execute([spec])
-        return outcome
-
-
-def backend_for_runner(
-    runner: "Runner", plan_specs: Optional[Sequence[ExperimentSpec]] = None
-) -> WorkerBackend:
-    """The natural backend for a legacy runner object.
-
-    ``plan_specs`` (the batch about to run) lets the pool backend size
-    itself and pre-warm worker clip caches exactly as the historical
-    ``ProcessPoolRunner`` did.
-    """
-    from repro.core.runner import ProcessPoolRunner, SerialRunner
-
-    dedicated = runner.make_backend(plan_specs)
-    if dedicated is not None:
-        return dedicated
-    if isinstance(runner, ProcessPoolRunner):
-        backend = ProcessPoolBackend(
-            jobs=runner.jobs,
-            supervised=runner.retry is not None,
-            stats=runner.stats,
-        )
-        backend.prepare(plan_specs)
-        return backend
-    if isinstance(runner, SerialRunner):
-        backend = SerialBackend(
-            vqm_tool=runner.vqm_tool,
-            keep_details=runner.keep_details,
-            details=runner.last_details,
-        )
-        backend.prepare(plan_specs)
-        return backend
-    backend = LegacyRunnerBackend(runner)
-    backend.prepare(plan_specs)
-    return backend

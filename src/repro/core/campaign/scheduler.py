@@ -1,22 +1,21 @@
-"""The asyncio campaign scheduler: shards, stealing, single-flight.
+"""The asyncio campaign scheduler: one bounded queue, single-flight.
 
 One scheduler run turns a stream of :class:`WorkUnit`\\ s into a
 stream of outcomes:
 
-* units are fed into ``shards`` deques round-robin, at most ``window``
-  of them queued-or-in-flight at any moment, so a million-point grid
-  is pulled through lazily instead of materialized;
-* ``backend.slots`` worker coroutines drain the shards — each takes
-  from the front of its own shard and, when that runs dry, *steals
-  from the back of the richest one*, so an unlucky shard full of slow
-  cliff points cannot strand idle workers;
+* units are fed into one shared queue, at most ``window`` of them
+  queued-or-in-flight at any moment, so a million-point grid is
+  pulled through lazily instead of materialized;
+* ``backend.slots`` worker coroutines take units from the front of
+  that queue (every take runs under one condition on one event loop,
+  so a single queue is as contention-free as any split of it);
 * a unit is answered by the result store when possible (a warm hit
   costs one file read), otherwise executed through the backend under
   the retry policy's attempt loop;
 * when a store is attached, execution happens under a cross-process
-  single-flight lease: two campaigns (or two shards) that reach the
-  same fingerprint concurrently produce exactly one simulation — the
-  loser waits on the winner's cache publish instead of re-simulating.
+  single-flight lease: two campaigns that reach the same fingerprint
+  concurrently produce exactly one simulation — the loser waits on
+  the winner's cache publish instead of re-simulating.
 
 Outcomes are emitted through a callback as they resolve, which is
 what the streaming aggregator, journal checkpointing, and progress
@@ -58,11 +57,6 @@ LEASE_POLL_S = 0.05
 #: huge sweeps; wider grids simply run as several batches.
 MAX_BATCH_UNITS = 64
 
-#: EWMA weight for per-worker speed samples (points/sec). High enough
-#: to track a host that warms up or degrades, low enough that one
-#: outlier point does not whipsaw the shard weights.
-SPEED_EWMA_ALPHA = 0.3
-
 
 @dataclass(frozen=True)
 class WorkUnit:
@@ -74,14 +68,11 @@ class WorkUnit:
 
 
 class CampaignScheduler:
-    """Async sharded executor over a pluggable worker backend.
+    """Async executor over a pluggable worker backend.
 
-    ``shards`` defaults to the backend's slot count; ``window`` bounds
-    queued + in-flight units (the streaming knob — small windows keep
-    memory flat on huge grids, large ones keep shards warm for
-    stealing). ``single_flight=False`` disables the cross-process
-    lease path (used by tests and by stores on filesystems without
-    ``O_EXCL`` semantics).
+    ``window`` bounds queued + in-flight units (the streaming knob:
+    small windows keep memory flat on huge grids, large ones let the
+    batch lane coalesce wider grids).
     """
 
     def __init__(
@@ -90,9 +81,7 @@ class CampaignScheduler:
         store: Optional["ResultStore"] = None,
         retry: Optional[RetryPolicy] = None,
         stats: Optional["RunnerStats"] = None,
-        shards: Optional[int] = None,
         window: Optional[int] = None,
-        single_flight: bool = True,
     ):
         from repro.core.runner import RunnerStats
 
@@ -101,30 +90,13 @@ class CampaignScheduler:
         self.retry = retry
         self.stats = stats if stats is not None else RunnerStats()
         slots = max(1, backend.slots)
-        self.shards = max(1, shards if shards is not None else slots)
         self.window = max(
             slots, window if window is not None else max(4 * slots, 8)
         )
-        self.single_flight = single_flight
-        #: Renewable leases need the event loop free while units
-        #: execute (the renewal task must actually fire); backends
-        #: that run units synchronously on the loop opt out.
-        self._renewable = bool(
-            getattr(backend, "supports_lease_renewal", False)
-        )
-        #: Observed points/sec per worker coroutine id (EWMA). Seeds
-        #: empty: an unmeasured worker counts as speed 1.0, so shard
-        #: weights only diverge once real samples arrive.
-        self._speeds: dict[int, float] = {}
         self._cond: Optional[asyncio.Condition] = None
-        self._queues: list[deque] = []
+        self._queue: deque = deque()
         self._exhausted = False
-        self._queued = 0
         self._inflight = 0
-        #: Worker coroutines that exited because the backend's live
-        #: slot count shrank below their id mid-run (remote workers
-        #: dying); their shards drain through the survivors' stealing.
-        self.retired_workers = 0
 
     # ------------------------------------------------------------------
     # The run loop
@@ -138,159 +110,52 @@ class CampaignScheduler:
         always completes.
         """
         self._cond = asyncio.Condition()
-        self._queues = [deque() for _ in range(self.shards)]
+        self._queue = deque()
         self._exhausted = False
-        self._queued = 0
         self._inflight = 0
-        self.retired_workers = 0
         try:
             async with asyncio.TaskGroup() as group:
                 group.create_task(self._feed(iter(units)))
-                for wid in range(max(1, self.backend.slots)):
-                    group.create_task(self._work(wid, emit))
+                for _ in range(max(1, self.backend.slots)):
+                    group.create_task(self._work(emit))
         except BaseExceptionGroup as group_exc:
             # Surface the original failure, not the group wrapper, so
             # callers keep catching the exception type they always did.
             raise group_exc.exceptions[0] from None
         finally:
-            # Mirror the backend's own per-host speed observations
-            # (read before close — closing drops the connections).
-            speeds = getattr(self.backend, "worker_speeds", None)
-            if speeds is not None:
-                try:
-                    self.stats.worker_speeds.update(speeds())
-                except Exception:  # noqa: BLE001 - stats, best effort
-                    pass
-            # A backend with live connections to release (the remote
-            # backend) closes asynchronously; the local ones are sync.
-            closing = self.backend.close()
-            if closing is not None and hasattr(closing, "__await__"):
-                await closing
+            self.backend.close()
 
     async def _feed(self, units: Iterator[WorkUnit]) -> None:
         assert self._cond is not None
         try:
             for unit in units:
                 async with self._cond:
-                    while self._queued + self._inflight >= self.window:
+                    while len(self._queue) + self._inflight >= self.window:
                         await self._cond.wait()
-                    self._queues[self._pick_shard()].append(unit)
-                    self._queued += 1
+                    self._queue.append(unit)
                     self._cond.notify_all()
         finally:
             async with self._cond:
                 self._exhausted = True
                 self._cond.notify_all()
 
-    # ------------------------------------------------------------------
-    # Speed-aware sharding
-
-    def _shard_speed(self, shard: int) -> float:
-        """Aggregate points/sec of the workers owning one shard.
-
-        Workers map to shards by ``wid % shards``; an unmeasured
-        worker contributes 1.0, so with no samples yet every shard
-        weighs the same and feeding degenerates to round-robin. A
-        shard no live worker owns (slots shrank, or shards > slots)
-        also weighs 1.0 — it drains via stealing, exactly as before.
-        """
-        wids = [
-            wid
-            for wid in range(max(1, self.backend.slots))
-            if wid % self.shards == shard
-        ]
-        if not wids:
-            return 1.0
-        return max(sum(self._speeds.get(wid, 1.0) for wid in wids), 1e-9)
-
-    def _pick_shard(self) -> int:
-        """The shard where one more unit finishes soonest.
-
-        Cost of appending to shard *s* is its estimated drain time
-        ``(len + 1) / speed``: a shard owned by a fast host absorbs
-        proportionally more of the stream, so the tail of a sweep is
-        no longer set by the slowest host grinding through an equal
-        share.
-        """
-        best = 0
-        best_cost = None
-        for shard, queue in enumerate(self._queues):
-            cost = (len(queue) + 1) / self._shard_speed(shard)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = shard, cost
-        return best
-
-    def _note_speed(self, wid: int, elapsed_s: float) -> None:
-        """Fold one successful execution time into the worker's EWMA."""
-        if elapsed_s <= 0:
-            return
-        sample = 1.0 / elapsed_s
-        prior = self._speeds.get(wid)
-        speed = (
-            sample
-            if prior is None
-            else prior + SPEED_EWMA_ALPHA * (sample - prior)
-        )
-        self._speeds[wid] = speed
-        self.stats.worker_speeds[f"w{wid}"] = round(speed, 4)
-
-    def _take(self, wid: int) -> Optional[WorkUnit]:
-        own = self._queues[wid % self.shards]
-        if own:
-            return own.popleft()
-        # Steal from the shard with the most *time* queued (length
-        # weighted by its owners' speed), not the most units: ten
-        # points behind a slow host are a better theft than twelve
-        # behind a fast one.
-        victim = max(
-            range(len(self._queues)),
-            key=lambda s: len(self._queues[s]) / self._shard_speed(s),
-        )
-        queue = self._queues[victim]
-        if queue:
-            # Steal from the back: the tail is the work the victim
-            # would reach last, so contention on "next up" is minimal.
-            self.stats.steals += 1
-            return queue.pop()
-        return None
-
-    def _retired(self, wid: int) -> bool:
-        """Whether this worker coroutine should retire.
-
-        ``backend.slots`` may shrink mid-run (remote workers dying):
-        coroutines whose id no longer maps to a live slot exit between
-        units, leaving their shards to the survivors' work-stealing.
-        Worker 0 never retires, so the run always drains — even a
-        backend reporting zero live slots still degrades through
-        whatever fallback its ``execute`` provides.
-        """
-        return wid > 0 and wid >= max(1, self.backend.slots)
-
-    async def _work(self, wid: int, emit: EmitCallback) -> None:
+    async def _work(self, emit: EmitCallback) -> None:
         assert self._cond is not None
         while True:
             async with self._cond:
-                if self._retired(wid):
-                    self.retired_workers += 1
-                    return
-                unit = self._take(wid)
-                while unit is None:
-                    if self._exhausted and self._queued == 0:
+                while not self._queue:
+                    if self._exhausted:
                         return
                     await self._cond.wait()
-                    if self._retired(wid):
-                        self.retired_workers += 1
-                        return
-                    unit = self._take(wid)
-                self._queued -= 1
+                unit = self._queue.popleft()
                 self._inflight += 1
                 mates = self._drain_batch_mates(unit)
             group_size = 1 + (len(mates) if mates is not None else 0)
             try:
                 if mates is None:
-                    await self._process(unit, emit, wid)
+                    await self._process(unit, emit)
                 else:
-                    await self._process_batch([unit] + mates, emit, wid)
+                    await self._process_batch([unit] + mates, emit)
             finally:
                 async with self._cond:
                     self._inflight -= group_size
@@ -299,32 +164,30 @@ class CampaignScheduler:
     # ------------------------------------------------------------------
     # Per-unit resolution
 
-    async def _process(
-        self, unit: WorkUnit, emit: EmitCallback, wid: int = 0
-    ) -> None:
+    def _answer_from_store(
+        self, unit: WorkUnit, emit: EmitCallback, source: str = "cache"
+    ) -> bool:
+        """Emit the unit's stored outcome, if the store has one."""
+        cached = self.store.get(unit.fingerprint)
+        if cached is None:
+            return False
+        self.stats.cache_hits += 1
+        self.stats.time_saved_s += cached.elapsed_s
+        emit(unit, cached, source)
+        return True
+
+    async def _process(self, unit: WorkUnit, emit: EmitCallback) -> None:
         store = self.store
         if store is None:
-            outcome = await self._execute_timed(unit, wid)
+            outcome = await self._execute(unit)
             self._count_fresh(outcome)
             emit(unit, outcome, "fresh")
             return
 
-        cached = store.get(unit.fingerprint)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            self.stats.time_saved_s += cached.elapsed_s
-            emit(unit, cached, "cache")
+        if self._answer_from_store(unit, emit):
             return
 
-        if not self.single_flight:
-            outcome = await self._execute_timed(unit, wid)
-            self._count_fresh(outcome)
-            if not isinstance(outcome, FailureRecord):
-                store.put(unit.fingerprint, unit.spec, outcome)
-            emit(unit, outcome, "fresh")
-            return
-
-        lease = store.acquire_lease(unit.fingerprint, renewable=self._renewable)
+        lease = store.acquire_lease(unit.fingerprint)
         if lease is None:
             # Someone else is simulating this fingerprint right now.
             # Wait for their publish instead of duplicating the work;
@@ -333,49 +196,22 @@ class CampaignScheduler:
             self.stats.single_flight_waits += 1
             while lease is None:
                 await asyncio.sleep(LEASE_POLL_S)
-                cached = store.get(unit.fingerprint)
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    self.stats.time_saved_s += cached.elapsed_s
-                    emit(unit, cached, "single-flight")
+                if self._answer_from_store(unit, emit, "single-flight"):
                     return
-                lease = store.acquire_lease(
-                    unit.fingerprint, renewable=self._renewable
-                )
-        renew_task = (
-            asyncio.create_task(self._keep_renewed(lease))
-            if lease.renew_s is not None
-            else None
-        )
+                lease = store.acquire_lease(unit.fingerprint)
         try:
             # Holding the lease: check the store once more (the prior
             # holder may have published between our miss and our
             # acquire), then simulate.
-            cached = store.get(unit.fingerprint)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                self.stats.time_saved_s += cached.elapsed_s
-                emit(unit, cached, "cache")
+            if self._answer_from_store(unit, emit):
                 return
-            outcome = await self._execute_timed(unit, wid)
+            outcome = await self._execute(unit)
             self._count_fresh(outcome)
             if not isinstance(outcome, FailureRecord):
                 # Publish before releasing so waiters always find the
-                # entry once the lease is gone. The publish is fenced:
-                # if our lease was reclaimed mid-simulation (a wedged
-                # renewal), the reclaimer owns the publish and ours is
-                # discarded — byte-identical either way, but counted.
-                if not store.put(
-                    unit.fingerprint, unit.spec, outcome, lease=lease
-                ):
-                    self.stats.fenced_publishes += 1
+                # entry once the lease is gone.
+                store.put(unit.fingerprint, unit.spec, outcome)
         finally:
-            if renew_task is not None:
-                renew_task.cancel()
-                try:
-                    await renew_task
-                except asyncio.CancelledError:
-                    pass
             lease.release()
         emit(unit, outcome, "fresh")
 
@@ -383,7 +219,7 @@ class CampaignScheduler:
     # Batch coalescing (the array-program lane)
 
     def _drain_batch_mates(self, unit: WorkUnit) -> Optional[list[WorkUnit]]:
-        """Pull this unit's batch-mates out of the shard queues.
+        """Pull this unit's batch-mates out of the queue.
 
         Called with ``self._cond`` held, immediately after ``unit`` was
         taken. Returns ``None`` when coalescing does not apply (mode
@@ -393,53 +229,49 @@ class CampaignScheduler:
         batch lane so tests/benches can force it.
 
         Queued units that share the unit's :func:`~repro.core.fastlane.
-        batch_key` are removed from every shard (relative order of the
+        batch_key` are removed from the queue (relative order of the
         survivors is preserved) and move to in-flight accounting; the
         feeder's window sees no change in queued+inflight totals.
         """
         from repro.core import fastlane
 
         mode = fastlane.batchpath_mode()
-        if mode == "0" or not getattr(self.backend, "batch_capable", False):
+        if mode == "0" or not self.backend.batch_capable:
             return None
         if not fastlane.qualifies_for_batch(unit.spec):
             return None
         key = fastlane.batch_key(unit.spec)
         mates: list[WorkUnit] = []
-        for queue in self._queues:
-            if len(mates) >= MAX_BATCH_UNITS - 1:
-                break
-            kept = deque()
-            while queue:
-                candidate = queue.popleft()
-                if (
-                    len(mates) < MAX_BATCH_UNITS - 1
-                    and fastlane.qualifies_for_batch(candidate.spec)
-                    and fastlane.batch_key(candidate.spec) == key
-                ):
-                    mates.append(candidate)
-                else:
-                    kept.append(candidate)
-            queue.extend(kept)
-        self._queued -= len(mates)
+        kept: deque = deque()
+        while self._queue:
+            candidate = self._queue.popleft()
+            if (
+                len(mates) < MAX_BATCH_UNITS - 1
+                and fastlane.qualifies_for_batch(candidate.spec)
+                and fastlane.batch_key(candidate.spec) == key
+            ):
+                mates.append(candidate)
+            else:
+                kept.append(candidate)
+        self._queue = kept
         self._inflight += len(mates)
         if not mates and mode != "1":
             return None
         return mates
 
     async def _process_batch(
-        self, units: list[WorkUnit], emit: EmitCallback, wid: int
+        self, units: list[WorkUnit], emit: EmitCallback
     ) -> None:
         """Resolve a coalesced group, per-unit semantics intact.
 
         Every member keeps the per-unit contract: cache hits never
-        re-simulate, fresh results are published under (and fenced by)
-        single-flight leases, and each member emits exactly once with
-        the same ``source`` labels as the per-unit path. Members that
-        cannot be served by the batch call — lease lost to another
-        process, validation failure under a retry policy, or a batch
-        execution error — are re-routed through :meth:`_process`, which
-        owns waiting, retries, and quarantine.
+        re-simulate, fresh results are published under single-flight
+        leases, and each member emits exactly once with the same
+        ``source`` labels as the per-unit path. Members that cannot be
+        served by the batch call — lease held by another process,
+        validation failure under a retry policy, or a batch execution
+        error — are re-routed through :meth:`_process`, which owns
+        waiting, retries, and quarantine.
         """
         from repro.core.faults import PoisonResult
         from repro.core.runner import validate_summary
@@ -447,54 +279,35 @@ class CampaignScheduler:
         store = self.store
         pending = list(units)
         rerouted: list[WorkUnit] = []
+        leases: dict[int, object] = {}
 
         if store is not None:
-            remaining = []
-            for unit in pending:
-                cached = store.get(unit.fingerprint)
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    self.stats.time_saved_s += cached.elapsed_s
-                    emit(unit, cached, "cache")
-                else:
-                    remaining.append(unit)
-            pending = remaining
-
-        leases: dict[int, object] = {}
-        if store is not None and self.single_flight and pending:
             held = []
             for unit in pending:
-                lease = store.acquire_lease(
-                    unit.fingerprint, renewable=self._renewable
-                )
+                if self._answer_from_store(unit, emit):
+                    continue
+                lease = store.acquire_lease(unit.fingerprint)
                 if lease is None:
                     # Another process is simulating this member right
                     # now; the per-unit path knows how to wait on it.
                     rerouted.append(unit)
                     continue
-                cached = store.get(unit.fingerprint)
-                if cached is not None:
-                    # The prior holder published between our miss and
-                    # our acquire.
-                    self.stats.cache_hits += 1
-                    self.stats.time_saved_s += cached.elapsed_s
+                # The prior holder may have published between our miss
+                # and our acquire.
+                if self._answer_from_store(unit, emit):
                     lease.release()
-                    emit(unit, cached, "cache")
                     continue
                 leases[unit.index] = lease
                 held.append(unit)
             pending = held
 
-        renew_tasks = [
-            asyncio.create_task(self._keep_renewed(lease))
-            for lease in leases.values()
-            if getattr(lease, "renew_s", None) is not None
-        ]
         try:
             outcomes = None
             if pending:
                 try:
-                    outcomes = await self._execute_batch_timed(pending, wid)
+                    outcomes = await self.backend.execute_batch(
+                        [unit.spec for unit in pending]
+                    )
                 except asyncio.CancelledError:
                     raise
                 except Exception:
@@ -518,73 +331,24 @@ class CampaignScheduler:
                     if store is not None and not isinstance(
                         outcome, FailureRecord
                     ):
-                        if not store.put(
-                            unit.fingerprint, unit.spec, outcome, lease=lease
-                        ):
-                            self.stats.fenced_publishes += 1
+                        store.put(unit.fingerprint, unit.spec, outcome)
                     if lease is not None:
                         lease.release()
                     emit(unit, outcome, "fresh")
         finally:
-            for task in renew_tasks:
-                task.cancel()
-            for task in renew_tasks:
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
             # Leases of rerouted members: released so the per-unit path
             # (or another process) can contend for them cleanly.
             for lease in leases.values():
                 lease.release()
 
         for unit in rerouted:
-            await self._process(unit, emit, wid)
-
-    async def _execute_batch_timed(
-        self, units: list[WorkUnit], wid: int
-    ) -> Optional[list["BatchOutcome"]]:
-        """One coalesced group through the backend, speed sampled."""
-        started = time.perf_counter()
-        outcomes = await self.backend.execute_batch(
-            [unit.spec for unit in units]
-        )
-        if outcomes is not None and units:
-            elapsed = time.perf_counter() - started
-            self._note_speed(wid, elapsed / len(units))
-        return outcomes
-
-    async def _keep_renewed(self, lease) -> None:
-        """Touch the lease's renewal stamp until cancelled or fenced.
-
-        Renews at half the promised period so one late wakeup (a busy
-        loop) never lets the stamp lapse the reclaim grace. Stops on
-        its own once the lease reports stolen — no point touching a
-        lock file that now belongs to someone else.
-        """
-        period = max(float(lease.renew_s) / 2.0, 0.05)
-        while True:
-            await asyncio.sleep(period)
-            if not lease.renew():
-                return
+            await self._process(unit, emit)
 
     def _count_fresh(self, outcome: "BatchOutcome") -> None:
         if isinstance(outcome, FailureRecord):
             self.stats.quarantined += 1
         else:
             self.stats.simulated += 1
-
-    async def _execute_timed(self, unit: WorkUnit, wid: int) -> "BatchOutcome":
-        """Execute and fold the observed speed into the worker's EWMA.
-
-        Only successful executions are sampled — a quarantine record's
-        elapsed time measures the retry policy, not the host.
-        """
-        started = time.perf_counter()
-        outcome = await self._execute(unit)
-        if not isinstance(outcome, FailureRecord):
-            self._note_speed(wid, time.perf_counter() - started)
-        return outcome
 
     async def _execute(self, unit: WorkUnit) -> "BatchOutcome":
         """One unit through the backend, under the retry policy if any."""
@@ -622,7 +386,7 @@ class CampaignScheduler:
 
 
 # ----------------------------------------------------------------------
-# Synchronous drivers used by the legacy entry points
+# Synchronous driver used by the runner entry points
 
 
 def run_stream_through_scheduler(
@@ -632,12 +396,12 @@ def run_stream_through_scheduler(
     plan_specs: Optional[Sequence[ExperimentSpec]] = None,
     need_fingerprints: bool = True,
 ) -> None:
-    """Stream ``specs`` through a scheduler built from a legacy runner.
+    """Stream ``specs`` through a scheduler built from a runner.
 
     The bridge the rewired entry points use: the runner contributes
     its store, retry policy, stats object, and execution strategy (as
-    a backend); the scheduler contributes sharding, stealing, the
-    bounded window, and single-flight. ``emit`` fires as each outcome
+    a backend); the scheduler contributes the bounded window, batch
+    coalescing, and single-flight. ``emit`` fires as each outcome
     resolves; nothing is accumulated here, so callers decide whether
     to stream (sweeps) or collect (batches).
 
@@ -646,21 +410,12 @@ def run_stream_through_scheduler(
     stream), workers warm lazily instead. ``need_fingerprints=False``
     skips per-unit hashing for store-less, callback-less batches.
     """
-    from repro.core.campaign.backends import backend_for_runner
     from repro.core.runner import spec_fingerprint
 
     if runner.store is not None:
         # Campaign-startup hygiene: a previous campaign that crashed
-        # (or a chaos-killed fleet) leaves ``.tmp-*`` publish litter
-        # and orphaned leases; sweep both so this campaign's first
-        # touch of each fingerprint is not taxed one lease-staleness
-        # wait at a time. Live leases are never touched.
-        sweep = getattr(runner.store, "sweep_stale_leases", None)
-        if callable(sweep):
-            runner.stats.stale_leases_reclaimed += sweep()
-        reap = getattr(runner.store, "reap_tmp", None)
-        if callable(reap):
-            reap()
+        # mid-publish leaves ``.tmp-*`` litter no read path ever sees.
+        runner.store.reap_tmp()
 
     hash_units = need_fingerprints or runner.store is not None
 
@@ -673,15 +428,12 @@ def run_stream_through_scheduler(
                 fingerprint=spec_fingerprint(spec) if hash_units else "",
             )
 
-    backend = backend_for_runner(runner, plan_specs=plan_specs)
     scheduler = CampaignScheduler(
-        backend,
+        runner.make_backend(plan_specs),
         store=runner.store,
         retry=runner.retry,
         stats=runner.stats,
-        shards=getattr(runner, "shards", None),
-        window=getattr(runner, "window", None),
-        single_flight=getattr(runner, "single_flight", True),
+        window=runner.window,
     )
     # Fast-lane dispatch counters are per-process: in-process execution
     # (serial backend, pool fallbacks) accrues on this process's

@@ -34,9 +34,7 @@ CHAOS_PLAN_ENV = "REPRO_CHAOS_PLAN"
 #: fail the run: they disrupt the in-simulation recovery feedback
 #: channel (every NACK/report dropped, or delivered garbled), proving
 #: a broken reverse path degrades to no-ARQ behaviour instead of
-#: wedging the experiment. The ``wire-*`` actions fire inside a remote
-#: worker process (see :mod:`repro.core.campaign.worker`) and break
-#: the worker↔scheduler transport instead of the simulation.
+#: wedging the experiment.
 ACTIONS = (
     "raise",
     "hang",
@@ -44,38 +42,11 @@ ACTIONS = (
     "garbage",
     "feedback-drop",
     "feedback-garble",
-    "wire-drop",
-    "wire-stall",
-    "wire-garble",
-    "wire-partial",
-    "wire-drain",
 )
 
 #: Actions consumed by the recovery feedback channel rather than the
 #: runner's injection point.
 FEEDBACK_ACTIONS = ("feedback-drop", "feedback-garble")
-
-#: Actions consumed by the remote worker's wire loop rather than the
-#: runner's injection point:
-#:
-#: * ``wire-drop``    — the worker process exits abruptly mid-unit
-#:   (socket closes without an outcome; a chaos kill);
-#: * ``wire-stall``   — the worker stops heartbeating and sits on the
-#:   unit (a network partition / wedged host);
-#: * ``wire-garble``  — the worker emits a non-JSON line in place of
-#:   the outcome frame (corrupted stream);
-#: * ``wire-partial`` — the worker writes half an outcome frame and
-#:   then dies (torn write at the transport level);
-#: * ``wire-drain``   — the worker starts a graceful drain mid-unit:
-#:   the unit still completes and flushes, then the worker says bye
-#:   and exits 0 (an intentional stop a supervisor must not respawn).
-WIRE_ACTIONS = (
-    "wire-drop",
-    "wire-stall",
-    "wire-garble",
-    "wire-partial",
-    "wire-drain",
-)
 
 #: What a ``garbage`` rule makes the worker return in place of a
 #: summary — anything that is not a ResultSummary works; a string makes
@@ -215,11 +186,9 @@ def maybe_inject(fingerprint: str) -> Optional[str]:
     rule = _load_rules(plan_path).get(fingerprint)
     if rule is None:
         return None
-    if rule.action in FEEDBACK_ACTIONS or rule.action in WIRE_ACTIONS:
-        # Not a simulation fault: the recovery session picks up
-        # feedback-* via feedback_disruption() and the remote worker
-        # picks up wire-* via wire_disruption(). Don't burn an
-        # attempt slot here.
+    if rule.action in FEEDBACK_ACTIONS:
+        # Not a simulation fault: the recovery session picks these up
+        # via feedback_disruption(). Don't burn an attempt slot here.
         return None
     attempt = _count_attempt(plan_path.parent / "attempts", fingerprint)
     if rule.times is not None and attempt > rule.times:
@@ -254,33 +223,6 @@ def feedback_disruption(fingerprint: str) -> Optional[str]:
     if rule is None or rule.action not in FEEDBACK_ACTIONS:
         return None
     return rule.action.removeprefix("feedback-")
-
-
-def wire_disruption(fingerprint: str) -> Optional[ChaosRule]:
-    """The wire fault a remote worker should inject for this unit.
-
-    Called by the worker's execution loop as each ``execute`` frame
-    arrives. Returns the matching ``wire-*`` rule (exact fingerprint
-    first, then the ``"*"`` wildcard) while its ``times`` budget lasts,
-    ``None`` otherwise. Attempts are counted cross-process in the
-    plan's attempts directory under a ``.wire`` suffix, so "kill the
-    first worker that touches this unit, let the reassigned attempt
-    succeed" works even though the two attempts run in different
-    worker processes (possibly on different hosts sharing the plan
-    directory).
-    """
-    plan_path = os.environ.get(CHAOS_PLAN_ENV)
-    if not plan_path:
-        return None
-    plan_path = Path(plan_path)
-    rules = _load_rules(plan_path)
-    rule = rules.get(fingerprint) or rules.get("*")
-    if rule is None or rule.action not in WIRE_ACTIONS:
-        return None
-    attempt = _count_attempt(plan_path.parent / "attempts", fingerprint + ".wire")
-    if rule.times is not None and attempt > rule.times:
-        return None
-    return rule
 
 
 def truncate_cache_entry(path: Union[str, Path], keep_bytes: int = 20) -> None:

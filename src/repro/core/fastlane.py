@@ -77,7 +77,7 @@ class FastpathUnsupported(RuntimeError):
 class FastlaneStats:
     """Dispatch counters (in-process; the bench harness reads these).
 
-    Counters are per-process: pool/remote workers accumulate their own
+    Counters are per-process: pool workers accumulate their own
     copies and ship deltas back to the parent, which folds them into
     :class:`repro.core.runner.RunnerStats` for the CLI stats line.
     """

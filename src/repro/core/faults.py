@@ -6,12 +6,10 @@ discard every in-flight result. This module defines the vocabulary the
 runner layer uses to keep going instead:
 
 * the exception types a failed attempt is reported through
-  (:class:`SpecTimeout`, :class:`WorkerCrash`, :class:`PoisonResult`,
-  and the :class:`TransportFailure` family raised by the remote
-  backend),
+  (:class:`SpecTimeout`, :class:`WorkerCrash`, :class:`PoisonResult`),
 * :func:`classify_failure`, which folds any attempt error into one of
   the failure kinds (``timeout`` / ``crash`` / ``exception`` /
-  ``poison`` / ``disconnect`` / ``heartbeat-timeout`` / ``auth``),
+  ``poison``),
 * :class:`FailureRecord`, the structured, JSON-able quarantine record
   carried in batch results in place of a summary, and
 * :class:`RetryPolicy`, the bounded retry/backoff/timeout budget one
@@ -31,19 +29,8 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
-#: The failure kinds a :class:`FailureRecord` can carry. The last two
-#: are transport failures: the spec itself is fine, but the remote
-#: worker carrying it vanished (socket closed) or partitioned (stopped
-#: heartbeating), so they are retryable on another host by definition.
-FAILURE_KINDS = (
-    "timeout",
-    "crash",
-    "exception",
-    "poison",
-    "disconnect",
-    "heartbeat-timeout",
-    "auth",
-)
+#: The failure kinds a :class:`FailureRecord` can carry.
+FAILURE_KINDS = ("timeout", "crash", "exception", "poison")
 
 
 class SpecTimeout(Exception):
@@ -58,35 +45,10 @@ class PoisonResult(Exception):
     """A worker returned something that is not a valid summary."""
 
 
-class TransportFailure(Exception):
-    """Base of the remote-execution losses: the work unit was fine but
-    the worker carrying it went away before an outcome arrived."""
-
-
-class WorkerDisconnect(TransportFailure):
-    """A remote worker's connection closed (or garbled) mid-unit."""
-
-
-class HeartbeatTimeout(TransportFailure):
-    """A remote worker stopped heartbeating: dead host or partition."""
-
-
-class AuthRejected(TransportFailure):
-    """The wire handshake failed authentication: a peer without the
-    fleet's shared secret (or with the wrong one). Not retryable on
-    the same address — reconnecting cannot change the token."""
-
-
 def classify_failure(exc: BaseException) -> str:
     """Fold an attempt's exception into one of :data:`FAILURE_KINDS`."""
     if isinstance(exc, SpecTimeout):
         return "timeout"
-    if isinstance(exc, AuthRejected):
-        return "auth"
-    if isinstance(exc, HeartbeatTimeout):
-        return "heartbeat-timeout"
-    if isinstance(exc, WorkerDisconnect):
-        return "disconnect"
     if isinstance(exc, WorkerCrash):
         return "crash"
     if isinstance(exc, PoisonResult):

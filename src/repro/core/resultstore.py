@@ -5,7 +5,7 @@ One JSON file per experiment, named by the spec's content hash (see
 is salted with :data:`repro.core.runner.CACHE_SCHEMA_VERSION`, bumping
 the schema version orphans old entries instead of mis-reading them;
 each file also records the version it was written under as a second
-line of defence.
+safeguard.
 
 Concurrency model — the store is safe for any number of writers:
 
@@ -21,35 +21,19 @@ Concurrency model — the store is safe for any number of writers:
   version did not change;
 * :meth:`ResultStore.acquire_lease` provides cross-process
   single-flight: the first process to create ``<fingerprint>.lock``
-  simulates, everyone else polls the cache for its publish. Leases
-  are advisory (a stale one — dead pid or very old — is broken), so
-  losing a lease race at worst duplicates work, exactly the old
-  behaviour; it can never corrupt an entry.
-
-Lease liveness and fencing (the fleet-scale refinements):
-
-* every lease carries a random *fence token*. A holder can
-  :meth:`Lease.renew` (touch the lock file's mtime) and check
-  :meth:`Lease.still_held`; :meth:`ResultStore.put` takes the lease
-  and *discards the publish* when the token no longer matches — a
-  stale holder that lost its lease to a reclaim cannot double-publish
-  (harmless content-wise, since outcomes are pure functions of their
-  specs, but fencing keeps the at-most-once accounting honest);
-* a holder that promises renewal (``renewable=True``) records its
-  renewal period in the lock file; such a lease is declared stale as
-  soon as its mtime falls :data:`LEASE_RENEW_GRACE` periods behind —
-  seconds, not the :data:`LEASE_STALE_S` age bound — so a lease
-  orphaned by a crashed *foreign-host* campaign is reclaimed almost
-  immediately, while a live one (renewing on time) is never stolen.
-  Non-renewing holders (a serial backend that blocks its event loop)
-  simply don't make the promise and keep the conservative age rules.
+  (``O_EXCL``, recording ``pid hostname``) simulates, everyone else
+  polls the cache for its publish. Leases are advisory: a stale one
+  (same-host holder pid dead, or older than :data:`LEASE_STALE_S`) is
+  broken, so losing a lease race at worst duplicates work — and a
+  duplicate publish is an atomic replace with byte-identical content,
+  because outcomes are pure functions of their specs. It can never
+  corrupt an entry.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import secrets
 import socket
 import time
 from hashlib import sha256
@@ -69,14 +53,6 @@ LEASE_STALE_S = 3600.0
 
 #: Orphaned ``.tmp-*`` publish files older than this are reaped.
 TMP_STALE_S = 3600.0
-
-#: Default renewal period a renewable lease promises (seconds). The
-#: holder touches the lock file this often while it simulates.
-LEASE_RENEW_S = 2.0
-
-#: A renewable lease whose mtime is this many renewal periods old has
-#: broken its promise and is reclaimable — on any host, in seconds.
-LEASE_RENEW_GRACE = 5.0
 
 
 def default_cache_dir() -> Path:
@@ -98,59 +74,21 @@ class Lease:
 
     Always release (the scheduler does so in a ``finally``); an
     unreleased lease from a crashed process is broken by the next
-    acquirer once its renewal promise lapses, its pid is dead, or it
-    exceeds :data:`LEASE_STALE_S`.
-
-    ``token`` is the fence: the lock file records it, and every
-    renew/release/publish first checks the file still carries it. A
-    lease reclaimed by someone else therefore turns inert — it stops
-    renewing, refuses to publish, and will not unlink the usurper's
-    lock file.
+    acquirer once its pid is dead or it exceeds :data:`LEASE_STALE_S`.
+    ``path`` is None for a lease the store could not back with a lock
+    file (see :meth:`ResultStore.acquire_lease`): it excludes no one,
+    and releasing it does nothing.
     """
 
-    def __init__(
-        self, path: Path, token: str = "", renew_s: Optional[float] = None
-    ):
+    def __init__(self, path: Optional[Path]):
         self.path = path
-        self.token = token
-        self.renew_s = renew_s
         self._released = False
-        self._lost = False
-
-    def still_held(self) -> bool:
-        """Whether the lock file still carries this lease's token."""
-        if self._released or self._lost:
-            return False
-        if not self.token:
-            return True  # pre-fencing lease object: assume held
-        try:
-            fields = self.path.read_text().split()
-        except OSError:
-            self._lost = True
-            return False
-        if len(fields) < 3 or fields[2] != self.token:
-            self._lost = True
-            return False
-        return True
-
-    def renew(self) -> bool:
-        """Touch the renewal stamp; False once the lease was stolen."""
-        if not self.still_held():
-            return False
-        try:
-            os.utime(self.path)
-        except OSError:
-            self._lost = True
-            return False
-        return True
 
     def release(self) -> None:
         if self._released:
             return
-        released_ours = self.still_held() or not self.token
         self._released = True
-        if not released_ours:
-            # Stolen: the lock file (if any) belongs to the usurper.
+        if self.path is None:
             return
         try:
             self.path.unlink()
@@ -228,29 +166,13 @@ class ResultStore:
             pass
 
     def put(
-        self,
-        fingerprint: str,
-        spec: ExperimentSpec,
-        summary: ResultSummary,
-        lease: Optional[Lease] = None,
-    ) -> bool:
-        """Write one entry atomically (tmp file + rename).
-
-        With ``lease`` the publish is *fenced*: if the lease was
-        reclaimed while the caller simulated (its fence token no
-        longer in the lock file), the entry is NOT written and False
-        is returned — the reclaiming holder owns the publish now. A
-        fenced-off write would be byte-identical anyway (outcomes are
-        pure functions of their specs), so fencing exists to keep the
-        at-most-once accounting and stats honest, not to avert
-        corruption. Returns True when the entry was written.
-        """
+        self, fingerprint: str, spec: ExperimentSpec, summary: ResultSummary
+    ) -> None:
+        """Write one entry atomically (tmp file + rename)."""
         import tempfile
 
         from repro.core.export import spec_to_dict
 
-        if lease is not None and not lease.still_held():
-            return False
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         summary_dict = summary.to_dict()
         payload = {
@@ -273,70 +195,49 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        return True
 
     # ------------------------------------------------------------------
     # Cross-process single-flight
 
-    def acquire_lease(
-        self, fingerprint: str, renewable: bool = False
-    ) -> Optional[Lease]:
+    def acquire_lease(self, fingerprint: str) -> Optional[Lease]:
         """Try to claim exclusive simulation rights for a fingerprint.
 
         Returns a :class:`Lease` on success, None when another live
         process already holds one (the caller should poll :meth:`get`
         for that process's publish). A stale lease is broken and
-        re-contended once. Staleness depends on what the holder wrote
-        into the lock file (``pid hostname token [renew_s]``):
+        re-contended once: same-host leases are stale when the holder
+        pid is dead, and any lease is stale past :data:`LEASE_STALE_S`
+        (foreign-host pids are never probed — pid namespaces don't
+        span hosts).
 
-        * a holder that promised renewal (fourth field) is stale as
-          soon as its mtime lapses :data:`LEASE_RENEW_GRACE` renewal
-          periods — a crashed fleet's lease is reclaimed in seconds,
-          on any host, while a live holder renewing on time is never
-          stolen;
-        * otherwise, same-host leases are stale when the pid is dead,
-          and any lease is stale past :data:`LEASE_STALE_S` (the
-          conservative pre-renewal rules; foreign-host pids are never
-          probed — pid namespaces don't span hosts).
-
-        ``renewable=True`` makes *this* lease promise renewal (the
-        period is :attr:`lease_renew_s`); only do so when the holder
-        will actually call :meth:`Lease.renew` on time — a blocked
-        event loop that cannot renew should not promise.
+        Where lock files cannot be created at all (a read-only or
+        permission-restricted directory, a filesystem without
+        ``O_EXCL``), the returned lease is unbacked and the caller
+        simply runs the unit without single-flight.
         """
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._lease_path(fingerprint)
-        lease = self._try_create_lease(path, renewable)
+        lease = self._try_create_lease(path)
         if lease is not None:
             return lease
         if self._lease_stale(path):
             self._discard(path)
-            return self._try_create_lease(path, renewable)
+            return self._try_create_lease(path)
         return None
 
-    #: Renewal period written into renewable leases (overridable per
-    #: store instance; tests shrink it to exercise reclaim fast).
-    lease_renew_s = LEASE_RENEW_S
-
-    def _try_create_lease(
-        self, path: Path, renewable: bool = False
-    ) -> Optional[Lease]:
+    @staticmethod
+    def _try_create_lease(path: Path) -> Optional[Lease]:
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             return None
         except OSError:
-            # Filesystem without O_EXCL semantics (some network
-            # mounts): no lease, caller falls back to executing.
-            return None
-        token = secrets.token_hex(8)
-        renew_s = float(self.lease_renew_s) if renewable else None
-        fields = f"{os.getpid()} {socket.gethostname()} {token}"
-        if renew_s is not None:
-            fields += f" {renew_s:g}"
+            # Only an existing file means "held". Any other failure
+            # means no lock can exist here: run without one.
+            return Lease(None)
         with os.fdopen(fd, "w") as handle:
-            handle.write(fields)
-        return Lease(path, token=token, renew_s=renew_s)
+            handle.write(f"{os.getpid()} {socket.gethostname()}")
+        return Lease(path)
 
     @staticmethod
     def _lease_stale(path: Path) -> bool:
@@ -349,23 +250,12 @@ class ResultStore:
             return True
         if age > LEASE_STALE_S:
             return True
-        if len(holder) > 3:
-            # A renewal promise: the holder touches the file every
-            # renew_s while alive, so a stale stamp means a dead or
-            # wedged holder — reclaim in seconds, foreign or not.
-            try:
-                renew_s = float(holder[3])
-            except ValueError:
-                renew_s = LEASE_RENEW_S
-            if age > max(renew_s * LEASE_RENEW_GRACE, 1.0):
-                return True
         pid_text = holder[0] if holder else ""
         holder_host = holder[1] if len(holder) > 1 else None
         if holder_host is not None and holder_host != socket.gethostname():
-            # A lease written on another host (shared cache dir across
-            # a worker fleet): its pid namespace is invisible here, and
-            # a recycled local pid would make os.kill lie either way.
-            # Only the age/renewal bounds can break a foreign lease.
+            # A lease written on another host (a cache dir shared over
+            # a network mount): its pid namespace is invisible here,
+            # so only the age bound can break it.
             return False
         if pid_text.isdigit():
             try:
@@ -375,27 +265,6 @@ class ResultStore:
             except (PermissionError, OSError):
                 pass
         return False
-
-    def sweep_stale_leases(self) -> int:
-        """Break every stale lease in the store; returns count removed.
-
-        Campaign-startup hygiene: a crashed fleet leaves ``.lock``
-        litter that would otherwise make the next campaign's first
-        touch of each fingerprint wait out the staleness rules one by
-        one. Live leases (renewing on time, or held by a live local
-        pid) are never touched.
-        """
-        removed = 0
-        if not self.cache_dir.is_dir():
-            return 0
-        for path in self.cache_dir.glob("*.lock"):
-            try:
-                if self._lease_stale(path):
-                    path.unlink()
-                    removed += 1
-            except OSError:
-                pass
-        return removed
 
     def reap_tmp(self, max_age_s: float = TMP_STALE_S) -> int:
         """Sweep orphaned ``.tmp-*`` publish files; returns count removed.

@@ -21,12 +21,12 @@ the batch the unit of work:
 Since the campaign refactor, a runner no longer executes its batch
 directly: :meth:`Runner.run_batch` and :meth:`Runner.run_stream` feed
 the :class:`~repro.core.campaign.scheduler.CampaignScheduler`, which
-shards the work, steals between shards, bounds the in-flight window,
-and (with a store attached) deduplicates concurrent campaigns through
-cross-process single-flight leases. The runner object remains the
-user-facing handle: it owns the execution strategy (which the
-scheduler consumes as a worker backend), the result store, the retry
-policy, and the stats.
+queues the work, bounds the in-flight window, coalesces batch-lane
+grids, and (with a store attached) deduplicates concurrent campaigns
+through cross-process single-flight leases. The runner object remains
+the user-facing handle: it owns the execution strategy (the worker
+backend it builds in :meth:`Runner.make_backend`), the result store,
+the retry policy, and the stats.
 
 Fault tolerance (see :mod:`repro.core.faults`): attach a
 :class:`~repro.core.faults.RetryPolicy` and a batch survives its own
@@ -64,6 +64,7 @@ from repro.core.faults import (
 from repro.vqm.tool import VqmTool
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.campaign.backends import WorkerBackend
     from repro.core.resultstore import ResultStore
 
 #: Bump whenever the shape or meaning of :class:`ResultSummary` (or of
@@ -233,28 +234,12 @@ class RunnerStats:
     retries: int = 0
     quarantined: int = 0
     fallbacks: int = 0
-    # Campaign-scheduler counters: cross-shard steals and waits spent
-    # on another process's single-flight lease.
-    steals: int = 0
+    # Waits spent on another process's single-flight lease.
     single_flight_waits: int = 0
-    # Remote-backend counters: units re-dispatched after their worker
-    # died or partitioned, distinct workers declared lost, and units
-    # drained through the local serial fallback because no remote
-    # worker was available.
-    reassignments: int = 0
-    worker_losses: int = 0
-    degraded_units: int = 0
-    # Fleet counters: publishes discarded because the holder's store
-    # lease was fenced off mid-simulation, stale leases reclaimed by
-    # startup hygiene, and the observed points/sec per worker (EWMA;
-    # ``w<id>`` keys for scheduler slots, ``host:port`` for remotes).
-    fenced_publishes: int = 0
-    stale_leases_reclaimed: int = 0
-    worker_speeds: dict = field(default_factory=dict)
     # Fast-lane counters aggregated across processes. The in-process
     # :data:`repro.core.fastlane.stats` object is per-process, so pool
-    # and remote workers ship deltas back with their outcomes and the
-    # parent folds them here — the CLI stats line reads these.
+    # workers ship deltas back with their outcomes and the parent
+    # folds them here — the CLI stats line reads these.
     fastpath_hits: int = 0
     fastpath_fallbacks: int = 0
     batch_points: int = 0
@@ -284,16 +269,6 @@ class RunnerStats:
             line += f", {self.fallbacks} pool fallbacks"
         if self.single_flight_waits:
             line += f", {self.single_flight_waits} single-flight waits"
-        if self.reassignments:
-            line += f", {self.reassignments} reassignments"
-        if self.worker_losses:
-            line += f", {self.worker_losses} workers lost"
-        if self.degraded_units:
-            line += f", {self.degraded_units} degraded to local"
-        if self.fenced_publishes:
-            line += f", {self.fenced_publishes} fenced publishes"
-        if self.stale_leases_reclaimed:
-            line += f", {self.stale_leases_reclaimed} stale leases reclaimed"
         if self.fastpath_hits or self.fastpath_fallbacks:
             line += (
                 f", {self.fastpath_hits} fast-path"
@@ -474,31 +449,22 @@ class Runner:
     A runner bundles an execution strategy with the result store, the
     retry policy, and a stats object; :meth:`run_batch` and
     :meth:`run_stream` hand all of it to the campaign scheduler, which
-    owns sharding, work-stealing, the bounded in-flight window, cache
-    lookups, single-flight leases, retries, and quarantine.
+    owns the bounded in-flight window, batch coalescing, cache lookups,
+    single-flight leases, retries, and quarantine.
 
-    ``shards`` overrides the scheduler's shard count (default: one per
-    backend slot); ``window`` bounds queued+in-flight units;
-    ``single_flight=False`` disables the cross-process lease path.
-    Subclasses either map to a dedicated worker backend (see
-    :func:`repro.core.campaign.backends.backend_for_runner`) or
-    implement :meth:`_execute` for one-spec-at-a-time legacy
-    execution.
+    ``window`` bounds queued+in-flight units. Subclasses supply the
+    execution strategy by implementing :meth:`make_backend`.
     """
 
     def __init__(
         self,
         store: Optional["ResultStore"] = None,
         retry: Optional[RetryPolicy] = None,
-        shards: Optional[int] = None,
         window: Optional[int] = None,
-        single_flight: bool = True,
     ):
         self.store = store
         self.retry = retry
-        self.shards = shards
         self.window = window
-        self.single_flight = single_flight
         self.stats = RunnerStats()
 
     def run_batch(
@@ -552,20 +518,15 @@ class Runner:
 
         run_stream_through_scheduler(self, specs, emit, plan_specs=plan_specs)
 
-    def make_backend(self, plan_specs: Optional[Sequence[ExperimentSpec]]):
-        """Extension hook: build this runner's dedicated worker backend.
+    def make_backend(
+        self, plan_specs: Optional[Sequence[ExperimentSpec]]
+    ) -> "WorkerBackend":
+        """Build this runner's worker backend for one campaign.
 
-        Return a prepared :class:`~repro.core.campaign.backends.WorkerBackend`
-        to bypass the built-in serial/pool mapping (the remote runner
-        uses this), or ``None`` to let
-        :func:`~repro.core.campaign.backends.backend_for_runner` pick.
+        ``plan_specs`` (the batch about to run, when known) lets a
+        backend size itself and pre-warm worker caches. The scheduler
+        closes the backend when the campaign ends.
         """
-        return None
-
-    def _execute(
-        self, specs: Sequence[ExperimentSpec]
-    ) -> list[ResultSummary]:
-        """Legacy extension hook: execute specs, one call per unit."""
         raise NotImplementedError
 
 
@@ -587,20 +548,21 @@ class SerialRunner(Runner):
         vqm_tool: Optional[VqmTool] = None,
         keep_details: bool = False,
         retry: Optional[RetryPolicy] = None,
-        shards: Optional[int] = None,
         window: Optional[int] = None,
-        single_flight: bool = True,
     ):
-        super().__init__(
-            store=store,
-            retry=retry,
-            shards=shards,
-            window=window,
-            single_flight=single_flight,
-        )
+        super().__init__(store=store, retry=retry, window=window)
         self.vqm_tool = vqm_tool
         self.keep_details = keep_details
         self.last_details: list[ExperimentResult] = []
+
+    def make_backend(self, plan_specs):
+        from repro.core.campaign.backends import SerialBackend
+
+        return SerialBackend(
+            vqm_tool=self.vqm_tool,
+            keep_details=self.keep_details,
+            details=self.last_details,
+        )
 
 
 class ProcessPoolRunner(Runner):
@@ -627,20 +589,22 @@ class ProcessPoolRunner(Runner):
         jobs: int,
         store: Optional["ResultStore"] = None,
         retry: Optional[RetryPolicy] = None,
-        shards: Optional[int] = None,
         window: Optional[int] = None,
-        single_flight: bool = True,
     ):
-        super().__init__(
-            store=store,
-            retry=retry,
-            shards=shards,
-            window=window,
-            single_flight=single_flight,
-        )
+        super().__init__(store=store, retry=retry, window=window)
         if jobs < 1:
             raise ValueError(f"need at least one worker (jobs={jobs})")
         self.jobs = jobs
+
+    def make_backend(self, plan_specs):
+        from repro.core.campaign.backends import ProcessPoolBackend
+
+        return ProcessPoolBackend(
+            jobs=self.jobs,
+            supervised=self.retry is not None,
+            stats=self.stats,
+            plan_specs=plan_specs,
+        )
 
 
 def make_runner(
@@ -648,25 +612,11 @@ def make_runner(
     store: Optional["ResultStore"] = None,
     vqm_tool: Optional[VqmTool] = None,
     retry: Optional[RetryPolicy] = None,
-    shards: Optional[int] = None,
     window: Optional[int] = None,
-    single_flight: bool = True,
 ) -> Runner:
     """The natural runner for a job count: serial for 1, pooled above."""
     if jobs <= 1:
         return SerialRunner(
-            store=store,
-            vqm_tool=vqm_tool,
-            retry=retry,
-            shards=shards,
-            window=window,
-            single_flight=single_flight,
+            store=store, vqm_tool=vqm_tool, retry=retry, window=window
         )
-    return ProcessPoolRunner(
-        jobs,
-        store=store,
-        retry=retry,
-        shards=shards,
-        window=window,
-        single_flight=single_flight,
-    )
+    return ProcessPoolRunner(jobs, store=store, retry=retry, window=window)

@@ -10,8 +10,8 @@ figure-ready form. Pass a
 worker processes, or a cache-backed runner to make repeated sweeps
 nearly free. The result is assembled incrementally from the outcome
 stream by a :class:`~repro.core.campaign.aggregate.SweepAggregator`,
-ordered by submission index — so serial, pooled, and sharded runs of
-the same grid produce bit-identical results.
+ordered by submission index — so serial and pooled runs of the same
+grid produce bit-identical results.
 
 Fault tolerance: with a retry-policy-equipped runner, specs that fail
 all retries arrive as :class:`SweepFailure` entries in

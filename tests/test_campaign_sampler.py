@@ -3,8 +3,9 @@
 The sampler's contract: on a step-shaped quality curve it must locate
 the cliff exactly as finely as the uniform grid would (same per-depth
 minimal-rate frontier) while evaluating a fraction of the points. The
-tests drive it with a stub runner whose quality is a synthetic step
-function of the token rate, so every claim is exact and fast.
+tests drive it with a stub runner whose fake backend answers with a
+synthetic step function of the token rate, so every claim is exact
+and fast.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro.core.campaign import adaptive_token_rate_sweep
+from repro.core.campaign import WorkerBackend
 from repro.core.campaign.sampler import AdaptiveSampleReport
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import FailureRecord
@@ -45,16 +47,29 @@ def step_summary(spec: ExperimentSpec) -> ResultSummary:
     )
 
 
+class StepBackend(WorkerBackend):
+    """Fake backend: answers from :func:`step_summary`, counting calls."""
+
+    def __init__(self, runner: "StubRunner"):
+        self.runner = runner
+
+    async def execute(self, spec, timeout_s=None):
+        self.runner.calls += 1
+        return self.runner.outcome(spec)
+
+
 class StubRunner(Runner):
-    """Legacy-style Runner subclass: exercises LegacyRunnerBackend."""
+    """Runner whose backend evaluates the synthetic step curve."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.calls = 0
 
-    def _execute(self, specs):
-        self.calls += len(specs)
-        return [step_summary(spec) for spec in specs]
+    def make_backend(self, plan_specs):
+        return StepBackend(self)
+
+    def outcome(self, spec):
+        return step_summary(spec)
 
 
 def grid(n: int = 33):
@@ -149,25 +164,18 @@ class TestAdaptiveSampler:
 
     def test_quarantined_endpoint_brackets_are_refined(self):
         class FlakyRunner(StubRunner):
-            def _execute(self, specs):
-                self.calls += len(specs)
-                out = []
-                for spec in specs:
-                    # Kill exactly one mid-plateau point.
-                    if abs(spec.token_rate_bps - mbps(2.025)) < 1e3:
-                        out.append(
-                            FailureRecord(
-                                fingerprint="x",
-                                kind="crash",
-                                message="boom",
-                                attempts=1,
-                                elapsed_s=0.0,
-                                spec=dataclasses.asdict(spec),
-                            )
-                        )
-                    else:
-                        out.append(step_summary(spec))
-                return out
+            def outcome(self, spec):
+                # Kill exactly one mid-plateau point.
+                if abs(spec.token_rate_bps - mbps(2.025)) < 1e3:
+                    return FailureRecord(
+                        fingerprint="x",
+                        kind="crash",
+                        message="boom",
+                        attempts=1,
+                        elapsed_s=0.0,
+                        spec=dataclasses.asdict(spec),
+                    )
+                return step_summary(spec)
 
         rates = grid(33)
         runner = FlakyRunner()

@@ -1,10 +1,9 @@
-"""Campaign scheduler: determinism, sharding, stealing, windows.
+"""Campaign scheduler: determinism, windows, batch grouping.
 
-The tentpole guarantee: scheduling is invisible in the results. Serial,
-pooled, and sharded work-stealing execution of the same grid must
-produce field-by-field identical :class:`SweepResult`\\ s — including
-under chaos-injected failures and retries — because every outcome is a
-pure function of its spec and assembly is ordered by submission index.
+The tentpole guarantee: scheduling is invisible in the results. Serial
+and pooled execution of the same grid must produce field-by-field
+identical :class:`SweepResult`\\ s, because every outcome is a pure
+function of its spec and assembly is ordered by submission index.
 """
 
 import asyncio
@@ -12,16 +11,14 @@ import dataclasses
 
 import pytest
 
-from repro.core import chaos
 from repro.core.campaign import (
     CampaignScheduler,
+    ProcessPoolBackend,
     SerialBackend,
     SweepAggregator,
     WorkUnit,
     WorkerBackend,
-    backend_for_runner,
 )
-from repro.core.campaign.backends import LegacyRunnerBackend, ProcessPoolBackend
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import FailureRecord, RetryPolicy
 from repro.core.resultstore import ResultStore
@@ -110,21 +107,12 @@ class TestSchedulerMechanics:
 
     def test_outcomes_land_at_their_submission_index(self):
         backend = InstrumentedBackend(slots=4)
-        scheduler = CampaignScheduler(backend, shards=4)
+        scheduler = CampaignScheduler(backend)
         specs = [fast_spec(token_rate_bps=r) for r in grid_rates(16)]
         outcomes = self.run_units(scheduler, specs)
         assert [o.quality_score for o in outcomes] == [
             s.token_rate_bps for s in specs
         ]
-
-    def test_work_stealing_keeps_all_shards_drained(self):
-        """One worker, many shards: everything beyond shard 0 is stolen."""
-        backend = InstrumentedBackend(slots=1)
-        scheduler = CampaignScheduler(backend, shards=4, window=32)
-        specs = [fast_spec(token_rate_bps=r) for r in grid_rates(12)]
-        outcomes = self.run_units(scheduler, specs)
-        assert all(o is not None for o in outcomes)
-        assert scheduler.stats.steals > 0
 
     def test_window_bounds_queued_plus_inflight(self):
         backend = InstrumentedBackend(slots=2, delay_s=0.001)
@@ -196,34 +184,40 @@ class TestSchedulerMechanics:
         assert scheduler.stats.retries == 1
 
 
+class StubBackend(WorkerBackend):
+    """Fake backend answering every spec with the same summary."""
+
+    async def execute(self, spec, timeout_s=None):
+        return dummy_summary()
+
+
 class TestBackendSelection:
     def test_serial_runner_maps_to_serial_backend(self):
         runner = SerialRunner(keep_details=True)
-        backend = backend_for_runner(runner)
+        backend = runner.make_backend(None)
         assert isinstance(backend, SerialBackend)
         assert backend.details is runner.last_details
 
     def test_pool_runner_maps_to_pool_backend(self):
         runner = ProcessPoolRunner(jobs=3, retry=RetryPolicy())
-        backend = backend_for_runner(runner)
+        backend = runner.make_backend(None)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.slots == 3
         assert backend.supervised is True
 
-    def test_unknown_runner_subclass_maps_to_legacy_adapter(self):
+    def test_runner_subclass_supplies_its_own_backend(self):
         class StubRunner(Runner):
-            def _execute(self, specs):
-                return [dummy_summary() for _ in specs]
+            def make_backend(self, plan_specs):
+                return StubBackend()
 
         runner = StubRunner()
-        backend = backend_for_runner(runner)
-        assert isinstance(backend, LegacyRunnerBackend)
         outcomes = runner.run_batch([fast_spec()])
         assert outcomes == [dummy_summary()]
+        assert runner.stats.simulated == 1
 
 
 class TestDeterminism:
-    """Serial == pooled == sharded work-stealing, bit for bit."""
+    """Serial == pooled, bit for bit."""
 
     RATES = (1.6e6, 1.8e6, 2.0e6)
     DEPTHS = (3000.0, 4500.0)
@@ -233,66 +227,12 @@ class TestDeterminism:
             fast_spec(), self.RATES, self.DEPTHS, runner=runner
         )
 
-    def test_serial_pooled_sharded_identical(self):
+    def test_serial_pooled_identical(self):
         serial = self.sweep_with(SerialRunner())
         pooled = self.sweep_with(ProcessPoolRunner(jobs=2))
-        sharded = self.sweep_with(
-            ProcessPoolRunner(jobs=2, shards=4, window=4)
-        )
-        assert serial == pooled == sharded
+        narrow = self.sweep_with(ProcessPoolRunner(jobs=2, window=2))
+        assert serial == pooled == narrow
         assert serial.points  # not vacuous
-
-    def test_serial_sharded_identical_under_chaos(self, tmp_path):
-        """Retried/failing specs don't perturb the surviving results."""
-        specs_grid = [
-            fast_spec().with_token_bucket(r, d)
-            for d in self.DEPTHS
-            for r in self.RATES
-        ]
-        victim = spec_fingerprint(specs_grid[2])
-        plan = chaos.ChaosPlan(tmp_path).add(
-            victim, chaos.ChaosRule("raise", times=1)
-        )
-        retry = RetryPolicy(max_retries=2, backoff_base_s=0.001)
-
-        def run(runner):
-            # Fresh chaos attempt history per run.
-            plan.reset()
-            with plan.installed():
-                return self.sweep_with(runner)
-
-        serial = run(SerialRunner(retry=retry))
-        sharded = run(SerialRunner(retry=retry, shards=3, window=4))
-        assert serial == sharded
-        assert serial.complete
-
-    def test_chaos_quarantine_identical_across_shardings(self, tmp_path):
-        specs_grid = [
-            fast_spec().with_token_bucket(r, d)
-            for d in self.DEPTHS
-            for r in self.RATES
-        ]
-        victim = spec_fingerprint(specs_grid[4])
-        plan = chaos.ChaosPlan(tmp_path).add(
-            victim, chaos.ChaosRule("raise", times=99)
-        )
-        retry = RetryPolicy(max_retries=1, backoff_base_s=0.001)
-
-        def run(runner):
-            plan.reset()
-            with plan.installed():
-                return self.sweep_with(runner)
-
-        serial = run(SerialRunner(retry=retry))
-        sharded = run(SerialRunner(retry=retry, shards=2, window=3))
-        assert not serial.complete
-        assert len(serial.failures) == len(sharded.failures) == 1
-        assert serial.points == sharded.points
-        # Failure records carry timing, so compare the stable fields.
-        for left, right in zip(serial.failures, sharded.failures):
-            assert left.token_rate_bps == right.token_rate_bps
-            assert left.record.fingerprint == right.record.fingerprint
-            assert left.record.kind == right.record.kind
 
 
 class TestBatchGrouping:
@@ -350,23 +290,5 @@ class TestAggregator:
 
 class TestRunnerParityKnobs:
     def test_make_runner_threads_scheduler_knobs(self):
-        runner = make_runner(jobs=2, shards=5, window=9, single_flight=False)
-        assert runner.shards == 5
+        runner = make_runner(jobs=2, window=9)
         assert runner.window == 9
-        assert runner.single_flight is False
-
-    def test_sharded_cache_sweep_equals_uncached(self, tmp_path):
-        rates = (1.7e6, 1.9e6)
-        plain = token_rate_sweep(
-            fast_spec(), rates, (3000.0,), runner=SerialRunner()
-        )
-        store = ResultStore(tmp_path / "cache")
-        warm_runner = SerialRunner(store=store, shards=3)
-        first = token_rate_sweep(
-            fast_spec(), rates, (3000.0,), runner=warm_runner
-        )
-        again = token_rate_sweep(
-            fast_spec(), rates, (3000.0,), runner=SerialRunner(store=store)
-        )
-        assert plain == first == again
-        assert warm_runner.stats.simulated == 2

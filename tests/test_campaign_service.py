@@ -109,3 +109,61 @@ class TestServeLoop:
         assert "error" in responses[1]
         assert "unknown query kind" in responses[2]["error"]
         assert responses[3]["kind"] == "stats"
+
+
+class TestServeForeverHardening:
+    """Each ``error_kind`` of the serve loop, and survival after it."""
+
+    def serve(self, service, lines):
+        out = io.StringIO()
+        handled = service.serve_forever(io.StringIO(lines), out)
+        return handled, [json.loads(l) for l in out.getvalue().splitlines()]
+
+    def test_bad_json_survives_with_structured_error(self, service):
+        handled, responses = self.serve(
+            service, 'this is not json\n{"kind": "stats"}\n'
+        )
+        assert handled == 2
+        assert responses[0]["error_kind"] == "bad-json"
+        assert "bad JSON" in responses[0]["error"]
+        assert responses[1]["kind"] == "stats"  # loop survived
+
+    def test_unknown_verb_is_bad_request(self, service):
+        handled, responses = self.serve(
+            service, '{"kind": "frobnicate"}\n{"kind": "stats"}\n'
+        )
+        assert responses[0]["error_kind"] == "bad-request"
+        assert "unknown query kind" in responses[0]["error"]
+        assert responses[1]["kind"] == "stats"
+
+    def test_non_object_request_is_bad_request(self, service):
+        handled, responses = self.serve(service, '[1, 2]\n')
+        assert responses[0]["error_kind"] == "bad-request"
+
+    def test_unknown_spec_field_is_bad_request(self, service):
+        handled, responses = self.serve(
+            service, '{"kind": "point", "spec": {"tokne_rate_bps": 1}}\n'
+        )
+        assert responses[0]["error_kind"] == "bad-request"
+        assert "unknown spec fields" in responses[0]["error"]
+
+    def test_oversized_line_rejected_unparsed(self, service):
+        from repro.core.campaign.service import MAX_REQUEST_BYTES
+
+        huge = '{"kind": "stats", "pad": "' + "x" * MAX_REQUEST_BYTES + '"}\n'
+        handled, responses = self.serve(
+            service, huge + '{"kind": "stats"}\n'
+        )
+        assert handled == 2
+        assert responses[0]["error_kind"] == "oversized"
+        assert responses[1]["kind"] == "stats"
+
+    def test_internal_failure_reported_and_survived(self, service):
+        def boom(request):
+            raise RuntimeError("query machinery exploded")
+
+        service._query_stats = boom.__get__(service)
+        handled, [response] = self.serve(service, '{"kind": "stats"}\n')
+        assert handled == 1
+        assert response["error_kind"] == "internal"
+        assert "RuntimeError" in response["error"]

@@ -8,11 +8,14 @@ twice), orphaned-tmp reaping, and the two-process acceptance scenario.
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import textwrap
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.core.experiment import ExperimentSpec
 from repro.core.resultstore import LEASE_STALE_S, Lease, ResultStore
@@ -160,6 +163,82 @@ class TestLeases:
         store_one(store)
         store.acquire_lease("fp")
         assert store.clear() == 1
+        assert list(tmp_path.glob("*.lock")) == []
+
+
+def _unused_pid():
+    """A pid that is (almost certainly) not alive."""
+    probe = subprocess.Popen([sys.executable, "-c", "pass"])
+    probe.wait()
+    return probe.pid
+
+
+class TestLeaseHostname:
+    """Lock files record ``pid hostname``; pids only count on this host."""
+
+    def test_lease_records_pid_and_hostname(self, tmp_path):
+        store = ResultStore(tmp_path)
+        lease = store.acquire_lease("fp")
+        assert lease is not None
+        content = (tmp_path / "fp.lock").read_text().split()
+        assert content == [str(os.getpid()), socket.gethostname()]
+        lease.release()
+
+    def test_foreign_host_lease_ignores_local_pid_liveness(self, tmp_path):
+        """A dead-looking pid from another host must NOT break the
+        lease: pid namespaces don't span hosts."""
+        store = ResultStore(tmp_path)
+        (tmp_path / "fp.lock").write_text(f"{_unused_pid()} some-other-host")
+        assert store.acquire_lease("fp") is None  # fresh + foreign: honored
+
+    def test_foreign_host_lease_still_ages_out(self, tmp_path):
+        store = ResultStore(tmp_path)
+        lock = tmp_path / "fp.lock"
+        lock.write_text("12345 some-other-host")
+        ancient = time.time() - LEASE_STALE_S - 10
+        os.utime(lock, (ancient, ancient))
+        lease = store.acquire_lease("fp")
+        assert lease is not None  # age bound broke the foreign lease
+        lease.release()
+
+    def test_same_host_dead_pid_is_broken(self, tmp_path):
+        store = ResultStore(tmp_path)
+        (tmp_path / "fp.lock").write_text(
+            f"{_unused_pid()} {socket.gethostname()}"
+        )
+        lease = store.acquire_lease("fp")
+        assert lease is not None
+        lease.release()
+
+
+class TestLockFilesUnavailable:
+    """A store that cannot create lock files runs units unleased."""
+
+    @pytest.fixture
+    def no_lock_files(self, monkeypatch):
+        real_open = os.open
+
+        def refuse_locks(path, flags, *args, **kwargs):
+            if str(path).endswith(".lock"):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refuse_locks)
+
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize(
+        "rates", [(2.2,), (1.8, 2.2)], ids=["one-unit", "coalesced-grid"]
+    )
+    def test_campaign_completes_and_publishes(
+        self, tmp_path, no_lock_files, rates
+    ):
+        store = ResultStore(tmp_path)
+        specs = [fast_spec(token_rate_bps=mbps(r)) for r in rates]
+        runner = SerialRunner(store=store)
+        summaries = runner.run_batch(specs)
+        assert runner.stats.simulated == len(specs)
+        for spec, summary in zip(specs, summaries):
+            assert store.get(spec_fingerprint(spec)) == summary
         assert list(tmp_path.glob("*.lock")) == []
 
 

@@ -483,10 +483,6 @@ class TestCampaignCliFeatures:
         ]
         assert kinds == ["header", "checkpoint"]
 
-    def test_bad_shards_exits_2(self, capsys):
-        assert main(sweep_args("--shards", "0")) == 2
-        assert "--shards" in capsys.readouterr().err
-
     def test_progress_streams_to_stderr(self, capsys):
         assert main(sweep_args("--progress")) == 0
         captured = capsys.readouterr()

@@ -110,6 +110,24 @@ class TestJournalFile:
         assert set(reloaded.completed) == {"fp1"}
         reloaded.close()
 
+    def test_failure_of_unknown_kind_is_skipped(self, tmp_path):
+        """A journal written when more failure kinds existed still
+        loads; the unparseable record is dropped, so resume re-runs
+        that spec."""
+        path = tmp_path / "j.jsonl"
+        with SweepJournal.open(path, sweep_id="sid") as journal:
+            journal.record_success("fp1", make_summary())
+        retired = make_failure("fp2").to_dict() | {"kind": "disconnect"}
+        with path.open("a") as handle:
+            handle.write(
+                json.dumps({"kind": "failed", "fingerprint": "fp2",
+                            "failure": retired}) + "\n"
+            )
+        reloaded = SweepJournal.open(path, sweep_id="sid", resume=True)
+        assert set(reloaded.completed) == {"fp1"}
+        assert reloaded.failed == {}
+        reloaded.close()
+
     def test_resume_wrong_sweep_id_raises(self, tmp_path):
         path = tmp_path / "j.jsonl"
         SweepJournal.open(path, sweep_id="sid-a").close()
