@@ -25,9 +25,9 @@ Concurrency model — the store is safe for any number of writers:
   polls the cache for its publish. Leases are advisory: a stale one
   (same-host holder pid dead, or older than :data:`LEASE_STALE_S`) is
   broken, so losing a lease race at worst duplicates work — and a
-  duplicate publish is an atomic replace with byte-identical content,
-  because outcomes are pure functions of their specs. It can never
-  corrupt an entry.
+  duplicate publish is an atomic replace carrying the same result
+  (outcomes are pure functions of their specs; only the recorded
+  ``elapsed_s`` differs). It can never corrupt an entry.
 """
 
 from __future__ import annotations
