@@ -1,159 +1,25 @@
-"""Multi-host worker backend: wire protocol, liveness, reassignment.
+"""What multi-host campaigns relied on that single-host ones still do.
 
-The tentpole guarantee under test: a sweep dispatched over a fleet of
-``repro worker`` processes — including a fleet that is chaos-killed,
-partitioned, or garbled mid-flight — produces results field-by-field
-identical to a serial in-process run, loses no outcomes, and accounts
-for every recovery (reassignments, worker losses, degraded units) in
-the runner stats. The in-process tests drive :class:`RemoteBackend`
-against :class:`WorkerHost` (and hand-rolled misbehaving servers) on
-one event loop; the acceptance tests spawn real ``python -m repro
-worker`` subprocesses and kill them for real.
+The multi-host worker tier is retired, but two pieces of its contract
+live on in the single-host store and fault taxonomy: lock files left by
+older releases (a bare pid, no hostname) are still read, a live lease
+held on this host still blocks a second acquirer, and the failure kinds
+that never depended on a transport keep their names.
 """
 
-import asyncio
-import json
-import os
 import subprocess
 import sys
-import time
 
-import pytest
-
-from repro.core import chaos
-from repro.core.campaign.remote import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    CircuitBreaker,
-    RemoteBackend,
-    RemoteRunner,
-    decode_frame,
-    encode_frame,
-    parse_worker_addresses,
-    shutdown_fleet,
-    spec_from_wire,
-    spec_to_wire,
-)
-from repro.core.campaign.worker import WorkerHost
-from repro.core.experiment import ExperimentSpec
 from repro.core.faults import (
-    FailureRecord,
-    HeartbeatTimeout,
     PoisonResult,
-    RetryPolicy,
     SpecTimeout,
-    TransportFailure,
     WorkerCrash,
-    WorkerDisconnect,
     classify_failure,
 )
-from repro.core.runner import (
-    CACHE_SCHEMA_VERSION,
-    ResultSummary,
-    RunnerStats,
-    SerialRunner,
-    _pool_worker,
-    spec_fingerprint,
-)
-from repro.core.sweep import token_rate_sweep
-from repro.units import mbps
-
-pytestmark = pytest.mark.remote
-
-
-def fast_spec(**overrides):
-    base = dict(
-        clip="test-300",
-        codec="mpeg1",
-        encoding_rate_bps=mbps(1.7),
-        token_rate_bps=mbps(2.2),
-        bucket_depth_bytes=4500,
-        seed=3,
-    )
-    base.update(overrides)
-    return ExperimentSpec(**base)
-
-
-# ----------------------------------------------------------------------
-# Wire protocol building blocks (pure, no sockets)
-
-
-class TestWireProtocol:
-    def test_frame_round_trip(self):
-        frame = {"frame": "execute", "unit": 7, "spec": {"seed": 1}}
-        assert decode_frame(encode_frame(frame)) == frame
-
-    def test_frames_are_single_lines(self):
-        encoded = encode_frame({"frame": "outcome", "text": "a\nb"})
-        assert encoded.endswith(b"\n")
-        assert encoded.count(b"\n") == 1
-
-    @pytest.mark.parametrize(
-        "line",
-        [b"not json\n", b"[1, 2, 3]\n", b'{"no_frame_key": 1}\n', b""],
-    )
-    def test_decode_rejects_garbage(self, line):
-        with pytest.raises(ValueError):
-            decode_frame(line)
-
-    def test_spec_round_trip_is_exact(self):
-        spec = fast_spec(seed=11, use_shaper=True)
-        assert spec_from_wire(spec_to_wire(spec)) == spec
-
-    def test_spec_from_wire_drops_unknown_fields(self):
-        wire = spec_to_wire(fast_spec())
-        wire["field_from_the_future"] = 42
-        assert spec_from_wire(wire) == fast_spec()
-
-    def test_parse_worker_addresses(self):
-        assert parse_worker_addresses("a:1, b:2,") == [("a", 1), ("b", 2)]
-
-    @pytest.mark.parametrize("text", ["", "hostonly", "h:", ":8", "h:not"])
-    def test_parse_worker_addresses_rejects(self, text):
-        with pytest.raises(ValueError):
-            parse_worker_addresses(text)
-
-
-class TestCircuitBreaker:
-    def test_backoff_doubles_and_caps(self):
-        breaker = CircuitBreaker(base_s=0.5, max_s=2.0)
-        breaker.note_failure(now=100.0)
-        assert breaker.open_until == pytest.approx(100.5)
-        breaker.note_failure(now=100.0)
-        assert breaker.open_until == pytest.approx(101.0)
-        for _ in range(5):
-            breaker.note_failure(now=100.0)
-        assert breaker.open_until == pytest.approx(102.0)  # capped
-        assert not breaker.admits(now=101.9)
-        assert breaker.admits(now=102.1)
-
-    def test_success_resets(self):
-        breaker = CircuitBreaker()
-        breaker.note_failure(now=10.0)
-        breaker.note_success()
-        assert breaker.failures == 0
-        assert breaker.admits(now=10.0)
-
-    def test_rejected_never_admits(self):
-        breaker = CircuitBreaker()
-        breaker.rejected = True
-        assert not breaker.admits(now=1e12)
+from repro.core.resultstore import ResultStore
 
 
 class TestFailureTaxonomy:
-    def test_transport_kinds_classified(self):
-        assert classify_failure(WorkerDisconnect("gone")) == "disconnect"
-        assert classify_failure(HeartbeatTimeout("quiet")) == "heartbeat-timeout"
-        assert isinstance(WorkerDisconnect("x"), TransportFailure)
-        assert isinstance(HeartbeatTimeout("x"), TransportFailure)
-
-    def test_transport_kinds_are_valid_record_kinds(self):
-        for kind in ("disconnect", "heartbeat-timeout"):
-            record = FailureRecord(
-                fingerprint="f", kind=kind, message="m", attempts=1
-            )
-            assert FailureRecord.from_dict(record.to_dict()) == record
-
     def test_non_transport_kinds_unchanged(self):
         assert classify_failure(SpecTimeout("t")) == "timeout"
         assert classify_failure(WorkerCrash("c")) == "crash"
@@ -161,751 +27,9 @@ class TestFailureTaxonomy:
         assert classify_failure(RuntimeError("r")) == "exception"
 
 
-# ----------------------------------------------------------------------
-# In-process backend ↔ worker tests (one event loop, no subprocesses)
-
-
-class FleetHarness:
-    """N in-process WorkerHosts plus a RemoteBackend wired to them."""
-
-    def __init__(self, hosts, backend, serving):
-        self.hosts = hosts
-        self.backend = backend
-        self.serving = serving
-
-    @classmethod
-    async def start(cls, n_workers=1, slots=1, **backend_kwargs):
-        hosts, addresses, serving = [], [], []
-        for _ in range(n_workers):
-            host = WorkerHost(slots=slots)
-            addresses.append(await host.start())
-            serving.append(asyncio.create_task(host.serve_until_shutdown()))
-            hosts.append(host)
-        backend_kwargs.setdefault("heartbeat_s", 0.05)
-        backend = RemoteBackend(addresses, **backend_kwargs)
-        return cls(hosts, backend, serving)
-
-    async def stop(self):
-        await self.backend.close()
-        await shutdown_fleet([h.address for h in self.hosts if h._server])
-        for host, task in zip(self.hosts, self.serving):
-            host._shutdown.set()
-            await task
-
-
-# WorkerHost stores host/port separately; tests want the tuple.
-WorkerHost.address = property(lambda self: (self.host, self.port))
-
-
-class TestRemoteBackendInProcess:
-    def test_round_trip_matches_local_execution(self):
-        async def main():
-            fleet = await FleetHarness.start(n_workers=2)
-            specs = [fast_spec(seed=s) for s in (1, 2, 3, 4)]
-            outs = [await fleet.backend.execute(s, timeout_s=60.0) for s in specs]
-            await fleet.stop()
-            return specs, outs
-
-        specs, outs = asyncio.run(main())
-        for spec, remote in zip(specs, outs):
-            assert isinstance(remote, ResultSummary)
-            assert remote == _pool_worker(spec)  # elapsed_s excluded by eq
-
-    def test_slots_track_live_fleet(self):
-        async def main():
-            fleet = await FleetHarness.start(n_workers=2, slots=2)
-            assert fleet.backend.slots == 2  # pre-start: one per address
-            await fleet.backend.execute(fast_spec())
-            live_slots = fleet.backend.slots
-            description = fleet.backend.describe_fleet()
-            await fleet.stop()
-            return live_slots, description
-
-        live_slots, description = asyncio.run(main())
-        assert live_slots == 4  # 2 workers × 2 slots once connected
-        assert len(description["live"]) == 2
-
-    def test_handshake_rejects_protocol_mismatch(self):
-        async def bad_worker(reader, writer):
-            writer.write(
-                encode_frame(
-                    {
-                        "frame": "hello",
-                        "protocol": PROTOCOL_VERSION + 1,
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "slots": 1,
-                    }
-                )
-            )
-            await writer.drain()
-            response = decode_frame(await reader.readline())
-            writer.close()
-            return response
-
-        async def main():
-            rejections = []
-
-            async def handler(reader, writer):
-                rejections.append(await bad_worker(reader, writer))
-
-            server = await asyncio.start_server(handler, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            stats = RunnerStats()
-            backend = RemoteBackend(
-                [("127.0.0.1", port)], stats=stats, local_fallback=True
-            )
-            out = await backend.execute(fast_spec())
-            await backend.close()
-            server.close()
-            await server.wait_closed()
-            return rejections, backend, stats, out
-
-        rejections, backend, stats, out = asyncio.run(main())
-        assert rejections and rejections[0]["frame"] == "reject"
-        assert "protocol mismatch" in rejections[0]["error"]
-        # A version-skewed worker is permanently blacklisted, and the
-        # unit still completes through the local-fallback lane.
-        assert backend.breakers[backend.addresses[0]].rejected
-        assert stats.degraded_units == 1
-        assert out == _pool_worker(fast_spec())
-
-    def test_handshake_rejects_schema_mismatch(self):
-        async def main():
-            errors = []
-
-            async def handler(reader, writer):
-                writer.write(
-                    encode_frame(
-                        {
-                            "frame": "hello",
-                            "protocol": PROTOCOL_VERSION,
-                            "schema": CACHE_SCHEMA_VERSION + 1,
-                            "slots": 1,
-                        }
-                    )
-                )
-                await writer.drain()
-                errors.append(decode_frame(await reader.readline()))
-                writer.close()
-
-            server = await asyncio.start_server(handler, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            backend = RemoteBackend([("127.0.0.1", port)], local_fallback=False)
-            with pytest.raises(WorkerDisconnect):
-                await backend.execute(fast_spec())
-            await backend.close()
-            server.close()
-            await server.wait_closed()
-            return errors
-
-        errors = asyncio.run(main())
-        assert "schema mismatch" in errors[0]["error"]
-
-    def test_heartbeat_timeout_reassigns_to_local(self):
-        """A connected-but-silent worker (partition) is declared dead
-        by the liveness monitor and its unit drains locally."""
-
-        async def silent_worker(reader, writer):
-            writer.write(
-                encode_frame(
-                    {
-                        "frame": "hello",
-                        "protocol": PROTOCOL_VERSION,
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "host": "silent",
-                        "pid": 1,
-                        "slots": 1,
-                    }
-                )
-            )
-            await writer.drain()
-            while await reader.readline():
-                pass  # accept everything, answer nothing, never beat
-
-        async def main():
-            server = await asyncio.start_server(silent_worker, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            stats = RunnerStats()
-            backend = RemoteBackend(
-                [("127.0.0.1", port)],
-                stats=stats,
-                heartbeat_s=0.05,
-                liveness_timeout_s=0.3,
-            )
-            out = await backend.execute(fast_spec(), timeout_s=60.0)
-            await backend.close()
-            server.close()
-            await server.wait_closed()
-            return stats, out
-
-        stats, out = asyncio.run(main())
-        assert out == _pool_worker(fast_spec())
-        assert stats.worker_losses == 1
-        assert stats.reassignments == 1
-        assert stats.degraded_units == 1
-
-    def test_heartbeat_timeout_surfaces_without_fallback(self):
-        """local_fallback=False: the partition becomes a
-        HeartbeatTimeout for the retry policy to classify."""
-
-        async def silent_worker(reader, writer):
-            writer.write(
-                encode_frame(
-                    {
-                        "frame": "hello",
-                        "protocol": PROTOCOL_VERSION,
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "slots": 1,
-                    }
-                )
-            )
-            await writer.drain()
-            while await reader.readline():
-                pass
-
-        async def main():
-            server = await asyncio.start_server(silent_worker, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            backend = RemoteBackend(
-                [("127.0.0.1", port)],
-                heartbeat_s=0.05,
-                liveness_timeout_s=0.3,
-                local_fallback=False,
-            )
-            with pytest.raises(HeartbeatTimeout):
-                await backend.execute(fast_spec(), timeout_s=60.0)
-            await backend.close()
-            server.close()
-            await server.wait_closed()
-
-        asyncio.run(main())
-
-    def test_garbled_outcome_reassigns_to_second_worker(self, tmp_path):
-        """A worker that corrupts its stream mid-unit loses the unit to
-        a live peer; the result is still bit-identical."""
-        victim = fast_spec(seed=21)
-        plan = chaos.ChaosPlan(tmp_path).add(
-            spec_fingerprint(victim), chaos.ChaosRule("wire-garble", times=1)
-        )
-
-        async def main():
-            fleet = await FleetHarness.start(n_workers=2)
-            out = await fleet.backend.execute(victim, timeout_s=60.0)
-            executed = [h.units_executed for h in fleet.hosts]
-            await fleet.stop()
-            return out, executed
-
-        with plan.installed():
-            out, executed = asyncio.run(main())
-        assert out == _pool_worker(victim)
-        assert sum(executed) == 1  # reassigned attempt ran remotely
-
-    def test_unit_timeout_abandons_worker(self, tmp_path):
-        """A worker sitting on a unit past its budget is abandoned and
-        the unit surfaces as SpecTimeout for the retry policy."""
-        victim = fast_spec(seed=22)
-        plan = chaos.ChaosPlan(tmp_path).add(
-            spec_fingerprint(victim),
-            chaos.ChaosRule("wire-stall", times=1, hang_s=30.0),
-        )
-
-        async def main():
-            # Liveness far beyond the unit budget, so the *timeout*
-            # path (not the heartbeat monitor) is what abandons it.
-            fleet = await FleetHarness.start(
-                n_workers=1, liveness_timeout_s=30.0
-            )
-            stats = fleet.backend.stats = RunnerStats()
-            with pytest.raises(SpecTimeout):
-                await fleet.backend.execute(victim, timeout_s=0.5)
-            await fleet.backend.close()
-            # The stalled host is wedged by design; just drop it.
-            for host, task in zip(fleet.hosts, fleet.serving):
-                host._shutdown.set()
-                await task
-            return stats
-
-        with plan.installed():
-            stats = asyncio.run(main())
-        assert stats.worker_losses == 1
-
-    def test_no_workers_at_all_degrades_locally(self):
-        async def main():
-            stats = RunnerStats()
-            # Nobody listens on this port.
-            backend = RemoteBackend(
-                [("127.0.0.1", _free_port())],
-                stats=stats,
-                connect_timeout_s=0.5,
-            )
-            out = await backend.execute(fast_spec())
-            await backend.close()
-            return stats, out
-
-        stats, out = asyncio.run(main())
-        assert out == _pool_worker(fast_spec())
-        assert stats.degraded_units == 1
-
-    def test_malformed_frames_earn_error_not_death(self):
-        """Protocol junk after the handshake gets an error frame and
-        the worker keeps serving (mirrors serve_forever hardening)."""
-
-        async def main():
-            host = WorkerHost()
-            await host.start()
-            serving = asyncio.create_task(host.serve_until_shutdown())
-            reader, writer = await asyncio.open_connection(
-                host.host, host.port, limit=MAX_FRAME_BYTES
-            )
-            await reader.readline()  # hello
-            writer.write(encode_frame({"frame": "welcome", "heartbeat_s": 60}))
-            writer.write(b"this is not json\n")
-            writer.write(encode_frame({"frame": "mystery-verb"}))
-            await writer.drain()
-            responses = []
-            while len(responses) < 2:
-                frame = decode_frame(await reader.readline())
-                if frame["frame"] != "heartbeat":
-                    responses.append(frame)
-            # Still alive and able to execute after the junk:
-            spec = fast_spec(seed=5)
-            writer.write(
-                encode_frame(
-                    {"frame": "execute", "unit": 1, "spec": spec_to_wire(spec)}
-                )
-            )
-            await writer.drain()
-            while True:
-                frame = decode_frame(await reader.readline())
-                if frame["frame"] == "outcome":
-                    break
-            writer.write(encode_frame({"frame": "shutdown"}))
-            await writer.drain()
-            writer.close()
-            await serving
-            return responses, frame, spec
-
-        responses, outcome, spec = asyncio.run(main())
-        assert all(r["frame"] == "error" for r in responses)
-        assert "bad frame" in responses[0]["error"]
-        assert "unknown frame" in responses[1]["error"]
-        assert outcome["status"] == "ok"
-        assert ResultSummary.from_dict(outcome["summary"]) == _pool_worker(spec)
-
-    def test_unintelligible_spec_is_classified_not_fatal(self):
-        async def main():
-            fleet = await FleetHarness.start(n_workers=1)
-            reader, writer = await asyncio.open_connection(
-                *fleet.hosts[0].address, limit=MAX_FRAME_BYTES
-            )
-            await reader.readline()  # hello
-            writer.write(encode_frame({"frame": "welcome", "heartbeat_s": 60}))
-            writer.write(
-                encode_frame(
-                    {"frame": "execute", "unit": 9, "spec": [1, 2, 3]}
-                )
-            )
-            await writer.drain()
-            while True:
-                frame = decode_frame(await reader.readline())
-                if frame["frame"] == "outcome":
-                    break
-            writer.close()
-            await fleet.stop()
-            return frame
-
-        frame = asyncio.run(main())
-        assert frame["status"] == "error"
-        assert frame["kind"] == "exception"
-        assert "unintelligible spec" in frame["message"]
-
-
-# ----------------------------------------------------------------------
-# Scheduler interplay: shrinking fleets retire worker coroutines
-
-
-class ShrinkingBackend:
-    """Fake backend whose slot count collapses after N executions."""
-
-    def __init__(self, slots, shrink_to, after):
-        self.slots = slots
-        self._shrink_to = shrink_to
-        self._after = after
-        self.executed = 0
-
-    def prepare(self, plan_specs):
-        pass
-
-    async def execute(self, spec, timeout_s=None):
-        await asyncio.sleep(0.005)
-        self.executed += 1
-        if self.executed >= self._after:
-            self.slots = self._shrink_to
-        return _dummy_summary(spec.token_rate_bps)
-
-    def close(self):
-        pass
-
-
-def _dummy_summary(tag):
-    return ResultSummary(
-        quality_score=tag,
-        lost_frame_fraction=0.0,
-        packet_drop_fraction=0.0,
-        frozen_fraction=0.0,
-        rebuffer_events=0,
-        total_stall_s=0.0,
-        conformant_packets=1,
-        dropped_packets=0,
-        remarked_packets=0,
-        dropped_bytes=0,
-        server_aborted=False,
-        server_packets=1,
-        client_packets=1,
-    )
-
-
-class TestSchedulerRetirement:
-    def test_shrinking_slots_retire_surplus_workers(self):
-        from repro.core.campaign import CampaignScheduler, WorkUnit
-
-        backend = ShrinkingBackend(slots=4, shrink_to=1, after=4)
-        scheduler = CampaignScheduler(backend, shards=4)
-        specs = [fast_spec(token_rate_bps=mbps(1.5) + i * 1e4) for i in range(16)]
-        units = [
-            WorkUnit(index=i, spec=s, fingerprint=spec_fingerprint(s))
-            for i, s in enumerate(specs)
-        ]
-        outcomes = [None] * len(specs)
-
-        def emit(unit, outcome, source):
-            outcomes[unit.index] = outcome
-
-        asyncio.run(scheduler.run(iter(units), emit))
-        # Every unit still resolved, in its submission slot, correctly.
-        assert [o.quality_score for o in outcomes] == [
-            s.token_rate_bps for s in specs
-        ]
-        # The three surplus coroutines exited through the retirement
-        # path; worker 0 finished the drain alone.
-        assert scheduler.retired_workers == 3
-
-    def test_stable_slots_never_retire(self):
-        from repro.core.campaign import CampaignScheduler, WorkUnit
-
-        backend = ShrinkingBackend(slots=3, shrink_to=3, after=10**9)
-        scheduler = CampaignScheduler(backend, shards=3)
-        units = [
-            WorkUnit(index=i, spec=fast_spec(seed=i), fingerprint=str(i))
-            for i in range(6)
-        ]
-        asyncio.run(scheduler.run(iter(units), lambda *a: None))
-        assert scheduler.retired_workers == 0
-
-
-# ----------------------------------------------------------------------
-# Acceptance: real worker subprocesses, chaos-killed mid-flight
-
-
-RATES = (1.6e6, 1.8e6, 2.0e6)
-DEPTHS = (3000.0, 4500.0)
-
-
-def grid_specs():
-    return [
-        fast_spec().with_token_bucket(r, d) for d in DEPTHS for r in RATES
-    ]
-
-
-def spawn_worker(env):
-    """One real ``python -m repro worker`` process; returns (proc, addr)."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker", "--port", "0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-        env=env,
-    )
-    announce = json.loads(proc.stdout.readline())
-    assert announce["event"] == "listening"
-    return proc, (announce["host"], announce["port"])
-
-
-@pytest.fixture
-def worker_env():
-    from pathlib import Path
-
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def reap(procs, timeout=10):
-    for proc in procs:
-        if proc.poll() is None:
-            proc.terminate()
-    for proc in procs:
-        try:
-            proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:  # pragma: no cover - stubborn
-            proc.kill()
-            proc.wait(timeout=timeout)
-
-
-class TestFleetAcceptance:
-    def remote_sweep(self, addresses, **runner_kwargs):
-        runner_kwargs.setdefault("heartbeat_s", 0.1)
-        runner = RemoteRunner(addresses, **runner_kwargs)
-        result = token_rate_sweep(
-            fast_spec(), RATES, DEPTHS, runner=runner
-        )
-        return result, runner
-
-    def test_chaos_killed_worker_reassigns_bit_identical(
-        self, tmp_path, worker_env
-    ):
-        """THE acceptance scenario: a worker is chaos-killed mid-unit;
-        the survivor absorbs the fleet's work; results match serial."""
-        victim = grid_specs()[2]
-        plan = chaos.ChaosPlan(tmp_path / "chaos").add(
-            spec_fingerprint(victim), chaos.ChaosRule("wire-drop", times=1)
-        )
-        serial = token_rate_sweep(
-            fast_spec(), RATES, DEPTHS, runner=SerialRunner()
-        )
-        with plan.installed():
-            worker_env[chaos.CHAOS_PLAN_ENV] = os.environ[chaos.CHAOS_PLAN_ENV]
-            procs_addrs = [spawn_worker(worker_env) for _ in range(2)]
-            procs = [p for p, _ in procs_addrs]
-            addresses = [a for _, a in procs_addrs]
-            try:
-                remote, runner = self.remote_sweep(addresses)
-            finally:
-                reap(procs)
-        # Zero lost outcomes, field-by-field identical to serial.
-        assert remote == serial
-        assert remote.complete
-        assert len(remote.points) == len(RATES) * len(DEPTHS)
-        # The kill was detected and the unit actually reassigned.
-        assert runner.stats.worker_losses >= 1
-        assert runner.stats.reassignments >= 1
-        # The fleet survived: nothing needed the local fallback lane.
-        assert runner.stats.degraded_units == 0
-        # Exactly one worker died (exit code = the chaos kill).
-        exit_codes = sorted(p.returncode for p in procs)
-        assert chaos.CRASH_EXIT_CODE in exit_codes
-
-    def test_whole_fleet_dead_completes_via_local_fallback(
-        self, tmp_path, worker_env
-    ):
-        """Every worker chaos-killed: the sweep must still complete,
-        bit-identical, through graceful local degradation."""
-        plan = chaos.ChaosPlan(tmp_path / "chaos").add(
-            "*", chaos.ChaosRule("wire-drop", times=1)
-        )
-        serial = token_rate_sweep(
-            fast_spec(), RATES, DEPTHS, runner=SerialRunner()
-        )
-        with plan.installed():
-            worker_env[chaos.CHAOS_PLAN_ENV] = os.environ[chaos.CHAOS_PLAN_ENV]
-            procs_addrs = [spawn_worker(worker_env) for _ in range(2)]
-            procs = [p for p, _ in procs_addrs]
-            addresses = [a for _, a in procs_addrs]
-            try:
-                remote, runner = self.remote_sweep(addresses)
-            finally:
-                reap(procs)
-        assert remote == serial
-        assert remote.complete
-        assert runner.stats.worker_losses == 2
-        assert runner.stats.reassignments >= 2
-        assert runner.stats.degraded_units > 0
-
-    def test_healthy_fleet_bit_identical_and_stats_clean(self, worker_env):
-        serial = token_rate_sweep(
-            fast_spec(), RATES, DEPTHS, runner=SerialRunner()
-        )
-        procs_addrs = [spawn_worker(worker_env) for _ in range(2)]
-        procs = [p for p, _ in procs_addrs]
-        addresses = [a for _, a in procs_addrs]
-        try:
-            remote, runner = self.remote_sweep(addresses, shards=3)
-            acked = asyncio.run(shutdown_fleet(addresses))
-            for proc in procs:
-                proc.wait(timeout=10)
-        finally:
-            reap(procs)
-        assert remote == serial
-        assert runner.stats.worker_losses == 0
-        assert runner.stats.reassignments == 0
-        assert runner.stats.degraded_units == 0
-        # shutdown_fleet asked them to exit cleanly, not via terminate.
-        assert acked == 2
-        assert all(p.returncode == 0 for p in procs)
-
-    def test_unreachable_fleet_quarantines_as_disconnect(self):
-        """local_fallback=False + retry policy: transport loss becomes
-        a 'disconnect' FailureRecord, not a crash or hang."""
-        probe_port = _free_port()
-        runner = RemoteRunner(
-            [("127.0.0.1", probe_port)],
-            retry=RetryPolicy(max_retries=1, backoff_base_s=0.001),
-            local_fallback=False,
-            connect_timeout_s=0.5,
-        )
-        [outcome] = runner.run_batch([fast_spec()])
-        assert isinstance(outcome, FailureRecord)
-        assert outcome.kind == "disconnect"
-        assert outcome.attempts == 2
-
-
-def _free_port():
-    import socket as socket_module
-
-    with socket_module.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-# ----------------------------------------------------------------------
-# Satellite: serve_forever hardening
-
-
-class TestServeForeverHardening:
-    def serve_real(self, lines, tmp_path):
-        import io
-
-        from repro.core.campaign.service import CampaignService
-        from repro.core.resultstore import ResultStore
-
-        service = CampaignService(ResultStore(tmp_path / "cache"))
-        out = io.StringIO()
-        handled = service.serve_forever(io.StringIO(lines), out)
-        return handled, [json.loads(l) for l in out.getvalue().splitlines()]
-
-    def test_bad_json_survives_with_structured_error(self, tmp_path):
-        handled, responses = self.serve_real(
-            'this is not json\n{"kind": "stats"}\n', tmp_path
-        )
-        assert handled == 2
-        assert responses[0]["error_kind"] == "bad-json"
-        assert "bad JSON" in responses[0]["error"]
-        assert responses[1]["kind"] == "stats"  # loop survived
-
-    def test_unknown_verb_is_bad_request(self, tmp_path):
-        handled, responses = self.serve_real(
-            '{"kind": "frobnicate"}\n{"kind": "stats"}\n', tmp_path
-        )
-        assert responses[0]["error_kind"] == "bad-request"
-        assert "unknown query kind" in responses[0]["error"]
-        assert responses[1]["kind"] == "stats"
-
-    def test_non_object_request_is_bad_request(self, tmp_path):
-        handled, responses = self.serve_real('[1, 2]\n', tmp_path)
-        assert responses[0]["error_kind"] == "bad-request"
-
-    def test_unknown_spec_field_is_bad_request(self, tmp_path):
-        handled, responses = self.serve_real(
-            '{"kind": "point", "spec": {"tokne_rate_bps": 1}}\n', tmp_path
-        )
-        assert responses[0]["error_kind"] == "bad-request"
-        assert "unknown spec fields" in responses[0]["error"]
-
-    def test_oversized_line_rejected_unparsed(self, tmp_path):
-        from repro.core.campaign.service import MAX_REQUEST_BYTES
-
-        huge = '{"kind": "stats", "pad": "' + "x" * MAX_REQUEST_BYTES + '"}\n'
-        handled, responses = self.serve_real(
-            huge + '{"kind": "stats"}\n', tmp_path
-        )
-        assert handled == 2
-        assert responses[0]["error_kind"] == "oversized"
-        assert responses[1]["kind"] == "stats"
-
-    def test_internal_failure_is_reported_and_survived(self, tmp_path):
-        import io
-
-        from repro.core.campaign.service import CampaignService
-        from repro.core.resultstore import ResultStore
-
-        service = CampaignService(ResultStore(tmp_path / "cache"))
-
-        def boom(request):
-            raise RuntimeError("query machinery exploded")
-
-        service._query_stats = boom.__get__(service)
-        out = io.StringIO()
-        handled = service.serve_forever(
-            io.StringIO('{"kind": "stats"}\n'), out
-        )
-        [response] = [json.loads(l) for l in out.getvalue().splitlines()]
-        assert handled == 1
-        assert response["error_kind"] == "internal"
-        assert "RuntimeError" in response["error"]
-
-
-# ----------------------------------------------------------------------
-# Satellite: multi-host lease staleness
-
-
 class TestLeaseHostname:
-    def store(self, tmp_path):
-        from repro.core.resultstore import ResultStore
-
-        return ResultStore(tmp_path / "cache")
-
-    def test_lease_records_pid_hostname_and_fence_token(self, tmp_path):
-        import socket as socket_module
-
-        store = self.store(tmp_path)
-        lease = store.acquire_lease("fp")
-        assert lease is not None
-        content = store._lease_path("fp").read_text().split()
-        # Format: pid hostname fence-token (a renew_s fourth field is
-        # only written by renewable leases).
-        assert len(content) == 3
-        assert content[:2] == [str(os.getpid()), socket_module.gethostname()]
-        assert content[2] == lease.token
-        lease.release()
-
-    def test_foreign_host_lease_ignores_local_pid_liveness(self, tmp_path):
-        """A dead-looking pid from another host must NOT break the
-        lease: pid namespaces don't span hosts."""
-        store = self.store(tmp_path)
-        store.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = store._lease_path("fp")
-        dead_pid = _unused_pid()
-        path.write_text(f"{dead_pid} some-other-host")
-        assert store.acquire_lease("fp") is None  # fresh + foreign: honored
-
-    def test_foreign_host_lease_still_ages_out(self, tmp_path):
-        from repro.core.resultstore import LEASE_STALE_S
-
-        store = self.store(tmp_path)
-        store.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = store._lease_path("fp")
-        path.write_text("12345 some-other-host")
-        ancient = time.time() - LEASE_STALE_S - 10
-        os.utime(path, (ancient, ancient))
-        lease = store.acquire_lease("fp")
-        assert lease is not None  # age bound broke the foreign lease
-        lease.release()
-
-    def test_same_host_dead_pid_is_broken(self, tmp_path):
-        import socket as socket_module
-
-        store = self.store(tmp_path)
-        store.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = store._lease_path("fp")
-        path.write_text(f"{_unused_pid()} {socket_module.gethostname()}")
-        lease = store.acquire_lease("fp")
-        assert lease is not None
-        lease.release()
-
     def test_legacy_bare_pid_lease_still_understood(self, tmp_path):
-        store = self.store(tmp_path)
-        store.cache_dir.mkdir(parents=True, exist_ok=True)
+        store = ResultStore(tmp_path)
         path = store._lease_path("fp")
         path.write_text(str(_unused_pid()))  # pre-hostname format, dead
         lease = store.acquire_lease("fp")
@@ -913,7 +37,7 @@ class TestLeaseHostname:
         lease.release()
 
     def test_live_same_host_lease_blocks(self, tmp_path):
-        store = self.store(tmp_path)
+        store = ResultStore(tmp_path)
         lease = store.acquire_lease("fp")
         assert store.acquire_lease("fp") is None
         lease.release()
