@@ -200,9 +200,6 @@ def qualifies_for_batch(spec: ExperimentSpec) -> bool:
     return qualifies_for_fastpath(spec) and not spec.capture_trace
 
 
-#: Grid axes a batch varies; every other spec field is in the batch key.
-BATCH_AXES = ("token_rate_bps", "bucket_depth_bytes", "seed")
-
 _batch_key_fields = attrgetter(
     *(f.name for f in fields(ExperimentSpec) if f.name not in BATCH_AXES)
 )

@@ -382,9 +382,10 @@ def _pool_batch_worker(
 def _warm_plan(specs: Sequence[ExperimentSpec]) -> list[tuple]:
     """Unique ``(clip, codec, rate)`` warm-up triples covering a batch.
 
-    Covers everything a worker will encode: the streamed version, the
-    pristine reference features, a fixed-rate reference when one is
-    requested, and the whole MPEG-1 ladder for adaptive runs.
+    Covers every version a worker will encode and score: the streamed
+    version, a fixed-rate reference when one is requested, and the
+    whole MPEG-1 ladder for adaptive runs. The pristine features are
+    not warmed: both reference modes score against a codec version.
     """
     from repro.video.clips import MPEG_RATES_BPS
 
@@ -401,7 +402,6 @@ def _warm_plan(specs: Sequence[ExperimentSpec]) -> list[tuple]:
             for flow in spec.flows:
                 expand(flow)
             return
-        add((spec.clip, None, None))
         add((spec.clip, spec.codec, spec.encoding_rate_bps))
         if spec.reference == "fixed":
             add((spec.clip, spec.codec, spec.fixed_reference_rate_bps))

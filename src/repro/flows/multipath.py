@@ -55,7 +55,6 @@ from repro.flows.aggregate import (
     flow_jitter_delays,
     rollup_summaries,
 )
-from repro.sim.batchpath import BatchVqmTool
 from repro.sim.fastpath import (
     FastPathSession,
     _fifo_departs,
@@ -435,10 +434,10 @@ def run_multipath(
 
     # ------------------------------------------------------------------
     # Demux: per-flow sessions through the unchanged offline stages.
-    # One vectorized VQM tool is shared across flows (stateless per
-    # call apart from its bitwise-equal moment cache).
+    # One VQM tool is shared across flows; it keeps no state between
+    # calls.
     # ------------------------------------------------------------------
-    tool = vqm_tool if vqm_tool is not None else BatchVqmTool()
+    tool = vqm_tool if vqm_tool is not None else VqmTool()
     # Stable flow-sort of the delivered stream: one O(n log n) pass
     # replaces N boolean mask sweeps, and stability preserves each
     # flow's delivery order exactly as the mask would.

@@ -24,10 +24,11 @@ seed — not on the policing profile. This module exploits that:
    Above the policing cliff every lane produces the same all-conform
    mask, so a 64-point grid typically collapses to a handful of
    unique outcomes per seed.
-4. **Vectorized VQM calibration.** The temporal-alignment search (201
-   candidate lags × ~10 segments, the scalar fast path's dominant
-   cost) becomes a sliding-window matrix correlation with row-wise
-   reductions that are bitwise equal to the per-lag scalar loop.
+4. **Shared assessment.** Each unique outcome is scored once, by the
+   same offline stages as the scalar path. VQM's temporal calibration
+   is the vectorized lag search every lane runs
+   (:func:`repro.vqm.calibration.calibrate_segment`), so this module
+   has no assessment code of its own.
 
 The contract matches :mod:`repro.sim.fastpath`: every
 :class:`~repro.core.runner.ResultSummary` field (except the wall-clock
@@ -43,7 +44,6 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.diffserv.policer import PolicerAction, PolicerStats
 from repro.sim.fastpath import (
@@ -55,114 +55,9 @@ from repro.sim.fastpath import (
 )
 from repro.testbeds.qbone import QBoneTestbedConfig
 from repro.video.clips import encode_clip
-from repro.vqm.calibration import CalibrationResult, calibrate_segment
 from repro.vqm.tool import VqmTool
 
 _ACTIONS = {"drop": "drop", "remark": "remark-be"}
-
-
-class BatchVqmTool(VqmTool):
-    """VqmTool whose temporal-alignment search is vectorized over lags.
-
-    The scalar :func:`~repro.vqm.calibration.calibrate_segment` loops
-    over ~201 candidate lags, each computing a Pearson correlation of
-    the fixed reference window against one shifted received window.
-    Here the shifted windows form a ``(n_lags, win)`` matrix (a strided
-    view, materialized as float64 exactly like the scalar's per-window
-    ``astype``) and the correlations fall out of row-wise mean /
-    square-sum / product-sum reductions — which numpy evaluates with
-    the same pairwise summation as the 1-D reductions, so every
-    correlation is bitwise equal to its scalar twin. ``argmax`` returns
-    the *first* maximum, matching the scalar loop's strict ``>``
-    update. Degenerate windows and empty search ranges delegate to the
-    scalar implementation.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._moment_cache: dict = {}
-
-    def _calibrate(self, segment, ref: dict, rcv: dict) -> CalibrationResult:
-        ref_profile = ref["y_mean"]
-        ref_ti = ref["ti"]
-        rcv_profile = rcv["y_mean"]
-        rcv_ti = rcv["ti"]
-        ns = segment.start
-        length = segment.length
-        ref_win_profile = ref_profile[ns : ns + length]
-        win = len(ref_win_profile)
-        n_rcv = len(rcv_profile)
-        u = self.alignment_uncertainty
-        lo = max(0, ns - u)  # the scalar loop's `start < 0: continue`
-        hi = min(ns + u, n_rcv - win)  # its `end > n_rcv: break`
-        if win < 2 or hi < lo:
-            return calibrate_segment(
-                ref_profile=ref_profile,
-                ref_ti=ref_ti,
-                rcv_profile=rcv_profile,
-                rcv_ti=rcv_ti,
-                nominal_start=ns,
-                length=length,
-                uncertainty=u,
-                min_correlation=self.min_correlation,
-            )
-
-        key = (id(ref_profile), id(ref_ti), ns, length)
-        moments = self._moment_cache.get(key)
-        if moments is None:
-            a_profile = ref_win_profile.astype(np.float64)
-            da_profile = a_profile - a_profile.mean()
-            sq_profile = (da_profile * da_profile).sum()
-            a_ti = ref_ti[ns : ns + length].astype(np.float64)
-            da_ti = a_ti - a_ti.mean()
-            sq_ti = (da_ti * da_ti).sum()
-            moments = (da_profile, sq_profile, da_ti, sq_ti)
-            self._moment_cache[key] = moments
-        da_profile, sq_profile, da_ti, sq_ti = moments
-
-        c_profile = _corr_rows(rcv_profile, lo, hi, win, da_profile, sq_profile)
-        c_ti = _corr_rows(rcv_ti, lo, hi, win, da_ti, sq_ti)
-        combined = 0.75 * c_profile + 0.25 * c_ti
-        best = int(np.argmax(combined))
-        best_lag = lo + best - ns
-        best_corr = float(combined[best])
-
-        start = ns + best_lag
-        aligned = rcv_profile[start : start + win]
-        ref_std = ref_win_profile.std()
-        gain = float(aligned.std() / ref_std) if ref_std > 1e-9 else 1.0
-        level_offset = float(aligned.mean() - ref_win_profile.mean())
-        return CalibrationResult(
-            lag=best_lag,
-            correlation=best_corr,
-            succeeded=best_corr >= self.min_correlation,
-            gain=gain,
-            level_offset=level_offset,
-        )
-
-
-def _corr_rows(
-    stream: np.ndarray,
-    lo: int,
-    hi: int,
-    win: int,
-    da: np.ndarray,
-    da_sq_sum: float,
-) -> np.ndarray:
-    """Row-wise twin of :func:`repro.vqm.calibration._corr_against`.
-
-    One row per candidate window start in ``[lo, hi]``. Rows whose
-    denominator underflows the scalar's ``1e-12`` guard are 0.0, same
-    as the scalar's early return.
-    """
-    rows = sliding_window_view(stream, win)[lo : hi + 1].astype(np.float64)
-    db = rows - rows.mean(axis=1)[:, None]
-    denom = np.sqrt(da_sq_sum * (db * db).sum(axis=1))
-    num = (da[None, :] * db).sum(axis=1)
-    out = np.zeros(len(rows))
-    ok = denom >= 1e-12
-    out[ok] = num[ok] / denom[ok]
-    return out
 
 
 def _lane_scan(
@@ -263,12 +158,7 @@ def _run_group(specs: list, vqm_tool: Optional[VqmTool]) -> list:
     encoded = encode_clip(spec0.clip, spec0.codec, spec0.encoding_rate_bps)
     cfg = _config_for(spec0)
     sched = compute_schedule(encoded, cfg)
-    base = vqm_tool or VqmTool()
-    tool = BatchVqmTool(
-        model=base.model,
-        alignment_uncertainty=base.alignment_uncertainty,
-        min_correlation=base.min_correlation,
-    )
+    tool = vqm_tool or VqmTool()
 
     summaries: list = [None] * len(specs)
     by_seed: dict = {}

@@ -137,29 +137,45 @@ def clip_features(
     encoding — degraded by the codec's quantizer track — which is what
     a client that received every packet would display.
     """
+    return clip_versions(clip_name, [(codec, rate_bps)])[0]
+
+
+def _feature_key(clip_name: str, codec: Optional[str], rate_bps) -> tuple:
     if codec is None:
-        key = (clip_name, None, None)
-        features = _feature_cache.get(key)
-        if features is None:
-            with _cache_lock:
-                features = _feature_cache.get(key)
-                if features is None:
-                    features = FrameFeatures.extract(get_script(clip_name))
-                    _feature_cache[key] = features
-        return features
+        return (clip_name, None, None)
     encoded = encode_clip(clip_name, codec, rate_bps)
-    key = (clip_name, codec, round(encoded.target_rate_bps))
-    features = _feature_cache.get(key)
-    if features is None:
+    return (clip_name, codec, round(encoded.target_rate_bps))
+
+
+def clip_versions(
+    clip_name: str, versions: Iterable[tuple]
+) -> list[FrameFeatures]:
+    """Feature streams of several versions of one clip, cached.
+
+    ``versions`` holds ``(codec, rate_bps)`` pairs, each as
+    :func:`clip_features` takes them. The versions missing from the
+    cache are extracted together, in one pass that renders the clip
+    once (:meth:`FrameFeatures.extract_versions`).
+    """
+    versions = list(versions)
+    keys = [_feature_key(clip_name, *version) for version in versions]
+    found = [_feature_cache.get(key) for key in keys]
+    if any(features is None for features in found):
         with _cache_lock:
-            features = _feature_cache.get(key)
-            if features is None:
-                features = FrameFeatures.extract(
-                    get_script(clip_name),
-                    degradation=encoded.quantizer_track(),
+            missing: dict = {}  # key -> degradation, first request wins
+            for key, (codec, rate_bps) in zip(keys, versions):
+                if key in _feature_cache or key in missing:
+                    continue
+                missing[key] = None if codec is None else encode_clip(
+                    clip_name, codec, rate_bps
+                ).quantizer_track()
+            if missing:
+                extracted = FrameFeatures.extract_versions(
+                    get_script(clip_name), list(missing.values())
                 )
-                _feature_cache[key] = features
-    return features
+                _feature_cache.update(zip(missing, extracted))
+            found = [_feature_cache[key] for key in keys]
+    return found
 
 
 def warm_clip_caches(entries: Iterable[tuple]) -> None:
@@ -167,15 +183,16 @@ def warm_clip_caches(entries: Iterable[tuple]) -> None:
 
     A triple with ``codec=None`` warms the pristine reference features;
     otherwise both the encoding and its degraded feature streams are
-    built. Intended for process-pool initializers, so every worker pays
-    the encode cost once up front instead of per experiment; concurrent
-    calls are safe.
+    built. The versions of one clip are extracted together, rendering
+    the clip once. Intended for process-pool initializers, so every
+    worker pays the encode cost once up front instead of per
+    experiment; concurrent calls are safe.
     """
+    by_clip: dict[str, list] = {}
     for clip_name, codec, rate_bps in entries:
-        if codec is None:
-            clip_features(clip_name)
-        else:
-            clip_features(clip_name, codec, rate_bps)
+        by_clip.setdefault(clip_name, []).append((codec, rate_bps))
+    for clip_name, versions in by_clip.items():
+        clip_versions(clip_name, versions)
 
 
 def clear_caches() -> None:

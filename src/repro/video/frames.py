@@ -19,14 +19,16 @@ a per-frame degradation: a blend toward a blurred frame plus
 quantization noise, with strength driven by the codec model's
 quantizer track. Extracting features from degraded frames gives the
 encoding-quality floor seen in the paper's fixed-reference
-experiments.
+experiments. The blurred frames and the noise do not depend on the
+strength, so several versions of a clip are extracted in one pass that
+renders each scene once (:meth:`FrameFeatures.extract_versions`).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -36,6 +38,12 @@ from repro.video.scenes import Scene, SceneScript
 #: Internal analysis resolution (luma). Chroma is subsampled 2x.
 FRAME_HEIGHT = 48
 FRAME_WIDTH = 64
+
+#: Seed of the degradation noise stream, drawn scene by scene.
+DEGRADATION_SEED = 7
+
+#: Per-frame features that depend on the (possibly degraded) luma.
+_LUMA_FEATURES = ("y_mean", "y_std", "si", "hv", "ti")
 
 
 def _scene_rng(script_name: str, scene_id: int) -> np.random.Generator:
@@ -117,12 +125,6 @@ class FrameRenderer:
         local = frame_id - offset
         return y[local], u[local], v[local]
 
-    def iter_scenes(self) -> Iterator[tuple[Scene, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield ``(scene, y, u, v)`` for each scene in order."""
-        for scene in self.script.scenes:
-            y, u, v = self.render_scene(scene)
-            yield scene, y, u, v
-
 
 def degrade_stack(
     y: np.ndarray,
@@ -137,44 +139,65 @@ def degrade_stack(
     """
     if strength.shape[0] != y.shape[0]:
         raise ValueError("one strength value per frame required")
-    s = np.clip(strength, 0.0, 1.0).astype(np.float32)[:, None, None]
+    return _degrade_versions(y, [strength], rng)[0]
+
+
+def _degrade_versions(
+    y: np.ndarray,
+    strengths: Sequence[Optional[np.ndarray]],
+    rng: np.random.Generator,
+) -> list:
+    """``y`` degraded at each strength track; ``None`` keeps it pristine.
+
+    The blur and the noise do not depend on the strength, so they are
+    computed once, with a single noise draw of ``y``'s shape when any
+    track is given, and freed on return.
+    """
+    if all(strength is None for strength in strengths):
+        return [y] * len(strengths)
     blurred = ndimage.uniform_filter(y, size=(1, 3, 3), mode="nearest")
     noise = rng.standard_normal(y.shape).astype(np.float32)
-    degraded = (1.0 - 0.8 * s) * y + 0.8 * s * blurred + 0.03 * s * noise
-    return np.clip(degraded, 0.0, 1.0).astype(np.float32)
+    out = []
+    for strength in strengths:
+        if strength is None:
+            out.append(y)
+            continue
+        s = np.clip(strength, 0.0, 1.0).astype(np.float32)[:, None, None]
+        degraded = (1.0 - 0.8 * s) * y + 0.8 * s * blurred + 0.03 * s * noise
+        np.clip(degraded, 0.0, 1.0, out=degraded)
+        out.append(degraded.astype(np.float32, copy=False))
+    return out
 
 
 # ----------------------------------------------------------------------
 # feature extraction
 # ----------------------------------------------------------------------
 
-def spatial_information(y: np.ndarray) -> np.ndarray:
-    """SI feature per frame: std of the Sobel gradient magnitude.
+def edge_features(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame SI and HV ratio from one pair of Sobel gradients.
 
-    This is the classic ITU-T P.910 / ANSI T1.801.03 spatial
-    information measure.
+    SI is the std of the Sobel gradient magnitude, the classic ITU-T
+    P.910 / ANSI T1.801.03 spatial information measure. The HV ratio
+    is an ANSI T1.801.03-style edge-orientation feature: the share of
+    edge energy whose gradient lies within 0.225 rad of an axis. Blur
+    shifts edge energy away from crisp H/V structure. The arithmetic
+    runs in place where it can and each stack is freed once used, so
+    at most four frame stacks are alive at a time.
     """
     gx = ndimage.sobel(y, axis=2, mode="nearest")
     gy = ndimage.sobel(y, axis=1, mode="nearest")
-    magnitude = np.sqrt(gx * gx + gy * gy)
-    return magnitude.std(axis=(1, 2))
-
-
-def hv_ratio(y: np.ndarray) -> np.ndarray:
-    """Ratio of horizontal/vertical edge energy to total edge energy.
-
-    An ANSI T1.801.03-style edge-orientation feature: blur shifts edge
-    energy away from crisp H/V structure.
-    """
-    gx = ndimage.sobel(y, axis=2, mode="nearest")
-    gy = ndimage.sobel(y, axis=1, mode="nearest")
-    magnitude = np.sqrt(gx * gx + gy * gy) + 1e-9
-    angle = np.arctan2(np.abs(gy), np.abs(gx))
-    # "HV" energy: gradient within 0.225 rad of an axis.
+    magnitude = gx * gx
+    magnitude += gy * gy
+    np.sqrt(magnitude, out=magnitude)
+    si = magnitude.std(axis=(1, 2))
+    angle = np.arctan2(np.abs(gy, out=gy), np.abs(gx, out=gx))
+    del gx, gy
     hv_mask = (angle < 0.225) | (angle > np.pi / 2 - 0.225)
-    hv_energy = (magnitude * hv_mask).sum(axis=(1, 2))
+    del angle
+    magnitude += 1e-9
     total = magnitude.sum(axis=(1, 2))
-    return hv_energy / total
+    magnitude *= hv_mask
+    return si, magnitude.sum(axis=(1, 2)) / total
 
 
 def temporal_information(y: np.ndarray) -> np.ndarray:
@@ -188,6 +211,24 @@ def temporal_information(y: np.ndarray) -> np.ndarray:
         diff = y[1:] - y[:-1]
         ti[1:] = np.sqrt((diff * diff).mean(axis=(1, 2)))
     return ti
+
+
+def _take_luma_features(
+    columns: dict, sl: slice, y: np.ndarray, prev_last: Optional[np.ndarray]
+) -> np.ndarray:
+    """Fill one version's luma feature columns for one scene stack.
+
+    ``prev_last`` is the previous scene's last frame, for the TI across
+    the cut; returns this scene's last frame.
+    """
+    columns["y_mean"][sl] = y.mean(axis=(1, 2))
+    columns["y_std"][sl] = y.std(axis=(1, 2))
+    columns["si"][sl], columns["hv"][sl] = edge_features(y)
+    columns["ti"][sl] = temporal_information(y)
+    if prev_last is not None:
+        cut_diff = y[0] - prev_last
+        columns["ti"][sl.start] = float(np.sqrt((cut_diff * cut_diff).mean()))
+    return y[-1].copy()
 
 
 @dataclass
@@ -216,63 +257,74 @@ class FrameFeatures:
 
     @classmethod
     def extract(
-        cls,
-        script: SceneScript,
-        degradation: Optional[np.ndarray] = None,
-        degradation_seed: int = 7,
-        renderer: Optional[FrameRenderer] = None,
+        cls, script: SceneScript, degradation: Optional[np.ndarray] = None
     ) -> "FrameFeatures":
         """Render the clip scene by scene and extract features.
 
         ``degradation`` is an optional per-frame strength array (from a
         codec model); ``None`` extracts pristine reference features.
         """
-        renderer = renderer or FrameRenderer(script)
+        return cls.extract_versions(script, [degradation])[0]
+
+    @classmethod
+    def extract_versions(
+        cls,
+        script: SceneScript,
+        degradations: Sequence[Optional[np.ndarray]],
+    ) -> "list[FrameFeatures]":
+        """Extract several versions of one clip in one rendering pass.
+
+        Each entry of ``degradations`` is a per-frame strength array,
+        or ``None`` for the pristine reference. Every scene is rendered
+        once. Every degraded version blends the same blurred stack and
+        the same noise: each version's noise stream (seed
+        :data:`DEGRADATION_SEED`) is drawn in scene order with the
+        scene's shape, so one draw per scene serves them all. Each
+        result is bit-identical to extracting its version alone.
+        The chroma means and scene ids are shared by every version.
+        """
         n = script.n_frames
-        if degradation is not None and len(degradation) != n:
-            raise ValueError(
-                f"degradation length {len(degradation)} != frames {n}"
-            )
-        rng = np.random.default_rng(degradation_seed)
-        y_mean = np.empty(n, dtype=np.float32)
-        y_std = np.empty(n, dtype=np.float32)
-        si = np.empty(n, dtype=np.float32)
-        hv = np.empty(n, dtype=np.float32)
-        ti = np.zeros(n, dtype=np.float32)
+        for degradation in degradations:
+            if degradation is not None and len(degradation) != n:
+                raise ValueError(
+                    f"degradation length {len(degradation)} != frames {n}"
+                )
+        rng = np.random.default_rng(DEGRADATION_SEED)
+        columns = [
+            {name: np.empty(n, dtype=np.float32) for name in _LUMA_FEATURES}
+            for _ in degradations
+        ]
         u_mean = np.empty(n, dtype=np.float32)
         v_mean = np.empty(n, dtype=np.float32)
+        last_frames: list = [None] * len(degradations)
 
+        renderer = FrameRenderer(script)
         cursor = 0
-        prev_last_frame: Optional[np.ndarray] = None
-        for scene, y, u, v in renderer.iter_scenes():
-            if degradation is not None:
-                strengths = degradation[cursor : cursor + scene.n_frames]
-                y = degrade_stack(y, strengths, rng)
+        for scene in script.scenes:
+            y, u, v = renderer.render_scene(scene)
             sl = slice(cursor, cursor + scene.n_frames)
-            y_mean[sl] = y.mean(axis=(1, 2))
-            y_std[sl] = y.std(axis=(1, 2))
-            si[sl] = spatial_information(y)
-            hv[sl] = hv_ratio(y)
-            ti[sl] = temporal_information(y)
-            if prev_last_frame is not None:
-                cut_diff = y[0] - prev_last_frame
-                ti[cursor] = float(np.sqrt((cut_diff * cut_diff).mean()))
             u_mean[sl] = u.mean(axis=(1, 2))
             v_mean[sl] = v.mean(axis=(1, 2))
-            prev_last_frame = y[-1]
+            lumas = _degrade_versions(
+                y, [None if d is None else d[sl] for d in degradations], rng
+            )
+            del y, u, v
+            for k, col in enumerate(columns):
+                last_frames[k] = _take_luma_features(col, sl, lumas[k], last_frames[k])
+                lumas[k] = None  # free each version's stack once used
             cursor += scene.n_frames
 
-        return cls(
-            clip_name=script.name,
-            y_mean=y_mean,
-            y_std=y_std,
-            si=si,
-            hv=hv,
-            ti=ti,
-            u_mean=u_mean,
-            v_mean=v_mean,
-            scene_ids=script.scene_ids(),
-        )
+        scene_ids = script.scene_ids()
+        return [
+            cls(
+                clip_name=script.name,
+                u_mean=u_mean,
+                v_mean=v_mean,
+                scene_ids=scene_ids,
+                **col,
+            )
+            for col in columns
+        ]
 
     # ------------------------------------------------------------------
     # temporal feature composition for display sequences

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: Default alignment search range, frames (the segment overlap).
 DEFAULT_UNCERTAINTY = 100
@@ -38,29 +39,29 @@ class CalibrationResult:
     level_offset: float
 
 
-def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation, 0.0 when either side is constant."""
-    if len(a) < 2 or len(a) != len(b):
-        return 0.0
-    a = a.astype(np.float64)
-    da = a - a.mean()
-    return _corr_against(da, (da * da).sum(), b)
+def _window_correlations(
+    stream: np.ndarray, lo: int, hi: int, ref_window: np.ndarray
+) -> np.ndarray:
+    """Pearson correlation of ``ref_window`` against every window of
+    ``stream`` that starts in ``[lo, hi]``, one row per start.
 
-
-def _corr_against(da: np.ndarray, da_sq_sum: float, b: np.ndarray) -> float:
-    """Correlation of ``b`` against a pre-demeaned reference window.
-
-    The alignment search correlates one fixed reference window against
-    ~200 shifted received windows; the reference-side moments are loop
-    invariants. Hoisting them performs the identical IEEE-754
-    operations (once instead of per lag), so scores are unchanged.
+    The shifted windows form a strided ``(hi - lo + 1, win)`` view,
+    materialized as float64. Numpy reduces each contiguous row with
+    the same pairwise summation as a 1-D array, so every correlation
+    is bitwise equal to computing that window alone. A row whose
+    denominator falls below ``1e-12`` (a constant window) reads 0.0.
     """
-    b = b.astype(np.float64)
-    db = b - b.mean()
-    denom = np.sqrt(da_sq_sum * (db * db).sum())
-    if denom < 1e-12:
-        return 0.0
-    return float((da * db).sum() / denom)
+    a = ref_window.astype(np.float64)
+    da = a - a.mean()
+    da_sq_sum = (da * da).sum()
+    rows = sliding_window_view(stream, len(a))[lo : hi + 1].astype(np.float64)
+    db = rows - rows.mean(axis=1)[:, None]
+    denom = np.sqrt(da_sq_sum * (db * db).sum(axis=1))
+    num = (da[None, :] * db).sum(axis=1)
+    out = np.zeros(len(rows))
+    ok = denom >= 1e-12
+    out[ok] = num[ok] / denom[ok]
+    return out
 
 
 def calibrate_segment(
@@ -75,6 +76,12 @@ def calibrate_segment(
 ) -> CalibrationResult:
     """Find the lag aligning a reference window into the received stream.
 
+    Every lag in ``[-uncertainty, uncertainty]`` whose received window
+    lies inside the received stream is scored by the combined
+    correlation ``0.75 * corr(luma mean) + 0.25 * corr(TI)``; the
+    highest score wins, the smallest lag on a tie. The lags are
+    searched as one (lags x window) array program.
+
     Parameters
     ----------
     ref_profile / ref_ti:
@@ -88,55 +95,29 @@ def calibrate_segment(
     length:
         Segment length in frames.
     """
-    ref_win_profile = ref_profile[nominal_start : nominal_start + length]
-    ref_win_ti = ref_ti[nominal_start : nominal_start + length]
-    n_rcv = len(rcv_profile)
+    ns = nominal_start
+    ref_win_profile = ref_profile[ns : ns + length]
     win = len(ref_win_profile)
-
-    # Reference-side correlation moments are identical for every lag;
-    # compute them once (see _corr_against).
-    degenerate = win < 2
-    if not degenerate:
-        a_profile = ref_win_profile.astype(np.float64)
-        da_profile = a_profile - a_profile.mean()
-        sq_profile = (da_profile * da_profile).sum()
-        a_ti = ref_win_ti.astype(np.float64)
-        da_ti = a_ti - a_ti.mean()
-        sq_ti = (da_ti * da_ti).sum()
-
-    best_lag = 0
-    best_score = -np.inf
-    best_corr = 0.0
-    for lag in range(-uncertainty, uncertainty + 1):
-        start = nominal_start + lag
-        if start < 0:
-            continue
-        end = start + win
-        if end > n_rcv:
-            break
-        if degenerate:
-            c_profile = 0.0
-            c_ti = 0.0
-        else:
-            c_profile = _corr_against(
-                da_profile, sq_profile, rcv_profile[start:end]
-            )
-            c_ti = _corr_against(da_ti, sq_ti, rcv_ti[start:end])
-        combined = 0.75 * c_profile + 0.25 * c_ti
-        if combined > best_score:
-            best_score = combined
-            best_lag = lag
-            best_corr = combined
-
-    if not np.isfinite(best_score):
+    lo = max(0, ns - uncertainty)  # first received window start
+    hi = min(ns + uncertainty, len(rcv_profile) - win)  # last one
+    if hi < lo:
         return CalibrationResult(
             lag=0, correlation=0.0, succeeded=False, gain=1.0, level_offset=0.0
         )
+    if win < 2:  # no correlation is defined: every lag scores 0.0
+        combined = np.zeros(hi - lo + 1)
+    else:
+        c_profile = _window_correlations(rcv_profile, lo, hi, ref_win_profile)
+        c_ti = _window_correlations(rcv_ti, lo, hi, ref_ti[ns : ns + length])
+        combined = 0.75 * c_profile + 0.25 * c_ti
+    best = int(np.argmax(combined))  # the first maximum
+    best_lag = lo + best - ns
+    best_corr = float(combined[best])
 
     # Gain/level estimation on the aligned luma profile (the paper's
     # calibration also removed systematic gain and offset errors).
-    start = nominal_start + best_lag
-    aligned = rcv_profile[start : start + len(ref_win_profile)]
+    start = ns + best_lag
+    aligned = rcv_profile[start : start + win]
     ref_std = ref_win_profile.std()
     gain = float(aligned.std() / ref_std) if ref_std > 1e-9 else 1.0
     level_offset = float(aligned.mean() - ref_win_profile.mean())

@@ -177,9 +177,9 @@ class VqmTool:
     def _calibrate(self, segment: Segment, ref: dict, rcv: dict):
         """Temporal alignment for one segment.
 
-        Subclass hook: the batched lane substitutes a vectorized lag
-        search that returns bit-identical
-        :class:`~repro.vqm.calibration.CalibrationResult` objects.
+        The per-segment method perfbench wraps: its traced pass times
+        calibration here and counts one call per segment
+        (``vqm.segments``), so every lane calibrates through it.
         """
         return calibrate_segment(
             ref_profile=ref["y_mean"],

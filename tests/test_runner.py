@@ -173,6 +173,39 @@ class TestRunners:
         assert isinstance(make_runner(jobs=2), ProcessPoolRunner)
 
 
+class TestWarmPlan:
+    def test_plan_warms_only_scored_versions(self):
+        """Pool workers warm the versions they encode and score, and
+        never the pristine features, which no reference mode reads."""
+        from repro.flows.aggregate import AggregateSpec
+
+        transmitted = fast_spec()
+        fixed = fast_spec(
+            encoding_rate_bps=mbps(1.0),
+            reference="fixed",
+            fixed_reference_rate_bps=mbps(1.7),
+        )
+        adaptive = fast_spec(
+            clip="test-150", server="adaptive-vc", adaptation=True
+        )
+        aggregate = AggregateSpec(
+            flows=(
+                fast_spec(clip="test-600", encoding_rate_bps=mbps(1.5)),
+                fast_spec(clip="test-600", codec="wmv", encoding_rate_bps=None),
+            )
+        )
+        plan = runner_mod._warm_plan([transmitted, fixed, adaptive, aggregate])
+        assert plan == [
+            ("test-300", "mpeg1", mbps(1.7)),
+            ("test-300", "mpeg1", mbps(1.0)),
+            ("test-150", "mpeg1", mbps(1.7)),
+            ("test-150", "mpeg1", mbps(1.0)),
+            ("test-150", "mpeg1", mbps(1.5)),
+            ("test-600", "mpeg1", mbps(1.5)),
+            ("test-600", "wmv", None),
+        ]
+
+
 class TestResultStore:
     def test_put_get_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)

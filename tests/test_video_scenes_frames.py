@@ -1,13 +1,20 @@
 """Tests for scene scripts and frame rendering/features."""
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from repro.units import mbps
+from repro.video import clips
 from repro.video.frames import (
     FrameFeatures,
     FrameRenderer,
     degrade_stack,
-    spatial_information,
+    edge_features,
     temporal_information,
 )
 from repro.video.scenes import Scene, scene_script_for
@@ -116,7 +123,7 @@ class TestFeatureExtraction:
         flat = np.full((1, 48, 64), 0.5, dtype=np.float32)
         yy, xx = np.mgrid[0:48, 0:64].astype(np.float32)
         busy = (0.5 + 0.3 * np.sin(xx) * np.sin(yy))[None].astype(np.float32)
-        assert spatial_information(busy)[0] > spatial_information(flat)[0]
+        assert edge_features(busy)[0][0] > edge_features(flat)[0][0]
 
     def test_ti_zero_for_static(self):
         static = np.repeat(np.random.default_rng(0).random((1, 8, 8)), 5, axis=0)
@@ -217,3 +224,136 @@ class TestTiCompositionAccuracy:
             composed = features.ti_between(i, j)
             # Within a factor of ~1.5 either way of the true rms diff.
             assert 0.65 * actual <= composed <= 1.5 * actual
+
+
+FEATURE_FIELDS = ("y_mean", "y_std", "si", "hv", "ti", "u_mean", "v_mean", "scene_ids")
+
+
+def per_version_extract(script, degradation=None):
+    """Reference oracle: the per-version pipeline that one-pass
+    extraction replaced. It renders the clip for this version alone,
+    draws the version's own seed-7 degradation noise, and derives SI
+    and the HV ratio from separately built magnitude stacks."""
+    rng = np.random.default_rng(7)
+    out = {name: [] for name in FEATURE_FIELDS}
+    cursor, prev_last = 0, None
+    for scene in script.scenes:
+        y, u, v = FrameRenderer(script).render_scene(scene)
+        if degradation is not None:
+            y = degrade_stack(y, degradation[cursor : cursor + scene.n_frames], rng)
+        gx = ndimage.sobel(y, axis=2, mode="nearest")
+        gy = ndimage.sobel(y, axis=1, mode="nearest")
+        si = np.sqrt(gx * gx + gy * gy).std(axis=(1, 2))
+        magnitude = np.sqrt(gx * gx + gy * gy) + 1e-9
+        angle = np.arctan2(np.abs(gy), np.abs(gx))
+        hv_mask = (angle < 0.225) | (angle > np.pi / 2 - 0.225)
+        hv = (magnitude * hv_mask).sum(axis=(1, 2)) / magnitude.sum(axis=(1, 2))
+        ti = temporal_information(y)
+        if prev_last is not None:
+            cut_diff = y[0] - prev_last
+            ti[0] = float(np.sqrt((cut_diff * cut_diff).mean()))
+        for name, values in (
+            ("y_mean", y.mean(axis=(1, 2))), ("y_std", y.std(axis=(1, 2))),
+            ("si", si), ("hv", hv), ("ti", ti),
+            ("u_mean", u.mean(axis=(1, 2))), ("v_mean", v.mean(axis=(1, 2))),
+        ):
+            out[name].append(values)
+        prev_last = y[-1]
+        cursor += scene.n_frames
+    joined = {name: np.concatenate(parts) for name, parts in out.items() if parts}
+    joined["scene_ids"] = script.scene_ids()
+    return joined
+
+
+def assert_same_features(got, want):
+    for name in FEATURE_FIELDS:
+        a = getattr(got, name)
+        b = want[name] if isinstance(want, dict) else getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+class TestOnePassExtraction:
+    """Versions extracted together equal versions extracted alone."""
+
+    CLIP = "test-150"
+    RATES = (mbps(1.0), mbps(1.5), mbps(1.7))
+
+    @pytest.fixture
+    def feature_cache(self, monkeypatch):
+        """An empty feature cache for this test only."""
+        cache: dict = {}
+        monkeypatch.setattr(clips, "_feature_cache", cache)
+        return cache
+
+    def _degradation(self, codec, rate):
+        if codec is None:
+            return None
+        return clips.encode_clip(self.CLIP, codec, rate).quantizer_track()
+
+    def test_matches_per_version_oracle(self):
+        script = clips.get_script(self.CLIP)
+        assert len(set(script.scene_ids().tolist())) > 1  # has scene cuts
+        degradations = [None] + [self._degradation("mpeg1", r) for r in self.RATES]
+        together = FrameFeatures.extract_versions(script, degradations)
+        for features, degradation in zip(together, degradations):
+            assert_same_features(features, per_version_extract(script, degradation))
+
+    def test_warm_plan_equals_single_extractions(self, feature_cache):
+        """A shuffled plan, one version already cached: every version
+        equals a one-version ``extract``, ``ti`` at the cuts included."""
+        entries = [(self.CLIP, None, None)]
+        entries += [(self.CLIP, "mpeg1", rate) for rate in self.RATES]
+        random.Random(16).shuffle(entries)
+        cached = clips.clip_features(*entries[1])
+        clips.warm_clip_caches(entries)
+        assert clips.clip_features(*entries[1]) is cached
+        assert len(feature_cache) == len(entries)
+        script = clips.get_script(self.CLIP)
+        for _clip, codec, rate in entries:
+            assert_same_features(
+                clips.clip_features(self.CLIP, codec, rate),
+                FrameFeatures.extract(script, self._degradation(codec, rate)),
+            )
+
+    @pytest.mark.timeout(120)
+    def test_concurrent_warms_extract_each_version_once(
+        self, feature_cache, monkeypatch
+    ):
+        extracted = []
+        real = FrameFeatures.extract_versions.__func__
+
+        def counting(cls, script, degradations):
+            extracted.append(len(degradations))
+            return real(cls, script, degradations)
+
+        monkeypatch.setattr(FrameFeatures, "extract_versions", classmethod(counting))
+        versions = [(None, None)] + [("mpeg1", rate) for rate in self.RATES]
+        plans = [  # four overlapping plans, more threads than cores
+            [(self.CLIP, *versions[i]), (self.CLIP, *versions[(i + 1) % 4])]
+            for i in range(4)
+        ]
+        errors = []
+        barrier = threading.Barrier(len(plans))
+
+        def warm(plan):
+            try:
+                barrier.wait(timeout=30)
+                clips.warm_clip_caches(plan)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=warm, args=(p,)) for p in plans]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=90)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(extracted) == len(versions)
+        assert len(feature_cache) == len(versions)

@@ -1,12 +1,22 @@
 """Tests for the VQM tool: segmentation, calibration, model, end-to-end."""
 
+import gc
+import math
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.client.renderer import DisplayTrace
 from repro.video.clips import clip_features
 from repro.units import mbps
-from repro.vqm.calibration import calibrate_segment
+from repro.vqm.calibration import (
+    DEFAULT_MIN_CORRELATION,
+    DEFAULT_UNCERTAINTY,
+    CalibrationResult,
+    calibrate_segment,
+)
 from repro.vqm.model import QualityParameters, VqmModel, WORST_SCORE
 from repro.vqm.segments import (
     SCORING_FRAMES,
@@ -108,6 +118,223 @@ class TestCalibration:
         ti = np.abs(np.diff(profile, prepend=profile[0])).astype(np.float32)
         result = calibrate_segment(profile, ti, profile + 0.25, ti, 100, 300)
         assert result.level_offset == pytest.approx(0.25, abs=0.01)
+
+
+def per_lag_calibration(
+    ref_profile,
+    ref_ti,
+    rcv_profile,
+    rcv_ti,
+    nominal_start,
+    length,
+    uncertainty=DEFAULT_UNCERTAINTY,
+    min_correlation=DEFAULT_MIN_CORRELATION,
+):
+    """Reference oracle: the per-lag loop :func:`calibrate_segment`
+    vectorized. One Pearson correlation per candidate lag; a strict
+    ``>`` keeps the first maximum."""
+
+    def corr(da, da_sq_sum, b):
+        b = b.astype(np.float64)
+        db = b - b.mean()
+        denom = np.sqrt(da_sq_sum * (db * db).sum())
+        if denom < 1e-12:
+            return 0.0
+        return float((da * db).sum() / denom)
+
+    ref_win_profile = ref_profile[nominal_start : nominal_start + length]
+    ref_win_ti = ref_ti[nominal_start : nominal_start + length]
+    win = len(ref_win_profile)
+    if win >= 2:
+        da_profile = ref_win_profile.astype(np.float64)
+        da_profile = da_profile - da_profile.mean()
+        da_ti = ref_win_ti.astype(np.float64)
+        da_ti = da_ti - da_ti.mean()
+    best_lag, best_score, best_corr = 0, -np.inf, 0.0
+    for lag in range(-uncertainty, uncertainty + 1):
+        start = nominal_start + lag
+        if start < 0:
+            continue
+        end = start + win
+        if end > len(rcv_profile):
+            break
+        if win < 2:
+            c_profile = c_ti = 0.0
+        else:
+            c_profile = corr(
+                da_profile, (da_profile * da_profile).sum(), rcv_profile[start:end]
+            )
+            c_ti = corr(da_ti, (da_ti * da_ti).sum(), rcv_ti[start:end])
+        combined = 0.75 * c_profile + 0.25 * c_ti
+        if combined > best_score:
+            best_lag, best_score, best_corr = lag, combined, combined
+    if not np.isfinite(best_score):
+        return CalibrationResult(
+            lag=0, correlation=0.0, succeeded=False, gain=1.0, level_offset=0.0
+        )
+    start = nominal_start + best_lag
+    aligned = rcv_profile[start : start + win]
+    ref_std = ref_win_profile.std()
+    return CalibrationResult(
+        lag=best_lag,
+        correlation=best_corr,
+        succeeded=best_corr >= min_correlation,
+        gain=float(aligned.std() / ref_std) if ref_std > 1e-9 else 1.0,
+        level_offset=float(aligned.mean() - ref_win_profile.mean()),
+    )
+
+
+def assert_same_calibration(got, want):
+    """Field by field, bit for bit (an empty window's NaN equals NaN)."""
+    for g, w in zip(astuple(got), astuple(want)):
+        assert type(g) is type(w)
+        assert g == w or (math.isnan(g) and math.isnan(w)), (got, want)
+
+
+_VALUES = st.floats(0.0, 1.0, width=32) | st.sampled_from([0.0, 0.5, 1.0])
+
+
+def _flat(n, value=0.5, seed=0):
+    """``value`` with random one-ulp steps: windows so nearly constant
+    that a correlation of two of them falls under the 1e-12 guard."""
+    base = np.full(n, value, dtype=np.float32)
+    up = np.nextafter(base, np.float32(2.0))
+    return np.where(np.random.default_rng(seed).random(n) < 0.5, base, up)
+
+
+@st.composite
+def _stream(draw, n):
+    """A float32 feature stream: free, constant, flat (one-ulp steps),
+    or periodic (equal windows recur at several lags, so their scores
+    tie exactly)."""
+    kind = draw(st.sampled_from(["free", "constant", "flat", "periodic"]))
+    if kind == "constant":
+        return np.full(n, draw(_VALUES), dtype=np.float32)
+    if kind == "flat":
+        return _flat(n, draw(_VALUES), draw(st.integers(0, 3)))
+    if kind == "periodic":
+        pattern = draw(st.lists(_VALUES, min_size=1, max_size=4))
+        return np.resize(np.asarray(pattern, dtype=np.float32), n)
+    return np.asarray(draw(st.lists(_VALUES, min_size=n, max_size=n)), np.float32)
+
+
+@st.composite
+def _calibration_case(draw):
+    n_ref = draw(st.integers(0, 40))
+    n_rcv = draw(st.integers(0, 60))
+    return dict(
+        ref_profile=draw(_stream(n_ref)),
+        ref_ti=draw(_stream(n_ref)),
+        rcv_profile=draw(_stream(n_rcv)),
+        rcv_ti=draw(_stream(n_rcv)),
+        nominal_start=draw(st.integers(0, n_ref)),
+        length=draw(st.integers(0, 30)),
+        uncertainty=draw(st.integers(0, 25)),
+        min_correlation=draw(st.sampled_from([DEFAULT_MIN_CORRELATION, 0.0])),
+    )
+
+
+def _ramp(n, period=None):
+    """A rising float32 stream; with ``period``, a repeating ramp whose
+    windows at lags ``period`` apart are bitwise equal."""
+    return (np.arange(n) % (period or n) / (period or n)).astype(np.float32)
+
+
+class TestCalibrationOracle:
+    """The vectorized lag search against the per-lag loop it replaced."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # empty windows
+    @given(case=_calibration_case())
+    @example(  # both clip edges clamp the lag range
+        case=dict(
+            ref_profile=_ramp(40), ref_ti=_ramp(40, 7),
+            rcv_profile=_ramp(45), rcv_ti=_ramp(45, 7),
+            nominal_start=5, length=30, uncertainty=20,
+            min_correlation=DEFAULT_MIN_CORRELATION,
+        )
+    )
+    @example(  # the received stream is shorter than the window
+        case=dict(
+            ref_profile=_ramp(40), ref_ti=_ramp(40),
+            rcv_profile=_ramp(20), rcv_ti=_ramp(20),
+            nominal_start=0, length=30, uncertainty=5,
+            min_correlation=DEFAULT_MIN_CORRELATION,
+        )
+    )
+    @example(  # constant windows hit the 1e-12 guard at every lag
+        case=dict(
+            ref_profile=_ramp(40), ref_ti=np.zeros(40, np.float32),
+            rcv_profile=np.full(60, 0.5, np.float32), rcv_ti=_ramp(60),
+            nominal_start=10, length=20, uncertainty=8,
+            min_correlation=0.0,
+        )
+    )
+    @example(  # nearly constant windows: the guard, not the division
+        case=dict(
+            ref_profile=_flat(40), ref_ti=_flat(40, 0.25),
+            rcv_profile=_flat(60, seed=1), rcv_ti=_flat(60, 0.25, seed=1),
+            nominal_start=10, length=20, uncertainty=8,
+            min_correlation=0.0,
+        )
+    )
+    @example(  # a period-4 stream: equal scores, the first lag wins
+        case=dict(
+            ref_profile=_ramp(40, 4), ref_ti=_ramp(40, 4),
+            rcv_profile=_ramp(60, 4), rcv_ti=_ramp(60, 4),
+            nominal_start=12, length=16, uncertainty=10,
+            min_correlation=DEFAULT_MIN_CORRELATION,
+        )
+    )
+    @example(  # a one-frame window: no correlation is defined
+        case=dict(
+            ref_profile=_ramp(40), ref_ti=_ramp(40),
+            rcv_profile=_ramp(60), rcv_ti=_ramp(60),
+            nominal_start=39, length=30, uncertainty=3,
+            min_correlation=0.0,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_lag_loop(self, case):
+        assert_same_calibration(
+            calibrate_segment(**case), per_lag_calibration(**case)
+        )
+
+    def test_ties_go_to_the_first_lag(self):
+        profile = _ramp(60, 4)
+        result = calibrate_segment(profile, profile, profile, profile, 12, 16, 10)
+        assert result.lag == -8  # lags -8, -4, 0, 4, 8 all correlate 1.0
+        assert result.correlation == 1.0
+
+    def test_long_lived_tool_matches_fresh_tools(self):
+        """Scoring one reference must leave nothing behind that changes
+        the next reference's score, even when the next reference's
+        arrays are allocated where the first one's were."""
+        base = clip_features("test-600", "mpeg1", mbps(1.7))
+        display = np.arange(600)
+        display[150:165] = 149
+        trace = DisplayTrace(
+            display=display,
+            fps=29.97,
+            n_source_frames=600,
+            total_stall_s=0.0,
+            rebuffer_events=0,
+        )
+        tool = VqmTool()
+
+        def reference(scale):
+            return replace(
+                base,
+                y_mean=(base.y_mean * np.float32(scale)).astype(np.float32),
+                ti=(base.ti * np.float32(scale)).astype(np.float32),
+            )
+
+        first = reference(1.0)
+        assert tool.assess(first, base, trace) == VqmTool().assess(first, base, trace)
+        del first
+        gc.collect()
+        second = reference(0.5)
+        want = VqmTool().assess(second, base, trace)
+        assert tool.assess(second, base, trace) == want
 
 
 class TestModel:
