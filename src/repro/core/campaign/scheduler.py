@@ -222,11 +222,9 @@ class CampaignScheduler:
         """Pull this unit's batch-mates out of the queue.
 
         Called with ``self._cond`` held, immediately after ``unit`` was
-        taken. Returns ``None`` when coalescing does not apply (mode
-        ``0``, incapable backend, non-qualifying spec, or a singleton
-        in ``auto`` mode); otherwise the list of mates — possibly empty
-        under mode ``1``, which routes even singletons through the
-        batch lane so tests/benches can force it.
+        taken. Returns ``None`` when coalescing does not apply
+        (``REPRO_FASTPATH=0``, incapable backend, non-qualifying spec,
+        or no mate in the queue); otherwise the non-empty list of mates.
 
         Queued units that share the unit's :func:`~repro.core.fastlane.
         batch_key` are removed from the queue (relative order of the
@@ -235,8 +233,7 @@ class CampaignScheduler:
         """
         from repro.core import fastlane
 
-        mode = fastlane.batchpath_mode()
-        if mode == "0" or not self.backend.batch_capable:
+        if fastlane.fastpath_mode() == "0" or not self.backend.batch_capable:
             return None
         if not fastlane.qualifies_for_batch(unit.spec):
             return None
@@ -255,9 +252,7 @@ class CampaignScheduler:
                 kept.append(candidate)
         self._queue = kept
         self._inflight += len(mates)
-        if not mates and mode != "1":
-            return None
-        return mates
+        return mates or None
 
     async def _process_batch(
         self, units: list[WorkUnit], emit: EmitCallback

@@ -8,37 +8,34 @@ VideoCharger session that dominates every paper figure — is routed to
 cost. Everything else (recovery, adaptation, cross traffic, other
 testbeds/servers) falls back to the event engine unchanged.
 
-The override knob is the ``REPRO_FASTPATH`` environment variable:
+The one override knob is the ``REPRO_FASTPATH`` environment variable.
+It governs every fast lane: this scalar path, the batch lane below,
+and the interleaved multi-flow lane
+(:func:`repro.flows.aggregate.run_aggregate`).
 
 ``auto`` (default)
-    Use the fast path when the spec qualifies, the engine otherwise.
+    Use a fast lane when the spec qualifies, the engine otherwise.
 ``0``
-    Never use the fast path (forces the event engine everywhere; the
+    Never use a fast lane: the event engine runs every spec and every
+    aggregate, and the campaign scheduler stops coalescing grids (the
     equivalence tests and the bench harness use this as the control).
 ``1``
-    Require the fast path: a non-qualifying spec raises
-    :class:`FastpathUnsupported` instead of silently degrading.
-    Debug/bench knob — it guarantees the fast lane actually ran.
+    Require a fast lane: a non-qualifying spec, or an aggregate with
+    cross traffic, raises :class:`FastpathUnsupported` instead of
+    silently degrading. Debug/bench knob — it guarantees a fast lane
+    actually ran.
 
 Because results are bit-identical, dispatch is invisible to the cache
 layer: fingerprints are unchanged and fast-path/engine runs populate
 the same cache entries interchangeably.
 
-The *batch* lane (``REPRO_BATCHPATH``) sits one level up: the campaign
-scheduler coalesces adjacent qualifying work units that differ only in
+The *batch* lane sits one level up: the campaign scheduler coalesces
+adjacent qualifying work units that differ only in
 ``(token_rate_bps, bucket_depth_bytes, seed)`` and hands the whole
 grid to :func:`run_batchpath`, which amortizes the shared front end
 (schedule, jitter replay) across the grid and vectorizes the
 token-bucket scan over the rate×depth axis — still bit-identical per
-point.
-
-``auto`` (default)
-    Coalesce qualifying units when the backend supports it.
-``0``
-    Never batch (per-unit execution everywhere; the control lane).
-``1``
-    Batch even singleton qualifying units (test/bench knob — it
-    guarantees the batch lane actually ran).
+point. A lone qualifying unit runs on the scalar path.
 """
 
 from __future__ import annotations
@@ -61,16 +58,13 @@ from repro.vqm.tool import VqmTool
 #: Environment variable controlling dispatch (see module docstring).
 FASTPATH_ENV = "REPRO_FASTPATH"
 
-#: Environment variable controlling batch coalescing (see module docstring).
-BATCHPATH_ENV = "REPRO_BATCHPATH"
-
 #: Spec fields along which a batch grid may vary; everything else must
 #: match for two units to share a schedule/jitter front end.
 BATCH_AXES = ("token_rate_bps", "bucket_depth_bytes", "seed")
 
 
 class FastpathUnsupported(RuntimeError):
-    """``REPRO_FASTPATH=1`` met a spec the fast path cannot serve."""
+    """``REPRO_FASTPATH=1`` met a spec or aggregate no fast lane serves."""
 
 
 @dataclass
@@ -178,14 +172,6 @@ def use_fastpath(spec: ExperimentSpec) -> bool:
         )
     stats.fallbacks += 1
     return False
-
-
-def batchpath_mode() -> str:
-    """Current batch-coalescing mode: ``"auto"``, ``"0"``, or ``"1"``."""
-    mode = os.environ.get(BATCHPATH_ENV, "auto").strip().lower()
-    if mode in ("0", "1"):
-        return mode
-    return "auto"
 
 
 def qualifies_for_batch(spec: ExperimentSpec) -> bool:

@@ -8,10 +8,11 @@ scales the reproduction from one flow to N:
 * :mod:`repro.flows.aggregate` — :class:`AggregateSpec` (N member
   flows sharing one policer), the engine fan-in lane (bit-checked
   oracle), and the shared per-flow summary rollup.
-* :mod:`repro.flows.multipath` — the vectorized fast lane: per-flow
-  schedules merged into one interleaved arrival stream scanned by a
-  single speculative token-bucket pass; bit-identical to the engine
-  lane and tractable at 100–1000 flows.
+* :mod:`repro.flows.multipath` — the interleaved fast lane: per-flow
+  schedules merged into one arrival stream, policed by one pass of the
+  token-bucket kernel every single-stream lane uses; bit-identical to
+  the engine lane and tractable at 100–1000 flows.
+  :func:`run_aggregate` picks the lane under ``REPRO_FASTPATH``.
 * :mod:`repro.flows.measure` — windowed aggregate-rate measurement
   from the same arrival arrays.
 * :mod:`repro.flows.admission` — session-schedule replay comparing
@@ -37,13 +38,7 @@ from repro.flows.admission import (
     admission_frontier,
 )
 from repro.flows.measure import RateMeasurement, measure_aggregate, measure_rate
-from repro.flows.multipath import (
-    FLOWPATH_ENV,
-    FlowpathUnsupported,
-    qualifies_for_flowpath,
-    run_multipath,
-    use_flowpath,
-)
+from repro.flows.multipath import qualifies_for_flowpath, run_multipath
 
 __all__ = [
     "AggregateSpec",
@@ -54,11 +49,8 @@ __all__ = [
     "rollup_summaries",
     "run_aggregate",
     "run_engine_aggregate",
-    "FLOWPATH_ENV",
-    "FlowpathUnsupported",
     "qualifies_for_flowpath",
     "run_multipath",
-    "use_flowpath",
     "AdmissionController",
     "AdmissionFrontier",
     "BandwidthBudgetPolicy",

@@ -16,8 +16,8 @@ Two execution lanes produce bit-identical results:
   border router — and is the oracle for small N.
 * :func:`repro.flows.multipath.run_multipath` merges the per-flow
   message schedules into one interleaved arrival stream and scans the
-  shared bucket with a single speculative vectorized pass, making
-  100–1000-flow aggregates tractable.
+  shared bucket in one pass of the single-stream token-bucket kernel,
+  making 100–1000-flow aggregates tractable.
 
 Both lanes draw each flow's campus jitter from the same
 :func:`flow_jitter_delays` batch (seeded by :func:`derive_flow_seed`),
@@ -604,14 +604,24 @@ def run_engine_aggregate(
 def run_aggregate(
     agg: AggregateSpec, vqm_tool: Optional[VqmTool] = None
 ) -> AggregateSummary:
-    """Dispatch an aggregate to the fast lane or the engine.
+    """Dispatch an aggregate to the interleaved lane or the engine.
 
-    Mirrors the single-flow fastlane contract: ``REPRO_FLOWPATH``
-    selects auto/never/require, and because the lanes are
+    ``REPRO_FASTPATH`` governs aggregates as it governs single flows:
+    ``auto`` takes the interleaved lane when the aggregate qualifies,
+    ``0`` forces the engine fan-in, and ``1`` raises
+    :class:`~repro.core.fastlane.FastpathUnsupported` for an aggregate
+    the interleaved lane cannot serve. Because the lanes are
     bit-identical the choice is invisible to caches and fingerprints.
     """
+    from repro.core.fastlane import FastpathUnsupported, fastpath_mode
     from repro.flows import multipath
 
-    if multipath.use_flowpath(agg):
+    mode = fastpath_mode()
+    if mode != "0" and multipath.qualifies_for_flowpath(agg):
         return multipath.run_multipath(agg, vqm_tool=vqm_tool)
+    if mode == "1":
+        raise FastpathUnsupported(
+            f"REPRO_FASTPATH=1 but the aggregate does not qualify for the "
+            f"interleaved lane: {agg!r}"
+        )
     return run_engine_aggregate(agg, vqm_tool=vqm_tool)

@@ -7,38 +7,28 @@ jitter vector), so the only genuinely *coupled* computation is the
 policer: every packet's conformance depends on the token state left by
 whichever flow arrived before it. This module merges the per-flow
 release streams into one time-sorted arrival array and scans the
-shared bucket once — speculatively vectorized — then pushes the
+shared bucket once with :func:`repro.sim.fastpath.bucket_fill`, the
+token-bucket kernel every single-stream lane uses, then pushes the
 survivors through the shared backbone and demultiplexes per-flow
 sessions for the unchanged offline stages (playout finalize, VQM,
 path metrics).
+
+The scan stays a scalar recurrence. Committing clamp-free, brim-riding
+and drop runs as ``np.add.accumulate`` slices is exact too, but it was
+6.4x slower over the 210 scans of one round of perfbench's
+``flow_aggregates`` workload (1260 vs 197 ms, seed 3, on a 2-vCPU
+host) and slower on all 48 ``qbone_sweeps`` lanes.
 
 **The contract is bit-identity with the engine fan-in lane**
 (:func:`repro.flows.aggregate.run_engine_aggregate`): every per-flow
 summary field and the aggregate rollup must match, which the ``flows``
 equivalence suite checks field by field.
-
-The speculative token scan (:func:`_bucket_verdicts`) exploits two
-IEEE-754 identities: ``x + 0.0 == x`` for the non-negative token
-level, and ``min(depth, x) == x`` whenever ``x <= depth`` — so as long
-as no refill clips at the brim and no packet fails conformance, the
-engine's guarded refill/consume chain collapses to a strictly
-sequential ``np.add.accumulate`` over interleaved ``[+elapsed·rate,
--size]`` increments. Violations of either assumption are detected on
-the candidate values themselves (they are exact up to the first
-violation), replayed with one scalar engine-identical step, and the
-speculation resumes. Conform-heavy regimes — the admission frontier's
-operating point — run at array speed; drop-heavy regimes degrade
-toward the scalar scan, never past it by more than a chunk replay.
-
-``REPRO_FLOWPATH`` mirrors ``REPRO_FASTPATH``: ``auto`` (default)
-uses this lane when the aggregate qualifies (no backbone cross
-traffic), ``0`` forces the engine lane, ``1`` raises
-:class:`FlowpathUnsupported` on a non-qualifying aggregate.
+:func:`repro.flows.aggregate.run_aggregate` picks the lane and honours
+``REPRO_FASTPATH`` exactly as single flows do.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Optional
 
@@ -59,40 +49,12 @@ from repro.sim.fastpath import (
     FastPathSession,
     _fifo_departs,
     _priority_link,
+    bucket_fill,
     client_frame_arrays,
     compute_schedule,
 )
 from repro.video.clips import encode_clip
 from repro.vqm.tool import VqmTool
-
-#: Environment variable controlling aggregate dispatch (see module
-#: docstring); same auto/0/1 semantics as ``REPRO_FASTPATH``.
-FLOWPATH_ENV = "REPRO_FLOWPATH"
-
-#: Largest speculation window of the shared-bucket scan. Windows
-#: gallop: they double after every clean commit and halve after every
-#: violation, so clamp-free stretches run at full array width while
-#: clamp-dense stretches pay small rebuilds instead of chunk-sized ones.
-SCAN_CHUNK = 8192
-
-#: Smallest speculation window (the galloping floor).
-SCAN_CHUNK_MIN = 128
-
-#: Window of the drop-run regime: consecutive non-conformant packets
-#: committed per accumulate while the bucket stays below every size.
-DROP_RUN = 512
-
-
-class FlowpathUnsupported(RuntimeError):
-    """``REPRO_FLOWPATH=1`` met an aggregate this lane cannot serve."""
-
-
-def flowpath_mode() -> str:
-    """Current override mode: ``"auto"``, ``"0"``, or ``"1"``."""
-    mode = os.environ.get(FLOWPATH_ENV, "auto").strip().lower()
-    if mode in ("0", "1"):
-        return mode
-    return "auto"
 
 
 def qualifies_for_flowpath(agg: AggregateSpec) -> bool:
@@ -105,141 +67,6 @@ def qualifies_for_flowpath(agg: AggregateSpec) -> bool:
     the priority queues).
     """
     return agg.cross_traffic_bps == 0
-
-
-def use_flowpath(agg: AggregateSpec) -> bool:
-    """Dispatch decision for one aggregate, honouring ``REPRO_FLOWPATH``."""
-    mode = flowpath_mode()
-    if mode == "0":
-        return False
-    if qualifies_for_flowpath(agg):
-        return True
-    if mode == "1":
-        raise FlowpathUnsupported(
-            f"REPRO_FLOWPATH=1 but the aggregate does not qualify for the "
-            f"interleaved lane: {agg!r}"
-        )
-    return False
-
-
-def _bucket_verdicts(
-    times: np.ndarray,
-    sizes_f: np.ndarray,
-    rate_bps: float,
-    depth_bytes: float,
-) -> np.ndarray:
-    """Conformance mask of a token-bucket scan over sorted arrivals.
-
-    Bit-identical to feeding the arrivals one by one through
-    :meth:`repro.diffserv.token_bucket.TokenBucket.try_consume` on a
-    bucket created at t=0 (full, ``last_update=0``). Three speculative
-    regimes cover the three steady states a policed aggregate visits:
-
-    * **linear** (the module-docstring accumulate): no refill clips at
-      the brim and every packet conforms — the well-inside-the-bucket
-      band. Violation checks on the candidates are *strict* (`> depth`,
-      `< 0`) because an exact brim-touch refill and an exact
-      zero-token consume follow the identities and are not divergences.
-    * **brim runs**: a refill that clips leaves ``tokens == depth``,
-      and a conform then leaves ``depth - size[k]`` — a state that
-      depends only on the *previous packet's size*, not on history. So
-      whether step ``k`` re-clips and conforms is an elementwise
-      predicate (``brim_ok``), precomputed once; a whole run of
-      brim-riding packets commits as one slice. Over-provisioned
-      aggregates live here.
-    * **drop runs**: while the bucket stays below both the brim and
-      every arriving size, nothing consumes and the token level is
-      again a pure accumulate of refill credits. Saturated aggregates
-      (the admission frontier's far side) live here.
-
-    Every committed value is produced by the same IEEE-754 operations,
-    in the same order, as the engine's guarded scalar step.
-    """
-    n = len(times)
-    conform = np.zeros(n, dtype=bool)
-    if n == 0:
-        return conform
-    rate_bytes = rate_bps / 8.0
-    depth = float(depth_bytes)
-    # Per-step refill credit: the same ``(now - prev) * rate`` product
-    # the scalar step computes (prev is 0.0 before the first packet).
-    credit = np.empty(n, dtype=np.float64)
-    credit[0] = times[0] - 0.0
-    np.subtract(times[1:], times[:-1], out=credit[1:])
-    np.multiply(credit, rate_bytes, out=credit)
-    # Brim-run table: entering step k with ``tokens == depth - size[k-1]``
-    # (the state a brim-clipped conform leaves), the refill re-clips and
-    # the packet conforms iff brim_ok[k]. brim_ok[0] stays False: packet
-    # 0 has no brim predecessor.
-    leftover = depth - sizes_f
-    brim_ok = np.zeros(n, dtype=bool)
-    if n > 1:
-        np.greater_equal(leftover[:-1] + credit[1:], depth, out=brim_ok[1:])
-        brim_ok[1:] &= sizes_f[1:] <= depth
-    brim_stop = np.flatnonzero(~brim_ok)
-
-    tokens = depth
-    chunk = SCAN_CHUNK
-    i = 0
-    while i < n:
-        j = min(i + chunk, n)
-        m = j - i
-        increments = np.empty(2 * m + 1, dtype=np.float64)
-        increments[0] = tokens
-        increments[1::2] = credit[i:j]
-        np.negative(sizes_f[i:j], out=increments[2::2])
-        candidate = np.add.accumulate(increments)
-        after_refill = candidate[1::2]
-        after_consume = candidate[2::2]
-        bad = np.flatnonzero((after_refill > depth) | (after_consume < 0.0))
-        if bad.size == 0:
-            conform[i:j] = True
-            tokens = float(candidate[-1])
-            i = j
-            chunk = min(chunk * 2, SCAN_CHUNK)
-            continue
-        v = int(bad[0])
-        conform[i : i + v] = True
-        if v > 0:
-            tokens = float(after_consume[v - 1])
-        chunk = max(chunk // 2, SCAN_CHUNK_MIN)
-        p = i + v
-        refilled = float(after_refill[v])  # exact: prefix had no clamps
-        size_p = float(sizes_f[p])
-        if refilled > depth:
-            # Brim clip: the stored level is exactly ``depth``.
-            if size_p <= depth:
-                conform[p] = True
-                tokens = depth - size_p
-                # Ride the brim: commit the maximal brim_ok run.
-                k = int(np.searchsorted(brim_stop, p + 1))
-                stop = int(brim_stop[k]) if k < brim_stop.size else n
-                if stop > p + 1:
-                    conform[p + 1 : stop] = True
-                    tokens = float(leftover[stop - 1])
-                i = stop
-            else:
-                tokens = depth  # oversize: can never conform
-                i = p + 1
-        else:
-            # Token shortfall: packet p drops at level ``refilled``.
-            tokens = refilled
-            q = p + 1
-            stop = min(q + DROP_RUN, n)
-            if stop > q:
-                run = np.empty(stop - q + 1, dtype=np.float64)
-                run[0] = tokens
-                run[1:] = credit[q:stop]
-                level = np.add.accumulate(run)[1:]
-                ok = (level <= depth) & (level < sizes_f[q:stop])
-                run_bad = np.flatnonzero(~ok)
-                b = int(run_bad[0]) if run_bad.size else ok.size
-                if b > 0:
-                    tokens = float(level[b - 1])
-                i = q + b
-            else:
-                i = q
-    return conform
 
 
 class _MergedStream:
@@ -371,26 +198,21 @@ def run_multipath(
     # Policing: one shared scan over the merged stream, or one
     # independent scan per flow (identical profile) in per-flow mode.
     # ------------------------------------------------------------------
-    sizes_f = stream.sizes.astype(np.float64)
+    rate, depth = agg.token_rate_bps, agg.bucket_depth_bytes
     if agg.policing == "aggregate":
-        conform = _bucket_verdicts(
-            stream.times, sizes_f, agg.token_rate_bps, agg.bucket_depth_bytes
+        fill = bucket_fill(
+            stream.times.tolist(), stream.sizes.tolist(), rate, depth
         )
+        conform = fill >= stream.sizes
     else:
         # Per-flow buckets see only their own (pre-merge, already
         # sorted) release stream; scatter the verdicts back into
         # merged order through the stored permutation.
-        concat = np.zeros(len(stream.times), dtype=bool)
-        offset = 0
-        for i in range(n):
-            count = stream.counts[i]
-            concat[offset : offset + count] = _bucket_verdicts(
-                stream.releases[i],
-                stream.schedules[i].sizes_arr.astype(np.float64),
-                agg.token_rate_bps,
-                agg.bucket_depth_bytes,
-            )
-            offset += count
+        concat = np.concatenate([
+            bucket_fill(releases.tolist(), sched.sizes, rate, depth)
+            >= sched.sizes_arr
+            for releases, sched in zip(stream.releases, stream.schedules)
+        ])
         conform = concat[stream.order]
     flow_stats = _flow_stats(stream, conform, action_drop, n)
 

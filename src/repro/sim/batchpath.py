@@ -45,19 +45,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.diffserv.policer import PolicerAction, PolicerStats
 from repro.sim.fastpath import (
     ScheduleBundle,
     build_session,
     compute_schedule,
     jitter_releases,
+    policer_outcome,
+    qbone_config,
     shaper_releases,
 )
-from repro.testbeds.qbone import QBoneTestbedConfig
 from repro.video.clips import encode_clip
 from repro.vqm.tool import VqmTool
-
-_ACTIONS = {"drop": "drop", "remark": "remark-be"}
 
 
 def _lane_scan(
@@ -69,12 +67,19 @@ def _lane_scan(
     """Token-bucket conformance over a lane axis: one 2-D scan.
 
     Returns a ``(n_packets, n_lanes)`` boolean matrix whose column
-    ``j`` is bitwise equal to the scalar scan for lane ``j``. The
-    scalar skips the refill when no time has elapsed; here the refill
-    adds ``elapsed * rate == 0.0`` and re-clips at the depth — both
-    exact no-ops (``x + 0.0 == x``; ``min(depth, x) == x`` under the
-    invariant ``x <= depth`` that consumption preserves) — so the
-    unconditional update is bit-identical.
+    ``j`` is bitwise equal to
+    ``repro.sim.fastpath.bucket_fill(...) >= sizes`` for lane ``j``.
+    The scalar kernel skips the refill when no time has elapsed; here
+    the refill adds ``elapsed * rate == 0.0`` and re-clips at the
+    depth — both exact no-ops (``x + 0.0 == x``; ``min(depth, x) == x``
+    under the invariant ``x <= depth`` that consumption preserves) — so
+    the unconditional update is bit-identical.
+
+    This is the one grid kernel. Per-lane ``bucket_fill`` scans give
+    the same columns with one Python step per packet per lane: over the
+    64-point batch gate's 32 lanes per seed (11,506 ``lost`` packets)
+    they took 117-118 ms per seed against 65-76 ms here, on a 2-vCPU
+    host.
     """
     t = np.asarray(times, dtype=np.float64)
     n = len(t)
@@ -96,16 +101,6 @@ def _lane_scan(
     return conform
 
 
-def _config_for(spec) -> QBoneTestbedConfig:
-    return QBoneTestbedConfig(
-        token_rate_bps=spec.token_rate_bps,
-        bucket_depth_bytes=spec.bucket_depth_bytes,
-        policer_action=PolicerAction(_ACTIONS[spec.policer_action]),
-        use_shaper=spec.use_shaper,
-        shaper_rate_bps=spec.shaper_rate_bps,
-    )
-
-
 def _summarize_outcome(
     spec,
     encoded,
@@ -120,28 +115,11 @@ def _summarize_outcome(
     """Everything downstream of the conformance mask, for one outcome."""
     from repro.core.runner import ResultSummary
 
-    action = PolicerAction(_ACTIONS[spec.policer_action])
-    stats = PolicerStats()
-    stats.conformant_packets = int(mask.sum())
-    stats.conformant_bytes = int(seen_sizes[mask].sum())
-    if action is PolicerAction.DROP:
-        dropped = ~mask
-        stats.dropped_packets = int(dropped.sum())
-        stats.dropped_bytes = int(seen_sizes[dropped].sum())
-        stats.dropped_frame_ids.update(np.unique(seen_fids[dropped]).tolist())
-        keep = np.flatnonzero(mask).tolist()
-        surviving = [pol_ids[j] for j in keep]
-        arr = [pol_times[j] for j in keep]
-        is_ef = [True] * len(surviving)
-    else:  # REMARK_BE forwards everything, restamped
-        stats.remarked_packets = int((~mask).sum())
-        surviving = list(pol_ids)
-        arr = list(pol_times)
-        is_ef = mask.tolist()
-
-    session = build_session(
-        _config_for(spec), encoded, sched, arr, surviving, is_ef, stats
+    cfg = qbone_config(spec)
+    stats, arr, surviving, is_ef = policer_outcome(
+        mask, cfg.policer_action, pol_times, pol_ids, seen_sizes, seen_fids
     )
+    session = build_session(cfg, encoded, sched, arr, surviving, is_ef, stats)
     from repro.core.fastlane import result_from_session
 
     result = result_from_session(spec, encoded, session, tool)
@@ -156,7 +134,7 @@ def _run_group(specs: list, vqm_tool: Optional[VqmTool]) -> list:
     for spec in specs:
         validate_recovery(spec)  # parity with the per-spec paths
     encoded = encode_clip(spec0.clip, spec0.codec, spec0.encoding_rate_bps)
-    cfg = _config_for(spec0)
+    cfg = qbone_config(spec0)
     sched = compute_schedule(encoded, cfg)
     tool = vqm_tool or VqmTool()
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -159,83 +159,56 @@ def _emission_times(dues: np.ndarray, start: float = 0.0) -> list[float]:
 def _fifo_departs(arrivals: list[float], tx: list[float]) -> list[float]:
     """FIFO link: departure times for in-order arrivals.
 
-    The recurrence is ``d[i] = max(a[i], d[i-1]) + t[i]``. A cumsum
-    reformulation would change rounding, so the vectorized form works
-    in *runs* that reproduce the scalar chain's exact operations:
-
-    * **idle runs** — while each packet arrives at or after the
-      previous departure, ``d[k] = a[k] + t[k]`` elementwise; run
-      membership is itself elementwise (``a[k] >= a[k-1] + t[k-1]``),
-      precomputed once. Lightly loaded links are one long idle run.
-    * **busy runs** — while each packet arrives before the previous
-      departure, ``d[k] = d[k-1] + t[k]``; ``np.add.accumulate`` *is*
-      that strictly sequential chain. Validity (``a[k] <= cand[k-1]``)
-      is checked against the candidates, which are exact up to the
-      first violation. Saturated links are one long busy run.
-
-    A deterministic scalar scan remains for short inputs. At an exact
-    arrival/departure tie both branches of the scalar ``max`` yield
-    the same float, so either run may absorb the tie.
+    The recurrence is ``d[i] = max(a[i], d[i-1]) + t[i]``, kept as a
+    scalar loop: a cumsum reformulation would change rounding, and
+    committing idle or busy runs as array slices measured slower than
+    this loop on every stream tried (DESIGN.md §8).
     """
-    n = len(arrivals)
-    if n <= 512:
-        departs: list[float] = []
-        free = float("-inf")
-        for a_i, t_i in zip(arrivals, tx):
-            free = (a_i if a_i > free else free) + t_i
-            departs.append(free)
-        return departs
-
-    a = np.asarray(arrivals, dtype=np.float64)
-    t = np.asarray(tx, dtype=np.float64)
-    d = np.empty(n, dtype=np.float64)
-    idle = a + t  # departure when the link is found idle
-    idle_ok = np.zeros(n, dtype=bool)
-    np.greater_equal(a[1:], idle[:-1], out=idle_ok[1:])
-    idle_stop = np.flatnonzero(~idle_ok)  # includes 0
-
+    departs: list[float] = []
     free = float("-inf")
-    chunk = 8192
-    i = 0
-    while i < n:
-        if a[i] > free or i == 0:
-            # Idle entry: commit the maximal idle run wholesale.
-            k = int(np.searchsorted(idle_stop, i + 1))
-            stop = int(idle_stop[k]) if k < idle_stop.size else n
-            d[i:stop] = idle[i:stop]
-            free = float(idle[stop - 1])
-            i = stop
-            continue
-        # Busy entry: speculate a backlogged stretch.
-        j = min(i + chunk, n)
-        inc = t[i:j].copy()
-        inc[0] = free + t[i]
-        cand = np.add.accumulate(inc)
-        bad = np.flatnonzero(a[i + 1 : j] > cand[:-1])
-        stop = i + (int(bad[0]) + 1 if bad.size else j - i)
-        d[i:stop] = cand[: stop - i]
-        free = float(cand[stop - i - 1])
-        if bad.size:
-            chunk = max(chunk // 2, 512)
-        else:
-            chunk = min(chunk * 2, 65536)
-        i = stop
-    return d.tolist()
+    for a_i, t_i in zip(arrivals, tx):
+        free = (a_i if a_i > free else free) + t_i
+        departs.append(free)
+    return departs
 
 
-def _trace_row(
-    cols, time, pid, size, fid, dscp, verdict, reason, deficit, fill
-) -> None:
-    """Append one policer-point trace row (column-of-lists form)."""
-    cols["time"].append(time)
-    cols["packet_id"].append(pid)
-    cols["size"].append(size)
-    cols["frame_id"].append(fid)
-    cols["dscp"].append(dscp)
-    cols["verdict"].append(verdict)
-    cols["drop_reason"].append(reason)
-    cols["token_deficit"].append(deficit)
-    cols["bucket_fill"].append(fill)
+def bucket_fill(
+    times: Sequence[float],
+    sizes: Sequence[int],
+    rate_bps: float,
+    depth_bytes: float,
+) -> np.ndarray:
+    """Token level at each decision instant of a token-bucket scan.
+
+    Feeds the arrivals one by one through
+    :class:`~repro.diffserv.token_bucket.TokenBucket`'s recurrence (a
+    bucket full at t=0, refilled only when time has elapsed, drained
+    by each conformant packet) and returns the level each packet sees
+    before its ``try_consume``. ``fill >= sizes`` is therefore the
+    conformance verdict, and the same array gives a detection trace's
+    ``bucket_fill`` and ``token_deficit`` columns. Python lists
+    iterate fastest; every value is produced by the same IEEE-754
+    operations, in the same order, as the engine's policer.
+    """
+    rate_bytes = rate_bps / 8.0
+    depth = float(depth_bytes)
+    tokens = depth
+    last = 0.0
+    fill: list[float] = []
+    append = fill.append
+    for now, size in zip(times, sizes):
+        elapsed = now - last
+        if elapsed > 0:
+            # min(depth, tokens + elapsed * rate) as a branch: the
+            # same float, in about half the loop's time.
+            tokens += elapsed * rate_bytes
+            if tokens > depth:
+                tokens = depth
+            last = now
+        append(tokens)
+        if tokens >= size:
+            tokens -= size
+    return np.array(fill, dtype=np.float64)
 
 
 def _priority_link(
@@ -449,9 +422,58 @@ def shaper_releases(
     return out_times, out_ids
 
 
-def simulate_qbone_session(
-    spec, encoded: EncodedClip, config: Optional[QBoneTestbedConfig] = None
-) -> FastPathSession:
+def qbone_config(spec) -> QBoneTestbedConfig:
+    """The QBone testbed configuration a qualifying spec runs on."""
+    return QBoneTestbedConfig(
+        token_rate_bps=spec.token_rate_bps,
+        bucket_depth_bytes=spec.bucket_depth_bytes,
+        policer_action=(
+            PolicerAction.DROP
+            if spec.policer_action == "drop"
+            else PolicerAction.REMARK_BE
+        ),
+        use_shaper=spec.use_shaper,
+        shaper_rate_bps=spec.shaper_rate_bps,
+    )
+
+
+def policer_outcome(
+    mask: np.ndarray,
+    action: PolicerAction,
+    pol_times: Sequence[float],
+    pol_ids: Sequence[int],
+    seen_sizes: np.ndarray,
+    seen_fids: np.ndarray,
+) -> tuple[PolicerStats, list[float], list[int], list[bool]]:
+    """Policer counters and survivors for one conformance mask.
+
+    ``mask`` holds the verdict for each packet reaching the policer, at
+    ``pol_times`` with ids ``pol_ids``, wire sizes ``seen_sizes`` and
+    frame ids ``seen_fids``. Returns ``(stats, arr, surviving, is_ef)``
+    as :func:`build_session` takes them: drop forwards the conformant
+    packets, remark forwards every packet and restamps the rest BE.
+    """
+    stats = PolicerStats()
+    stats.conformant_packets = int(mask.sum())
+    stats.conformant_bytes = int(seen_sizes[mask].sum())
+    if action is PolicerAction.DROP:
+        dropped = ~mask
+        stats.dropped_packets = int(dropped.sum())
+        stats.dropped_bytes = int(seen_sizes[dropped].sum())
+        stats.dropped_frame_ids.update(np.unique(seen_fids[dropped]).tolist())
+        keep = np.flatnonzero(mask).tolist()
+        surviving = [pol_ids[j] for j in keep]
+        arr = [pol_times[j] for j in keep]
+        is_ef = [True] * len(surviving)
+    else:  # REMARK_BE forwards everything, restamped
+        stats.remarked_packets = int((~mask).sum())
+        surviving = list(pol_ids)
+        arr = list(pol_times)
+        is_ef = mask.tolist()
+    return stats, arr, surviving, is_ef
+
+
+def simulate_qbone_session(spec, encoded: EncodedClip) -> FastPathSession:
     """Run one qualifying spec through the analytic pipeline.
 
     ``spec`` is an :class:`~repro.core.experiment.ExperimentSpec` that
@@ -459,97 +481,61 @@ def simulate_qbone_session(
     caller owns qualification (this function assumes the default QBone
     topology, a VideoCharger server, and no recovery machinery).
     """
-    cfg = config or QBoneTestbedConfig(
-        token_rate_bps=spec.token_rate_bps,
-        bucket_depth_bytes=spec.bucket_depth_bytes,
-        policer_action=PolicerAction(
-            {"drop": "drop", "remark": "remark-be"}[spec.policer_action]
-        ),
-        use_shaper=spec.use_shaper,
-        shaper_rate_bps=spec.shaper_rate_bps,
-    )
+    cfg = qbone_config(spec)
     sched = compute_schedule(encoded, cfg)
-    n_packets = sched.n_packets
-    fids = sched.fids
-    sizes = sched.sizes
-
     releases = jitter_releases(sched.campus_departs, spec.seed, cfg)
 
     # Optional edge shaper between the jitter box and the policer.
     if cfg.use_shaper:
         pol_times, pol_ids = shaper_releases(
             releases,
-            sizes,
+            sched.sizes,
             cfg.shaper_rate_bps or cfg.token_rate_bps,
             cfg.shaper_depth_bytes,
         )
     else:
-        pol_times, pol_ids = releases, list(range(n_packets))
+        pol_times, pol_ids = releases, list(range(sched.n_packets))
 
-    # ------------------------------------------------------------------
-    # Border policer: one-pass token-bucket scan at the release times.
-    # ------------------------------------------------------------------
-    action = cfg.policer_action
-    stats = PolicerStats()
-    depth = float(cfg.bucket_depth_bytes)
-    rate_bytes = cfg.token_rate_bps / 8.0
-    tokens = depth
-    last_update = 0.0
-    surviving: list[int] = []
-    arr: list[float] = []  # policer-exit instants of the survivors
-    is_ef: list[bool] = []
-    capture = bool(getattr(spec, "capture_trace", False))
-    pol_cols = {column: [] for column in POLICER_TRACE_COLUMNS} if capture else None
-    ef_dscp = int(DSCP.EF)  # QBone premark: every packet arrives EF
-    for j in range(len(pol_times)):
-        now = pol_times[j]
-        idx = pol_ids[j]
-        size = sizes[idx]
-        elapsed = now - last_update
-        if elapsed > 0:
-            tokens = min(depth, tokens + elapsed * rate_bytes)
-            last_update = now
-        # Fill at the decision instant, identical to the engine's
-        # pre-consume ``tokens_at(now)`` read.
-        fill = tokens
-        if tokens >= size:
-            tokens -= size
-            stats.conformant_packets += 1
-            stats.conformant_bytes += size
-            surviving.append(idx)
-            arr.append(now)
-            is_ef.append(True)
-            if pol_cols is not None:
-                _trace_row(
-                    pol_cols, now, idx, size, fids[idx], ef_dscp,
-                    "conform", None, 0.0, fill,
-                )
-        elif action is PolicerAction.DROP:
-            stats.dropped_packets += 1
-            stats.dropped_bytes += size
-            stats.dropped_frame_ids.add(fids[idx])
-            if pol_cols is not None:
-                reason = (
-                    DROP_REASON_OVERSIZE if size > depth else DROP_REASON_TOKENS
-                )
-                _trace_row(
-                    pol_cols, now, idx, size, fids[idx], ef_dscp,
-                    "drop", reason, size - fill, fill,
-                )
-        else:  # REMARK_BE: forwarded at best-effort priority
-            stats.remarked_packets += 1
-            surviving.append(idx)
-            arr.append(now)
-            is_ef.append(False)
-            if pol_cols is not None:
-                _trace_row(
-                    pol_cols, now, idx, size, fids[idx], ef_dscp,
-                    "remark", None, size - fill, fill,
-                )
+    # Border policer: one token-bucket scan at the release times.
+    ids = np.asarray(pol_ids, dtype=np.int64)
+    seen_sizes = sched.sizes_arr[ids]
+    seen_fids = sched.fids_arr[ids]
+    sizes = seen_sizes.tolist()
+    fill = bucket_fill(
+        pol_times, sizes, cfg.token_rate_bps, cfg.bucket_depth_bytes
+    )
+    mask = fill >= seen_sizes
+    stats, arr, surviving, is_ef = policer_outcome(
+        mask, cfg.policer_action, pol_times, pol_ids, seen_sizes, seen_fids
+    )
 
+    pol_cols = None
+    if spec.capture_trace:
+        # The engine's policer tap: one row per packet with the level
+        # it saw before try_consume. QBone premarks every packet EF.
+        depth = float(cfg.bucket_depth_bytes)
+        miss = "drop" if cfg.policer_action is PolicerAction.DROP else "remark"
+        conform = mask.tolist()
+        fills = fill.tolist()
+        reasons = [
+            None if ok or miss == "remark"
+            else DROP_REASON_OVERSIZE if size > depth
+            else DROP_REASON_TOKENS
+            for ok, size in zip(conform, sizes)
+        ]
+        pol_cols = dict(zip(POLICER_TRACE_COLUMNS, (
+            list(pol_times),
+            list(pol_ids),
+            sizes,
+            seen_fids.tolist(),
+            [int(DSCP.EF)] * len(sizes),
+            ["conform" if ok else miss for ok in conform],
+            reasons,
+            [0.0 if ok else s - f for ok, s, f in zip(conform, sizes, fills)],
+            fills,
+        )))
     return build_session(
-        cfg, encoded, sched, arr, surviving, is_ef, stats,
-        pol_cols=pol_cols, capture=capture,
+        cfg, encoded, sched, arr, surviving, is_ef, stats, pol_cols
     )
 
 
@@ -612,7 +598,6 @@ def build_session(
     is_ef: list[bool],
     stats: PolicerStats,
     pol_cols: Optional[dict] = None,
-    capture: bool = False,
 ) -> FastPathSession:
     """Backbone traversal and client bookkeeping for policer survivors.
 
@@ -664,7 +649,7 @@ def build_session(
     )
 
     trace_payload = None
-    if capture:
+    if pol_cols is not None:
         # Receiver point: delivered packets in arrival order, carrying
         # the restamped codepoint (EF conform / BE remark), exactly as
         # the engine's client tap records them.

@@ -1,30 +1,32 @@
-"""Edge cases of the vectorized token-bucket conformance scan.
+"""Edge cases of the token-bucket conformance kernels.
 
-The batch lane replaces N independent 1-D token-bucket scans with one
-2-D cumulative scan over a rate x depth lane axis
-(:func:`repro.sim.batchpath._lane_scan`). These tests pin the scan to
-the real :class:`~repro.diffserv.token_bucket.TokenBucket` at the
-boundaries where a vectorization typically diverges: fractional token
-accrual across shared-schedule gaps, bucket depths below one MTU
-(nothing ever conforms), and exact token==size equality at the first
-and last lane of the vectorized axis.
+Two kernels replay :class:`~repro.diffserv.token_bucket.TokenBucket`:
+the stream kernel every single-stream lane uses
+(:func:`repro.sim.fastpath.bucket_fill`) and the batch lane's 2-D scan
+over a rate x depth lane axis (:func:`repro.sim.batchpath._lane_scan`).
+A differential property test pits the stream kernel against the real
+bucket on random streams, and every lane-scan case below is checked
+column by column against the stream kernel, at the boundaries where a
+vectorization typically diverges: fractional token accrual across
+shared-schedule gaps, bucket depths below one MTU (nothing ever
+conforms), and exact token==size equality at the first and last lane
+of the vectorized axis.
 """
+
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.runner import ResultSummary
 from repro.diffserv.token_bucket import TokenBucket
 from repro.sim.batchpath import _lane_scan
+from repro.sim.fastpath import bucket_fill
 from repro.units import mbps
-
-
-def _scalar_reference(times, sizes, rate_bps, depth_bytes):
-    """Per-lane conformance via the engine's own TokenBucket."""
-    bucket = TokenBucket(rate_bps=rate_bps, depth_bytes=depth_bytes)
-    return [bucket.try_consume(size, now) for now, size in zip(times, sizes)]
 
 
 def _assert_scan_matches(times, sizes, rates_bps, depths):
@@ -32,11 +34,61 @@ def _assert_scan_matches(times, sizes, rates_bps, depths):
     depths = np.asarray(depths, dtype=np.float64)
     conform = _lane_scan(times, sizes, rates_bps / 8.0, depths)
     assert conform.shape == (len(times), len(rates_bps))
-    for lane in range(len(rates_bps)):
-        expected = _scalar_reference(
-            times, sizes, float(rates_bps[lane]), float(depths[lane])
-        )
+    sizes_arr = np.asarray(sizes, dtype=np.int64)
+    for lane, (rate, depth) in enumerate(zip(rates_bps, depths)):
+        fill = bucket_fill(list(times), list(sizes), float(rate), float(depth))
+        expected = (fill >= sizes_arr).tolist()
         assert conform[:, lane].tolist() == expected, f"lane {lane}"
+
+
+# Gaps: zero (equal timestamps), whole seconds (exact tokens == size
+# refills at 8000 bps and 1000-byte packets), and arbitrary fractions.
+_gap = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.25, 1.0]),
+    st.floats(0.0, 0.05, allow_nan=False),
+)
+# Sizes: the exact-boundary 1000 B, MTU-sized and small packets, and
+# anything up to twice the deepest bucket (oversize packets).
+_size = st.one_of(st.sampled_from([40, 1000, 1500]), st.integers(1, 9000))
+# Rates: 8000 bps is 1000 B/s exactly; the rest accrue fractional bytes.
+_rate = st.one_of(
+    st.sampled_from([8000.0, 1_234_567.0, 1_999_999.9]),
+    st.floats(1.0, 1e7, allow_nan=False),
+)
+# Depths: below one MTU, at the boundary, the paper's two, arbitrary.
+_depth = st.one_of(
+    st.sampled_from([600.0, 1000.0, 1499.999, 3000.0, 4500.0]),
+    st.floats(1.0, 4500.0, allow_nan=False),
+)
+
+
+@st.composite
+def _stream(draw):
+    n = draw(st.integers(0, 80))
+    gaps = draw(st.lists(_gap, min_size=n, max_size=n))
+    sizes = draw(st.lists(_size, min_size=n, max_size=n))
+    lanes = draw(st.lists(st.tuples(_rate, _depth), min_size=1, max_size=4))
+    return list(accumulate(gaps)), sizes, lanes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stream())
+@example(([0.0, 1.0, 2.0, 3.0, 3.0], [1000] * 5, [(8000.0, 1000.0)]))
+@example(([0.0, 0.0, 0.5], [1500, 1500, 1500], [(1.7e6, 1499.999)]))
+def test_bucket_fill_matches_token_bucket(stream):
+    times, sizes, lanes = stream
+    for rate_bps, depth in lanes:
+        bucket = TokenBucket(rate_bps, depth)
+        levels, verdicts = [], []
+        for now, size in zip(times, sizes):
+            levels.append(bucket.tokens_at(now))
+            verdicts.append(bucket.try_consume(size, now))
+        fill = bucket_fill(times, sizes, rate_bps, depth)
+        assert fill.tolist() == levels
+        assert (fill >= np.asarray(sizes, dtype=np.int64)).tolist() == verdicts
+    rates, depths = zip(*lanes)
+    _assert_scan_matches(times, sizes, rates, depths)
 
 
 class TestLaneScanEdges:
@@ -125,7 +177,6 @@ class TestBatchBoundarySpecs:
     @pytest.fixture(autouse=True)
     def _reset(self, monkeypatch):
         monkeypatch.delenv(fastlane.FASTPATH_ENV, raising=False)
-        monkeypatch.delenv(fastlane.BATCHPATH_ENV, raising=False)
         fastlane.stats.reset()
 
     def test_depth_below_mtu_starves_full_packets(self, monkeypatch):

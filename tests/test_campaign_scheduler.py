@@ -246,7 +246,6 @@ class TestBatchGrouping:
     RATES = tuple(mbps(r) for r in (1.5, 1.6, 1.7, 1.8, 1.9, 2.0, 2.1, 2.2))
 
     def test_sixteen_point_serial_sweep_runs_as_two_grids(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCHPATH", raising=False)
         monkeypatch.delenv("REPRO_FASTPATH", raising=False)
         runner = make_runner(jobs=1)
         sweep = token_rate_sweep(

@@ -359,13 +359,25 @@ class TestTracePlumbing:
         assert abs(verdict.estimate.rate_bps - 1.5e6) / 1.5e6 < 0.05
         assert abs(verdict.estimate.depth_bytes - 3000.0) < 1500.0
 
-    def test_engine_and_fastpath_traces_identical(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            {"policer_action": "remark"},
+            {"use_shaper": True},
+            {"use_shaper": True, "policer_action": "remark"},
+            {"bucket_depth_bytes": 1000.0},  # oversize drops
+        ],
+        ids=["drop", "remark", "shaped-drop", "shaped-remark", "oversize"],
+    )
+    def test_engine_and_fastpath_traces_identical(self, monkeypatch, changes):
         from repro.core import fastlane
 
+        spec = dataclasses.replace(TRACE_SPEC, **changes)
         monkeypatch.setenv(fastlane.FASTPATH_ENV, "0")
-        engine_trace = run_experiment(TRACE_SPEC).extras["flow_trace"]
+        engine_trace = run_experiment(spec).extras["flow_trace"]
         monkeypatch.setenv(fastlane.FASTPATH_ENV, "1")
-        fast_trace = run_experiment(TRACE_SPEC).extras["flow_trace"]
+        fast_trace = run_experiment(spec).extras["flow_trace"]
         assert engine_trace == fast_trace
 
     def test_export_includes_trace_only_when_captured(self):

@@ -34,7 +34,6 @@ class _NullSink:
 def _reset_fastlane(monkeypatch):
     """Isolate dispatch counters and the env override per test."""
     monkeypatch.delenv(fastlane.FASTPATH_ENV, raising=False)
-    monkeypatch.delenv(fastlane.BATCHPATH_ENV, raising=False)
     fastlane.stats.reset()
     yield
     fastlane.stats.reset()
@@ -358,14 +357,12 @@ class TestBatchEquivalence:
         assert CACHE_SCHEMA_VERSION == 3
 
         grid = _batch_grid()
-        monkeypatch.setenv(fastlane.BATCHPATH_ENV, "1")
         first = SerialRunner(store=ResultStore(tmp_path), window=len(grid))
         batch_side = first.run_batch(grid)
         assert first.stats.simulated == len(grid)
         assert first.stats.batch_points == len(grid)
         assert first.stats.batch_groups >= 1
 
-        monkeypatch.setenv(fastlane.BATCHPATH_ENV, "0")
         monkeypatch.setenv(fastlane.FASTPATH_ENV, "0")
         second = SerialRunner(store=ResultStore(tmp_path))
         replayed = second.run_batch(grid)
@@ -374,13 +371,19 @@ class TestBatchEquivalence:
         for a, b in zip(batch_side, replayed):
             _assert_identical(a, b)
 
-    def test_mode_zero_disables_coalescing(self, tmp_path, monkeypatch):
-        from repro.core.runner import SerialRunner
+    def test_mode_zero_disables_coalescing(self, monkeypatch):
+        from repro.core.runner import make_runner
 
-        grid = _batch_grid()[:4]
-        monkeypatch.setenv(fastlane.BATCHPATH_ENV, "0")
-        runner = SerialRunner(window=len(grid))
-        outcomes = runner.run_batch(grid)
+        # REPRO_FASTPATH=0 is the control arm: no grid reaches the
+        # batch lane and no point takes the scalar fast path.
+        grid = _batch_grid(clip="test-150")[:4]
+        auto_runner = make_runner(jobs=1)
+        auto = auto_runner.run_batch(grid)
+        assert auto_runner.stats.batch_points == len(grid)
+        monkeypatch.setenv(fastlane.FASTPATH_ENV, "0")
+        runner = make_runner(jobs=1)
+        engine_side = runner.run_batch(grid)
         assert runner.stats.batch_points == 0
-        assert runner.stats.fastpath_hits == len(grid)
-        assert all(o is not None for o in outcomes)
+        assert runner.stats.fastpath_hits == 0
+        for a, b in zip(auto, engine_side):
+            _assert_identical(a, b)

@@ -44,13 +44,11 @@ from repro.flows import (
     run_aggregate,
     run_engine_aggregate,
 )
+from repro.flows import multipath
 from repro.flows.multipath import (
-    FLOWPATH_ENV,
-    FlowpathUnsupported,
     qualifies_for_flowpath,
     run_flows_loop,
     run_multipath,
-    use_flowpath,
 )
 from repro.sim.engine import Engine
 from repro.sim.packet import Packet
@@ -297,8 +295,8 @@ class TestPolicerMultiFlow:
 
 
 @pytest.fixture(autouse=True)
-def _reset_flowpath(monkeypatch):
-    monkeypatch.delenv(FLOWPATH_ENV, raising=False)
+def _reset_fastpath(monkeypatch):
+    monkeypatch.delenv(fastlane.FASTPATH_ENV, raising=False)
     yield
 
 
@@ -324,13 +322,32 @@ IDENTITY_CORPUS = [
         _flow(), 2, policing="per-flow",
         token_rate_bps=mbps(1.5), bucket_depth_bytes=3000.0,
     ),
+    # Saturated deep bucket: 6.8 Mbps offered against 0.8 Mbps, so the
+    # bucket sits near empty and most packets drop, in runs.
+    AggregateSpec.homogeneous(
+        _flow(), 4, spacing_s=0.25,
+        token_rate_bps=mbps(0.8), bucket_depth_bytes=30000.0,
+    ),
+    # Over-provisioned: about half the refills clip at the brim.
+    AggregateSpec.homogeneous(
+        _flow(seed=5), 2,
+        token_rate_bps=mbps(12.0), bucket_depth_bytes=4500.0,
+    ),
+    AggregateSpec.homogeneous(
+        _flow(seed=2), 3, spacing_s=0.3, policing="per-flow",
+        policer_action="remark",
+        token_rate_bps=mbps(1.5), bucket_depth_bytes=3000.0,
+    ),
 ]
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize(
         "agg", IDENTITY_CORPUS,
-        ids=["2flow-drop", "3flow-offsets", "hetero-remark", "per-flow"],
+        ids=[
+            "2flow-drop", "3flow-offsets", "hetero-remark", "per-flow",
+            "saturated-deep", "brim", "per-flow-remark",
+        ],
     )
     def test_engine_and_interleaved_lanes_match(self, agg):
         engine_side = run_engine_aggregate(agg)
@@ -358,32 +375,34 @@ class TestFlowpathDispatch:
 
     def test_env_modes(self, monkeypatch):
         agg = AggregateSpec.homogeneous(_flow(), 2)
-        assert use_flowpath(agg)  # auto
-        monkeypatch.setenv(FLOWPATH_ENV, "0")
-        assert not use_flowpath(agg)
-        monkeypatch.setenv(FLOWPATH_ENV, "1")
-        assert use_flowpath(agg)
+        lanes = []
+        monkeypatch.setattr(
+            multipath, "run_multipath",
+            lambda agg, vqm_tool=None: lanes.append("interleaved"),
+        )
+        run_aggregate(agg)  # auto
+        monkeypatch.setenv(fastlane.FASTPATH_ENV, "1")
+        run_aggregate(agg)
+        assert lanes == ["interleaved", "interleaved"]
         crossed = dataclasses.replace(agg, cross_traffic_bps=mbps(5.0))
-        with pytest.raises(FlowpathUnsupported):
-            use_flowpath(crossed)
+        with pytest.raises(fastlane.FastpathUnsupported):
+            run_aggregate(crossed)
+
+    def test_mode_zero_never_reaches_interleaved_lane(self, monkeypatch):
+        def refuse(agg, vqm_tool=None):
+            raise AssertionError("REPRO_FASTPATH=0 reached run_multipath")
+
+        monkeypatch.setattr(multipath, "run_multipath", refuse)
+        monkeypatch.setenv(fastlane.FASTPATH_ENV, "0")
+        summary = run_aggregate(IDENTITY_CORPUS[0])
+        assert summary.n_flows == IDENTITY_CORPUS[0].n_flows
 
     def test_forced_engine_matches_auto(self, monkeypatch):
         agg = IDENTITY_CORPUS[0]
         auto = run_aggregate(agg)
-        monkeypatch.setenv(FLOWPATH_ENV, "0")
+        monkeypatch.setenv(fastlane.FASTPATH_ENV, "0")
         forced = run_aggregate(agg)
         _assert_aggregate_identical(forced, auto)
-
-    def test_single_flow_path_ignores_flowpath_env(self, monkeypatch):
-        # The knob governs aggregates only; single-flow runs must be
-        # byte-identical with it set or unset.
-        spec = _flow()
-        baseline = ResultSummary.from_result(run_experiment(spec))
-        monkeypatch.setenv(FLOWPATH_ENV, "0")
-        toggled = ResultSummary.from_result(run_experiment(spec))
-        assert dataclasses.replace(baseline, elapsed_s=0.0) == (
-            dataclasses.replace(toggled, elapsed_s=0.0)
-        )
 
 
 class TestSummaryExport:
