@@ -49,6 +49,14 @@ SPEC_CHOICES = {
 }
 
 
+def check_token_bucket(spec) -> None:
+    """Reject a policing profile whose rate or depth is not finite and positive."""
+    for name in ("token_rate_bps", "bucket_depth_bytes"):
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive (got {value!r})")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Complete description of one run (one point on a paper figure).
@@ -86,10 +94,7 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("token_rate_bps", "bucket_depth_bytes"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive (got {value!r})")
+        check_token_bucket(self)
         for name, choices in SPEC_CHOICES.items():
             value = getattr(self, name)
             if value not in choices:

@@ -274,9 +274,6 @@ def run_fastpath(
     stages (playout finalize, renderer replay, VQM, path metrics) are
     the same code the engine path runs, fed identical inputs.
     """
-    from repro.recovery.session import validate_recovery
-
-    validate_recovery(spec)  # parity with the engine path's validation
     encoded = encode_clip(spec.clip, spec.codec, spec.encoding_rate_bps)
     session = simulate_qbone_session(spec, encoded)
     return result_from_session(spec, encoded, session, vqm_tool)

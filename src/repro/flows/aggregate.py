@@ -44,6 +44,7 @@ from repro.core.experiment import (
     ExperimentSpec,
     _policer_action,
     assess_playback,
+    check_token_bucket,
 )
 from repro.core.runner import ResultSummary
 from repro.client.playout import PlayoutClient
@@ -135,7 +136,9 @@ class AggregateSpec:
     selects one shared bucket vs one identical bucket per flow) and
     derives each flow's RNG seed from its index via
     :func:`derive_flow_seed`. ``start_offsets`` staggers session
-    starts (seconds, one per flow, default all zero).
+    starts (seconds, one per flow, default all zero). Construction
+    rejects a token rate or bucket depth that is not finite and
+    positive, as :class:`ExperimentSpec` does.
     """
 
     flows: tuple = ()
@@ -164,6 +167,7 @@ class AggregateSpec:
             )
         if any(off < 0 for off in offsets):
             raise ValueError("start offsets cannot be negative")
+        check_token_bucket(self)
         if self.policing not in ("aggregate", "per-flow"):
             raise ValueError(f"unknown policing mode {self.policing!r}")
         if self.policer_action not in ("drop", "remark"):

@@ -8,10 +8,13 @@ policer: every packet's conformance depends on the token state left by
 whichever flow arrived before it. This module merges the per-flow
 release streams into one time-sorted arrival array and scans the
 shared bucket once with :func:`repro.sim.fastpath.bucket_fill`, the
-token-bucket kernel every single-stream lane uses, then pushes the
-survivors through the shared backbone and demultiplexes per-flow
-sessions for the unchanged offline stages (playout finalize, VQM,
-path metrics).
+token-bucket kernel every single-stream lane uses. The rest is the
+post-policer stage set the single-flow lanes compose:
+:func:`~repro.sim.fastpath.policer_outcome` gives per-flow counters,
+:func:`~repro.sim.fastpath.backbone` runs the shared hops, and after a
+stable flow-sort :func:`~repro.sim.fastpath.flow_session` builds each
+flow's session for the unchanged offline stages (playout finalize,
+VQM, path metrics).
 
 The scan stays a scalar recurrence. Committing clamp-free, brim-riding
 and drop runs as ``np.add.accumulate`` slices is exact too, but it was
@@ -36,7 +39,6 @@ import numpy as np
 
 from repro.core.fastlane import result_from_session, run_fastpath
 from repro.core.runner import ResultSummary
-from repro.diffserv.policer import PolicerStats
 from repro.flows.aggregate import (
     AggregateSpec,
     AggregateSummary,
@@ -46,12 +48,11 @@ from repro.flows.aggregate import (
     rollup_summaries,
 )
 from repro.sim.fastpath import (
-    FastPathSession,
-    _fifo_departs,
-    _priority_link,
+    backbone,
     bucket_fill,
-    client_frame_arrays,
     compute_schedule,
+    flow_session,
+    policer_outcome,
 )
 from repro.video.clips import encode_clip
 from repro.vqm.tool import VqmTool
@@ -126,60 +127,6 @@ class _MergedStream:
         self.local_idx = self.local_idx[order]
 
 
-def _flow_stats(
-    stream: _MergedStream,
-    conform: np.ndarray,
-    action_drop: bool,
-    n_flows: int,
-) -> list:
-    """Per-flow :class:`PolicerStats` from the merged verdict mask.
-
-    One ``bincount`` pass per counter instead of a per-flow mask sweep:
-    byte sums stay exact (they are far below 2**53) and the dropped
-    frame-id sets come from one unique pass over (flow, frame) pairs.
-    """
-    flow_idx = stream.flow_idx
-    sizes = stream.sizes
-    conf_flows = flow_idx[conform]
-    conf_counts = np.bincount(conf_flows, minlength=n_flows)
-    conf_bytes = np.bincount(
-        conf_flows, weights=sizes[conform], minlength=n_flows
-    )
-    nonconform = ~conform
-    non_flows = flow_idx[nonconform]
-    non_counts = np.bincount(non_flows, minlength=n_flows)
-    drop_sets: list[set] = [set() for _ in range(n_flows)]
-    if action_drop:
-        non_bytes = np.bincount(
-            non_flows, weights=sizes[nonconform], minlength=n_flows
-        )
-        drop_fids = stream.fids[nonconform]
-        if drop_fids.size:
-            base = int(drop_fids.min())
-            span = int(drop_fids.max()) - base + 1
-            pairs = np.unique(
-                non_flows.astype(np.int64) * span + (drop_fids - base)
-            )
-            pair_flows = pairs // span
-            bounds = np.searchsorted(pair_flows, np.arange(n_flows + 1))
-            pair_fids = (pairs % span + base).tolist()
-            for i in range(n_flows):
-                drop_sets[i] = set(pair_fids[bounds[i] : bounds[i + 1]])
-    stats = []
-    for i in range(n_flows):
-        st = PolicerStats()
-        st.conformant_packets = int(conf_counts[i])
-        st.conformant_bytes = int(conf_bytes[i])
-        if action_drop:
-            st.dropped_packets = int(non_counts[i])
-            st.dropped_bytes = int(non_bytes[i])
-            st.dropped_frame_ids = drop_sets[i]
-        else:
-            st.remarked_packets = int(non_counts[i])
-        stats.append(st)
-    return stats
-
-
 def run_multipath(
     agg: AggregateSpec, vqm_tool: Optional[VqmTool] = None
 ) -> AggregateSummary:
@@ -192,7 +139,6 @@ def run_multipath(
     cfg = aggregate_config(agg)
     n = agg.n_flows
     stream = _MergedStream(agg, cfg)
-    action_drop = agg.policer_action == "drop"
 
     # ------------------------------------------------------------------
     # Policing: one shared scan over the merged stream, or one
@@ -214,45 +160,24 @@ def run_multipath(
             for releases, sched in zip(stream.releases, stream.schedules)
         ])
         conform = concat[stream.order]
-    flow_stats = _flow_stats(stream, conform, action_drop, n)
+    stats, keep = policer_outcome(
+        conform, cfg.policer_action, stream.sizes, stream.fids,
+        stream.flow_idx, n,
+    )
 
     # ------------------------------------------------------------------
-    # Shared backbone: survivors in policer-exit order. Drop action
-    # leaves a pure-EF stream (FIFO recurrence per hop); remark mixes
-    # EF and BE through the strict-priority queues.
+    # Shared backbone: the forwarded packets in policer-exit order,
+    # FIFO hops for a one-class stream, strict priority for a mixed one.
     # ------------------------------------------------------------------
-    keep = conform if action_drop else np.ones(len(conform), dtype=bool)
-    arr = stream.times[keep]
-    surv_sizes = stream.sizes[keep]
-    surv_flow = stream.flow_idx[keep]
-    surv_local = stream.local_idx[keep]
-    surv_ef = conform[keep]
-    hop_prop = cfg.backbone_hop_delay_s
-    mixed = bool(surv_ef.size) and not surv_ef.all()
-    tx = ((surv_sizes * 8) / cfg.backbone_rate_bps).tolist()
-    if mixed:
-        arr_l = arr.tolist()
-        ef_l = surv_ef.tolist()
-        flow_l = surv_flow.tolist()
-        local_l = surv_local.tolist()
-        for _hop in range(cfg.backbone_hops):
-            departs, order = _priority_link(arr_l, tx, ef_l)
-            arr_l = [departs[k] + hop_prop for k in order]
-            tx = [tx[k] for k in order]
-            ef_l = [ef_l[k] for k in order]
-            flow_l = [flow_l[k] for k in order]
-            local_l = [local_l[k] for k in order]
-        final_times = np.asarray(arr_l, dtype=np.float64)
-        final_flow = np.asarray(flow_l, dtype=np.int64)
-        final_local = np.asarray(local_l, dtype=np.int64)
-    else:
-        arr_l = arr.tolist()
-        for _hop in range(cfg.backbone_hops):
-            departs = _fifo_departs(arr_l, tx)
-            arr_l = [d + hop_prop for d in departs]
-        final_times = np.asarray(arr_l, dtype=np.float64)
-        final_flow = surv_flow
-        final_local = surv_local
+    fwd = slice(None) if keep is None else keep
+    final_times, order = backbone(
+        cfg,
+        stream.times[fwd].tolist(),
+        ((stream.sizes[fwd] * 8) / cfg.backbone_rate_bps).tolist(),
+        conform.tolist() if keep is None else None,
+    )
+    final_flow = stream.flow_idx[fwd][order]
+    final_local = stream.local_idx[fwd][order]
 
     # ------------------------------------------------------------------
     # Demux: per-flow sessions through the unchanged offline stages.
@@ -267,29 +192,13 @@ def run_multipath(
     bounds = np.searchsorted(final_flow[demux], np.arange(n + 1))
     flow_summaries = []
     for i, flow in enumerate(agg.flows):
-        sched = stream.schedules[i]
         member = demux[bounds[i] : bounds[i + 1]]
-        recv_ids = final_local[member]
-        recv_times = final_times[member]
-        received_bytes, completion = client_frame_arrays(
+        session = flow_session(
             stream.encodeds[i],
-            sched.fids_arr,
-            sched.lens_arr,
-            recv_ids,
-            recv_times,
-        )
-        session = FastPathSession(
-            send_times=np.asarray(sched.emit_times, dtype=np.float64),
-            recv_ids=recv_ids,
-            recv_times=recv_times,
-            policer_stats=flow_stats[i],
-            server_messages=sched.n_packets,
-            server_packets=sched.n_packets,
-            server_bytes=int(np.sum(sched.sizes_arr)) if sched.n_packets else 0,
-            received_packets=int(member.size),
-            received_bytes=received_bytes,
-            completion=completion,
-            first_arrival=float(recv_times[0]) if recv_times.size else None,
+            stream.schedules[i],
+            final_local[member],
+            final_times[member],
+            stats[i],
         )
         result = result_from_session(flow, stream.encodeds[i], session, tool)
         flow_summaries.append(ResultSummary.from_result(result))

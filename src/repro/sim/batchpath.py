@@ -18,12 +18,14 @@ seed — not on the policing profile. This module exploits that:
    operations of the scalar scan (a zero-elapsed refill adds ``0.0``
    and re-clips at the depth, both bitwise no-ops under the invariant
    ``tokens <= depth``), keeping the bit-identity contract.
-3. **Outcome dedup.** Downstream of the policer, everything — the
-   backbone traversal, playout, renderer, VQM — is a pure function of
-   the conformance mask (plus the policer-exit times and codepoints).
-   Above the policing cliff every lane produces the same all-conform
-   mask, so a 64-point grid typically collapses to a handful of
-   unique outcomes per seed.
+3. **Outcome dedup.** Downstream of the scan, everything — policer
+   accounting, the backbone traversal, playout, renderer, VQM — is a
+   pure function of the conformance mask and the policer-input stream,
+   whose times, ids, sizes and frame ids are gathered once per stream.
+   :func:`repro.sim.fastpath.build_session` runs that tail once per
+   unique mask. Above the policing cliff every lane produces the same
+   all-conform mask, so a 64-point grid typically collapses to a
+   handful of unique outcomes per seed.
 4. **Shared assessment.** Each unique outcome is scored once, by the
    same offline stages as the scalar path. VQM's temporal calibration
    is the vectorized lag search every lane runs
@@ -46,11 +48,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.sim.fastpath import (
-    ScheduleBundle,
     build_session,
     compute_schedule,
     jitter_releases,
-    policer_outcome,
     qbone_config,
     shaper_releases,
 )
@@ -101,38 +101,12 @@ def _lane_scan(
     return conform
 
 
-def _summarize_outcome(
-    spec,
-    encoded,
-    sched: ScheduleBundle,
-    pol_times: Sequence[float],
-    pol_ids: Sequence[int],
-    mask: np.ndarray,
-    seen_sizes: np.ndarray,
-    seen_fids: np.ndarray,
-    tool: VqmTool,
-):
-    """Everything downstream of the conformance mask, for one outcome."""
-    from repro.core.runner import ResultSummary
-
-    cfg = qbone_config(spec)
-    stats, arr, surviving, is_ef = policer_outcome(
-        mask, cfg.policer_action, pol_times, pol_ids, seen_sizes, seen_fids
-    )
-    session = build_session(cfg, encoded, sched, arr, surviving, is_ef, stats)
-    from repro.core.fastlane import result_from_session
-
-    result = result_from_session(spec, encoded, session, tool)
-    return ResultSummary.from_result(result, elapsed_s=0.0)
-
-
 def _run_group(specs: list, vqm_tool: Optional[VqmTool]) -> list:
     """One (clip, encoding, …) group: shared front end, per-lane scan."""
-    from repro.recovery.session import validate_recovery
+    from repro.core.fastlane import result_from_session
+    from repro.core.runner import ResultSummary
 
     spec0 = specs[0]
-    for spec in specs:
-        validate_recovery(spec)  # parity with the per-spec paths
     encoded = encode_clip(spec0.clip, spec0.codec, spec0.encoding_rate_bps)
     cfg = qbone_config(spec0)
     sched = compute_schedule(encoded, cfg)
@@ -164,14 +138,14 @@ def _run_group(specs: list, vqm_tool: Optional[VqmTool]) -> list:
                 )
                 streams.append(((srate, sdepth), pol_times, pol_ids, lanes))
         else:
-            streams = [(None, releases, list(range(sched.n_packets)), members)]
+            streams = [(None, releases, np.arange(sched.n_packets), members)]
 
         outcome_cache: dict = {}
         for marker, pol_times, pol_ids, lanes in streams:
-            ids_arr = np.asarray(pol_ids, dtype=np.int64)
-            seen_sizes = sched.sizes_arr[ids_arr]
-            seen_fids = sched.fids_arr[ids_arr]
-            scan_sizes = [sched.sizes[k] for k in pol_ids]
+            times = np.asarray(pol_times, dtype=np.float64)
+            ids = np.asarray(pol_ids, dtype=np.int64)
+            sizes = sched.sizes_arr[ids]
+            fids = sched.fids_arr[ids]
             rate_bytes = np.array(
                 [specs[i].token_rate_bps / 8.0 for i in lanes], dtype=np.float64
             )
@@ -179,16 +153,17 @@ def _run_group(specs: list, vqm_tool: Optional[VqmTool]) -> list:
                 [float(specs[i].bucket_depth_bytes) for i in lanes],
                 dtype=np.float64,
             )
-            conform = _lane_scan(pol_times, scan_sizes, rate_bytes, depths)
+            conform = _lane_scan(times, sizes.tolist(), rate_bytes, depths)
             for col, i in enumerate(lanes):
                 mask = np.ascontiguousarray(conform[:, col])
                 key = (marker, mask.tobytes())
                 summary = outcome_cache.get(key)
                 if summary is None:
-                    summary = _summarize_outcome(
-                        specs[i], encoded, sched, pol_times, pol_ids,
-                        mask, seen_sizes, seen_fids, tool,
+                    session = build_session(
+                        cfg, encoded, sched, times, ids, sizes, fids, mask
                     )
+                    result = result_from_session(specs[i], encoded, session, tool)
+                    summary = ResultSummary.from_result(result, elapsed_s=0.0)
                     outcome_cache[key] = summary
                 summaries[i] = summary
     return summaries

@@ -27,6 +27,16 @@ exceed every serialization time), so at equal timestamps arrivals
 enter the queue before the finish event dequeues. The scans below bake
 that rule in (``arr <= finish`` absorbs ties into the queue).
 
+Past the policer, every lane composes the same three stages:
+:func:`policer_outcome` (per-flow counters and the forwarded packets),
+:func:`backbone` (the Abilene hops: FIFO recurrences for a stream of
+one class, the strict-priority replay for a mixed one) and
+:func:`flow_session` (one flow's tap arrays and playout bookkeeping).
+:func:`build_session` composes them for one single-flow verdict mask;
+the scalar path calls it once per run and the batch lane once per
+unique mask. :func:`repro.flows.multipath.run_multipath` composes them
+over a merged multi-flow stream.
+
 See DESIGN.md §8 for the qualification rules and the equivalence test
 contract (``tests/test_fastpath_equivalence.py``).
 """
@@ -75,9 +85,7 @@ class FastPathSession:
     recv_ids: np.ndarray  # delivered packet ids, arrival order (int64)
     recv_times: np.ndarray  # arrival times, arrival order (float64)
     policer_stats: PolicerStats
-    server_messages: int
     server_packets: int
-    server_bytes: int
     received_packets: int
     received_bytes: np.ndarray  # per-frame delivered payload (int64)
     completion: np.ndarray  # per-frame completion time (NaN = never)
@@ -260,7 +268,6 @@ class ScheduleBundle:
     fids_arr: np.ndarray  # frame id per packet (int64)
     lens_arr: np.ndarray  # payload bytes per packet (int64)
     sizes_arr: np.ndarray  # wire bytes per packet (int64)
-    fids: list[int]
     sizes: list[int]
     emit_times: list[float]  # server emission instants
     campus_departs: list[float]  # campus-LAN finish times
@@ -291,7 +298,6 @@ def compute_schedule(
         fids_arr=fids_arr,
         lens_arr=lens_arr,
         sizes_arr=sizes_arr,
-        fids=fids_arr.tolist(),
         sizes=sizes_arr.tolist(),
         emit_times=emit_times,
         campus_departs=campus_departs,
@@ -440,37 +446,149 @@ def qbone_config(spec) -> QBoneTestbedConfig:
 def policer_outcome(
     mask: np.ndarray,
     action: PolicerAction,
-    pol_times: Sequence[float],
-    pol_ids: Sequence[int],
-    seen_sizes: np.ndarray,
-    seen_fids: np.ndarray,
-) -> tuple[PolicerStats, list[float], list[int], list[bool]]:
-    """Policer counters and survivors for one conformance mask.
+    sizes: np.ndarray,
+    fids: np.ndarray,
+    flows: Optional[np.ndarray] = None,
+    n_flows: int = 1,
+) -> tuple[list[PolicerStats], Optional[np.ndarray]]:
+    """Per-flow policer counters and the packets the policer forwards.
 
-    ``mask`` holds the verdict for each packet reaching the policer, at
-    ``pol_times`` with ids ``pol_ids``, wire sizes ``seen_sizes`` and
-    frame ids ``seen_fids``. Returns ``(stats, arr, surviving, is_ef)``
-    as :func:`build_session` takes them: drop forwards the conformant
-    packets, remark forwards every packet and restamps the rest BE.
+    ``mask`` holds the verdict for each packet reaching the policer,
+    ``sizes`` its wire bytes, ``fids`` its frame id and ``flows`` its
+    flow index (``None``: one flow). Returns one :class:`PolicerStats`
+    per flow and the positions drop forwards, in policer-exit order;
+    remark forwards every packet, restamping the misses BE, so its
+    positions are ``None``. Each counter is one ``bincount`` for any
+    number of flows: byte sums stay exact (far below 2**53), and the
+    dropped frame-id sets come from one unique pass over (flow, frame)
+    pairs.
     """
-    stats = PolicerStats()
-    stats.conformant_packets = int(mask.sum())
-    stats.conformant_bytes = int(seen_sizes[mask].sum())
-    if action is PolicerAction.DROP:
-        dropped = ~mask
-        stats.dropped_packets = int(dropped.sum())
-        stats.dropped_bytes = int(seen_sizes[dropped].sum())
-        stats.dropped_frame_ids.update(np.unique(seen_fids[dropped]).tolist())
-        keep = np.flatnonzero(mask).tolist()
-        surviving = [pol_ids[j] for j in keep]
-        arr = [pol_times[j] for j in keep]
-        is_ef = [True] * len(surviving)
-    else:  # REMARK_BE forwards everything, restamped
-        stats.remarked_packets = int((~mask).sum())
-        surviving = list(pol_ids)
-        arr = list(pol_times)
-        is_ef = mask.tolist()
-    return stats, arr, surviving, is_ef
+    if flows is None:
+        flows = np.zeros(len(mask), dtype=np.int64)
+    miss = ~mask
+    hit_flows = flows[mask]
+    miss_flows = flows[miss]
+    counts = zip(
+        np.bincount(hit_flows, minlength=n_flows).tolist(),
+        np.bincount(hit_flows, weights=sizes[mask], minlength=n_flows).tolist(),
+        np.bincount(miss_flows, minlength=n_flows).tolist(),
+        np.bincount(miss_flows, weights=sizes[miss], minlength=n_flows).tolist(),
+    )
+    drop = action is PolicerAction.DROP
+    stats = []
+    for hits, hit_bytes, misses, miss_bytes in counts:
+        st = PolicerStats(conformant_packets=hits, conformant_bytes=int(hit_bytes))
+        if drop:
+            st.dropped_packets = misses
+            st.dropped_bytes = int(miss_bytes)
+        else:
+            st.remarked_packets = misses
+        stats.append(st)
+    if not drop:
+        return stats, None
+    dropped = fids[miss]
+    if dropped.size:
+        base = int(dropped.min())
+        span = int(dropped.max()) - base + 1
+        pairs = np.unique(miss_flows * span + (dropped - base))
+        bounds = np.searchsorted(pairs // span, np.arange(n_flows + 1)).tolist()
+        pair_fids = (pairs % span + base).tolist()
+        for st, lo, hi in zip(stats, bounds, bounds[1:]):
+            st.dropped_frame_ids = set(pair_fids[lo:hi])
+    return stats, np.flatnonzero(mask)
+
+
+def backbone(
+    cfg: QBoneTestbedConfig,
+    arr: list[float],
+    tx: list[float],
+    is_ef: Optional[list[bool]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Abilene hops from the policer to the client.
+
+    ``arr`` holds the policer-exit instant of each forwarded packet, in
+    exit order, ``tx`` its per-hop transmission time and ``is_ef`` its
+    codepoint (``None``: all EF). Returns the client arrival instants
+    and, in the same arrival order, each packet's input position. The
+    hops are identical strict-priority links with a fixed propagation
+    delay. A stream of one class (drop's pure EF, or remark where every
+    packet conforms or none does) has nothing to overtake, so each hop
+    is the FIFO recurrence, which serves it exactly as the priority
+    queue would, in identity order.
+    """
+    prop = cfg.backbone_hop_delay_s
+    n = len(arr)
+    if is_ef is None or sum(is_ef) in (0, n):
+        for _hop in range(cfg.backbone_hops):
+            arr = [d + prop for d in _fifo_departs(arr, tx)]
+        return np.asarray(arr, dtype=np.float64), np.arange(n)
+    order = list(range(n))
+    for _hop in range(cfg.backbone_hops):
+        departs, served = _priority_link(arr, tx, is_ef)
+        arr = [departs[k] + prop for k in served]
+        tx = [tx[k] for k in served]
+        is_ef = [is_ef[k] for k in served]
+        order = [order[k] for k in served]
+    return np.asarray(arr, dtype=np.float64), np.asarray(order, dtype=np.int64)
+
+
+def flow_session(
+    encoded: EncodedClip,
+    sched: ScheduleBundle,
+    recv_ids: np.ndarray,
+    recv_times: np.ndarray,
+    stats: PolicerStats,
+    trace_payload: Optional[dict] = None,
+) -> FastPathSession:
+    """One flow's session from its delivered-packet tap arrays.
+
+    ``recv_ids`` index the flow's own schedule ``sched``, in arrival
+    order, and ``recv_times`` are the matching arrival instants. The
+    per-frame ``received_bytes`` and ``completion`` arrays are exactly
+    the ones the event-driven PlayoutClient accumulates packet by
+    packet.
+    """
+    n_frames = encoded.n_frames
+    received_bytes = np.zeros(n_frames, dtype=np.int64)
+    completion = np.full(n_frames, np.nan)
+    if len(recv_ids):
+        d_fid = sched.fids_arr[recv_ids]
+        d_pay = sched.lens_arr[recv_ids]
+        received_bytes = np.bincount(
+            d_fid, weights=d_pay, minlength=n_frames
+        ).astype(np.int64)
+        # First crossing of the expected byte count, per frame, in
+        # arrival order: stable-group by frame, running sum within the
+        # group, first index meeting the frame's expected payload.
+        expected = np.array(
+            [f.size_bytes for f in encoded.frames], dtype=np.int64
+        )
+        order = np.argsort(d_fid, kind="stable")
+        fid_s = d_fid[order]
+        pay_s = d_pay[order]
+        t_s = recv_times[order]
+        cum = np.cumsum(pay_s)
+        _uniq, starts = np.unique(fid_s, return_index=True)
+        counts = np.diff(np.append(starts, len(fid_s)))
+        group_base = cum[starts] - pay_s[starts]
+        within = cum - np.repeat(group_base, counts)
+        done = within >= expected[fid_s]
+        done_fids = fid_s[done]
+        done_times = t_s[done]
+        crossed, first_idx = np.unique(done_fids, return_index=True)
+        completion[crossed] = done_times[first_idx]
+    return FastPathSession(
+        send_times=np.asarray(sched.emit_times, dtype=np.float64),
+        recv_ids=recv_ids,
+        recv_times=recv_times,
+        policer_stats=stats,
+        server_packets=sched.n_packets,
+        received_packets=len(recv_ids),
+        received_bytes=received_bytes,
+        completion=completion,
+        first_arrival=float(recv_times[0]) if len(recv_ids) else None,
+        trace_payload=trace_payload,
+    )
 
 
 def simulate_qbone_session(spec, encoded: EncodedClip) -> FastPathSession:
@@ -505,9 +623,6 @@ def simulate_qbone_session(spec, encoded: EncodedClip) -> FastPathSession:
         pol_times, sizes, cfg.token_rate_bps, cfg.bucket_depth_bytes
     )
     mask = fill >= seen_sizes
-    stats, arr, surviving, is_ef = policer_outcome(
-        mask, cfg.policer_action, pol_times, pol_ids, seen_sizes, seen_fids
-    )
 
     pol_cols = None
     if spec.capture_trace:
@@ -535,151 +650,57 @@ def simulate_qbone_session(spec, encoded: EncodedClip) -> FastPathSession:
             fills,
         )))
     return build_session(
-        cfg, encoded, sched, arr, surviving, is_ef, stats, pol_cols
+        cfg, encoded, sched, pol_times, ids, seen_sizes, seen_fids, mask,
+        pol_cols,
     )
-
-
-def client_frame_arrays(
-    encoded: EncodedClip,
-    fids_arr: np.ndarray,
-    lens_arr: np.ndarray,
-    recv_ids: np.ndarray,
-    recv_times: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Playout-buffer bookkeeping from delivered-packet tap arrays.
-
-    ``recv_ids`` indexes the flow's own schedule arrays (``fids_arr``,
-    ``lens_arr``), in arrival order; ``recv_times`` are the matching
-    arrival instants. Returns ``(received_bytes, completion)`` per
-    frame — the exact arrays the event-driven PlayoutClient accumulates
-    packet by packet. Shared by the single-flow fast path and the
-    multi-flow interleaved lane (which calls it once per flow with
-    flow-local ids).
-    """
-    n_frames = encoded.n_frames
-    received_bytes = np.zeros(n_frames, dtype=np.int64)
-    completion = np.full(n_frames, np.nan)
-    if len(recv_ids):
-        d_fid = fids_arr[recv_ids]
-        d_pay = lens_arr[recv_ids]
-        d_time = recv_times
-        received_bytes = np.bincount(
-            d_fid, weights=d_pay, minlength=n_frames
-        ).astype(np.int64)
-        # First crossing of the expected byte count, per frame, in
-        # arrival order: stable-group by frame, running sum within the
-        # group, first index meeting the frame's expected payload.
-        expected = np.array(
-            [f.size_bytes for f in encoded.frames], dtype=np.int64
-        )
-        order = np.argsort(d_fid, kind="stable")
-        fid_s = d_fid[order]
-        pay_s = d_pay[order]
-        t_s = d_time[order]
-        cum = np.cumsum(pay_s)
-        _uniq, starts = np.unique(fid_s, return_index=True)
-        counts = np.diff(np.append(starts, len(fid_s)))
-        group_base = cum[starts] - pay_s[starts]
-        within = cum - np.repeat(group_base, counts)
-        done = within >= expected[fid_s]
-        done_fids = fid_s[done]
-        done_times = t_s[done]
-        crossed, first_idx = np.unique(done_fids, return_index=True)
-        completion[crossed] = done_times[first_idx]
-    return received_bytes, completion
 
 
 def build_session(
     cfg: QBoneTestbedConfig,
     encoded: EncodedClip,
     sched: ScheduleBundle,
-    arr: list[float],
-    surviving: list[int],
-    is_ef: list[bool],
-    stats: PolicerStats,
+    pol_times: Sequence[float],
+    pol_ids: np.ndarray,
+    sizes: np.ndarray,
+    fids: np.ndarray,
+    mask: np.ndarray,
     pol_cols: Optional[dict] = None,
 ) -> FastPathSession:
-    """Backbone traversal and client bookkeeping for policer survivors.
+    """Policer accounting, backbone and client side for one verdict mask.
 
-    ``arr`` holds the policer-exit instant of each surviving packet (in
-    exit order), ``surviving`` the original packet ids, ``is_ef`` the
-    post-policer codepoint. Everything downstream of the policer is a
-    pure function of these, so batched execution reuses this tail
-    per *unique* policer outcome rather than per grid point.
+    ``mask`` holds the verdict for each packet reaching the policer, at
+    ``pol_times`` with ids ``pol_ids``, wire sizes ``sizes`` and frame
+    ids ``fids``. Everything downstream of the policer is a pure
+    function of these, so the batch lane calls this once per *unique*
+    mask rather than per grid point. ``pol_cols`` are a detection
+    trace's policer columns; the receiver columns are added here.
     """
-    fids = sched.fids
-    sizes = sched.sizes
-    fids_arr = sched.fids_arr
-    lens_arr = sched.lens_arr
-    n_packets = sched.n_packets
-
-    # ------------------------------------------------------------------
-    # Abilene backbone: three identical hops, strict priority, 8 ms
-    # propagation each. With a pure-EF flow (drop action) the priority
-    # queue degenerates to FIFO and the cheap recurrence applies.
-    # ------------------------------------------------------------------
-    hop_prop = cfg.backbone_hop_delay_s
-    hop_rate = cfg.backbone_rate_bps
-    arr = list(arr)
-    hop_sizes = [sizes[k] for k in surviving]
-    hop_tx = ((np.array(hop_sizes, dtype=np.int64) * 8) / hop_rate).tolist()
-    hop_ids = list(surviving)
-    mixed = (not all(is_ef)) and any(is_ef)
-    hop_ef = list(is_ef)
-    for _hop in range(cfg.backbone_hops):
-        if mixed:
-            departs, order = _priority_link(arr, hop_tx, hop_ef)
-            arr = [departs[k] + hop_prop for k in order]
-            hop_ids = [hop_ids[k] for k in order]
-            hop_tx = [hop_tx[k] for k in order]
-            hop_ef = [hop_ef[k] for k in order]
-        else:
-            departs = _fifo_departs(arr, hop_tx)
-            arr = [d + hop_prop for d in departs]
-
-    # ------------------------------------------------------------------
-    # Client side: tap arrays and playout-buffer bookkeeping.
-    # ------------------------------------------------------------------
-    recv_ids = np.asarray(hop_ids, dtype=np.int64)
-    recv_times = np.asarray(arr, dtype=np.float64)
-
-    first_arrival: Optional[float] = arr[0] if hop_ids else None
-    received_bytes, completion = client_frame_arrays(
-        encoded, fids_arr, lens_arr, recv_ids, recv_times
+    [stats], keep = policer_outcome(mask, cfg.policer_action, sizes, fids)
+    fwd = slice(None) if keep is None else keep
+    recv_times, order = backbone(
+        cfg,
+        np.asarray(pol_times)[fwd].tolist(),
+        ((sizes[fwd] * 8) / cfg.backbone_rate_bps).tolist(),
+        mask.tolist() if keep is None else None,
     )
+    pos = order if keep is None else keep[order]  # policer-input positions
+    recv_ids = pol_ids[pos]
 
     trace_payload = None
     if pol_cols is not None:
         # Receiver point: delivered packets in arrival order, carrying
         # the restamped codepoint (EF conform / BE remark), exactly as
         # the engine's client tap records them.
-        ef_dscp = int(DSCP.EF)
-        be_dscp = int(DSCP.BE)
-        ef_by_id = dict(zip(surviving, is_ef))
-        recv_cols = {column: [] for column in RECEIVER_TRACE_COLUMNS}
-        for pid, t in zip(hop_ids, arr):
-            recv_cols["time"].append(t)
-            recv_cols["packet_id"].append(pid)
-            recv_cols["size"].append(sizes[pid])
-            recv_cols["frame_id"].append(fids[pid])
-            recv_cols["dscp"].append(ef_dscp if ef_by_id[pid] else be_dscp)
+        recv_cols = dict(zip(RECEIVER_TRACE_COLUMNS, (
+            recv_times.tolist(),
+            recv_ids.tolist(),
+            sched.sizes_arr[recv_ids].tolist(),
+            sched.fids_arr[recv_ids].tolist(),
+            np.where(mask[pos], int(DSCP.EF), int(DSCP.BE)).tolist(),
+        )))
         trace_payload = {
             "version": TRACE_SCHEMA_VERSION,
             "policer": pol_cols,
             "receiver": recv_cols,
         }
-
-    return FastPathSession(
-        send_times=np.asarray(sched.emit_times, dtype=np.float64),
-        recv_ids=recv_ids,
-        recv_times=recv_times,
-        policer_stats=stats,
-        server_messages=n_packets,
-        server_packets=n_packets,
-        server_bytes=int(np.sum(sched.sizes_arr)) if n_packets else 0,
-        received_packets=len(hop_ids),
-        received_bytes=received_bytes,
-        completion=completion,
-        first_arrival=first_arrival,
-        trace_payload=trace_payload,
-    )
+    return flow_session(encoded, sched, recv_ids, recv_times, stats, trace_payload)

@@ -13,6 +13,7 @@ conforms), and exact token==size equality at the first and last lane
 of the vectorized axis.
 """
 
+import dataclasses
 from itertools import accumulate
 
 import numpy as np
@@ -196,6 +197,26 @@ class TestBatchBoundarySpecs:
             if name == "elapsed_s":
                 continue
             assert getattr(engine, name) == getattr(batched[1], name), name
+
+    def test_one_byte_bucket_remarks_every_packet(self, monkeypatch):
+        # Every packet is remarked BE: a one-class stream on the
+        # backbone, served by FIFO hops in both fast lanes.
+        spec = self._grid(depth=1.0)[1]
+        spec = dataclasses.replace(spec, policer_action="remark")
+        [batched] = fastlane.run_batchpath([spec])
+        scalar = ResultSummary.from_result(run_experiment(spec), elapsed_s=0.0)
+        assert fastlane.stats.hits == 1
+        assert batched.remarked_packets > 0
+        assert batched.conformant_packets == 0
+        monkeypatch.setenv(fastlane.FASTPATH_ENV, "0")
+        engine = ResultSummary.from_result(
+            run_experiment(spec), elapsed_s=0.0
+        )
+        for name in engine.__dataclass_fields__:
+            if name == "elapsed_s":
+                continue
+            assert getattr(engine, name) == getattr(batched, name), name
+            assert getattr(engine, name) == getattr(scalar, name), name
 
     def test_fractional_rate_matches_engine(self, monkeypatch):
         spec = ExperimentSpec(

@@ -140,6 +140,26 @@ class TestAggregateSpec:
         with pytest.raises(ValueError, match="QBone"):
             AggregateSpec(flows=(_flow(testbed="local"),))
 
+    @pytest.mark.parametrize("field", ["token_rate_bps", "bucket_depth_bytes"])
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, float("nan"), float("inf")],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_rejects_bad_profile(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AggregateSpec(flows=(_flow(),), **{field: value})
+
+    def test_admission_frontier_rejects_bad_rate_before_running(self):
+        class Refuse(SerialRunner):
+            def run_batch(self, specs):
+                raise AssertionError("a bad profile reached the runner")
+
+        with pytest.raises(ValueError, match="token_rate_bps"):
+            admission_frontier(
+                _flow(), 2, token_rate_bps=float("nan"),
+                bucket_depth_bytes=3000.0, runner=Refuse(),
+            )
+
     def test_homogeneous_lifts_profile_from_base(self):
         base = _flow(token_rate_bps=mbps(2.5), bucket_depth_bytes=4500.0)
         agg = AggregateSpec.homogeneous(base, 3, spacing_s=0.5)
@@ -338,6 +358,12 @@ IDENTITY_CORPUS = [
         policer_action="remark",
         token_rate_bps=mbps(1.5), bucket_depth_bytes=3000.0,
     ),
+    # A 1 B bucket remarks every packet: a one-class BE stream, which
+    # the interleaved lane serves with FIFO hops.
+    AggregateSpec.homogeneous(
+        _flow(), 3, spacing_s=0.25, policer_action="remark",
+        token_rate_bps=mbps(1.9), bucket_depth_bytes=1.0,
+    ),
 ]
 
 
@@ -346,7 +372,7 @@ class TestBitIdentity:
         "agg", IDENTITY_CORPUS,
         ids=[
             "2flow-drop", "3flow-offsets", "hetero-remark", "per-flow",
-            "saturated-deep", "brim", "per-flow-remark",
+            "saturated-deep", "brim", "per-flow-remark", "remark-all-be",
         ],
     )
     def test_engine_and_interleaved_lanes_match(self, agg):

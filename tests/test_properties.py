@@ -1,10 +1,11 @@
 """Property-based tests (hypothesis) for core invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.diffserv.token_bucket import TokenBucket
 from repro.sim.engine import Engine
+from repro.sim.fastpath import _fifo_departs, _priority_link
 from repro.sim.queues import DropTailQueue, PriorityQueueSet
 from repro.sim.packet import Packet
 from repro.video.gop import GopStructure, decodable_frames
@@ -247,3 +248,47 @@ def test_renderer_invariants(n, lost, late):
     ).all()
     # 4. Frozen fraction within [0, 1].
     assert 0.0 <= trace.frozen_fraction <= 1.0
+
+
+# ----------------------------------------------------------------------
+# backbone hops
+# ----------------------------------------------------------------------
+@st.composite
+def one_class_stream(draw):
+    """Time-ordered arrivals with their transmission times.
+
+    Each arrival either lands exactly on the previous packet's finish
+    instant, joins a busy queue, or follows an idle gap; transmission
+    times include zero.
+    """
+    n = draw(st.integers(min_value=0, max_value=40))
+    tx = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.01)),
+        min_size=n, max_size=n,
+    ))
+    arrivals: list = []
+    now, free = 0.0, float("-inf")
+    for t in tx:
+        kind = draw(st.sampled_from(["tie", "queued", "idle"]))
+        if kind == "tie" and arrivals:
+            now = free
+        elif kind == "idle":
+            now = max(now, free) + draw(st.floats(min_value=1e-6, max_value=0.05))
+        else:
+            now = now + draw(st.sampled_from([0.0, 1e-4]))
+        arrivals.append(now)
+        free = (now if now > free else free) + t
+    return arrivals, tx
+
+
+@given(stream=one_class_stream(), ef=st.booleans())
+@settings(max_examples=400, deadline=None)
+@example(stream=([], []), ef=True)
+@example(stream=([0.0, 0.001, 0.001], [0.001, 0.0, 0.002]), ef=False)
+def test_priority_link_serves_one_class_as_fifo(stream, ef):
+    # The backbone serves a one-class stream with FIFO hops; this is
+    # the identity that makes that exact.
+    arrivals, tx = stream
+    departs, order = _priority_link(arrivals, tx, [ef] * len(arrivals))
+    assert order == list(range(len(arrivals)))
+    assert departs == _fifo_departs(arrivals, tx)
