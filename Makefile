@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TIMEOUT ?= 300
 TIMEOUT_OPTS = --timeout=$(TIMEOUT)
 
-.PHONY: check check-fast test test-fast test-recovery test-detect test-flows perf-smoke lint compile bench bench-figures
+.PHONY: check check-fast test test-fast test-recovery test-detect test-flows perf-smoke lint compile bench bench-figures perfbench-check
 
 # `test` already runs every suite under tests/ (recovery, detect,
 # flows included); the per-marker targets below are for targeted
@@ -70,3 +70,11 @@ bench:
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+
+# The benchmark's correctness gate: perfbench's traced pass for every
+# workload at each seed (output digests, pinned counts, span rules).
+# Prints each run's verdict and CHECK FAILED lines; fails if any run
+# is incorrect. Writes only under .perfbench/.
+SEEDS ?= 5 11
+perfbench-check:
+	$(PYTHON) tools/perfbench_check.py $(SEEDS)

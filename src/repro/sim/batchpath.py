@@ -11,13 +11,18 @@ seed — not on the policing profile. This module exploits that:
    computed once per (clip, encoding) group
    (:func:`repro.sim.fastpath.compute_schedule`), and the jitter
    replay once per seed — not per grid point.
-2. **Vectorized conformance scan.** The token-bucket recurrence runs
-   over a *lane axis*: one 2-D scan updates every (rate, depth) lane's
-   token level per packet instead of N independent 1-D scans. The
-   arithmetic is arranged so each lane performs the exact IEEE-754
-   operations of the scalar scan (a zero-elapsed refill adds ``0.0``
-   and re-clips at the depth, both bitwise no-ops under the invariant
-   ``tokens <= depth``), keeping the bit-identity contract.
+2. **Conformance scan by width.** Lanes that share one policer-input
+   stream are scanned together. A stream of
+   :data:`LANE_SCAN_MIN_LANES` lanes or more runs the token-bucket
+   recurrence over a *lane axis* (:func:`_lane_scan`): one 2-D scan
+   updates every (rate, depth) lane's token level per packet, with
+   the exact IEEE-754 operations of the scalar scan (a zero-elapsed
+   refill adds ``0.0`` and re-clips at the depth, both bitwise no-ops
+   under the invariant ``tokens <= depth``). A narrower stream, which
+   is what the campaign scheduler's windows and ``recommend`` submit,
+   scans each lane with :func:`~repro.sim.fastpath.bucket_fill` on
+   the stream's lists, converted once. Both give the verdict
+   ``fill >= sizes``, so the choice never moves a bit.
 3. **Outcome dedup.** Downstream of the scan, everything — policer
    accounting, the backbone traversal, playout, renderer, VQM — is a
    pure function of the conformance mask and the policer-input stream,
@@ -48,6 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.sim.fastpath import (
+    bucket_fill,
     build_session,
     compute_schedule,
     jitter_releases,
@@ -56,6 +62,15 @@ from repro.sim.fastpath import (
 )
 from repro.video.clips import encode_clip
 from repro.vqm.tool import VqmTool
+
+#: Fewest lanes on one policer-input stream that the 2-D
+#: :func:`_lane_scan` serves; narrower streams scan lane by lane with
+#: :func:`~repro.sim.fastpath.bucket_fill`. On the 11,506-packet
+#: ``lost`` stream, on 2-vCPU hosts, ``_lane_scan`` takes 40-108 ms at
+#: any width from 1 to 32 lanes and ``bucket_fill`` 3-7 ms per lane:
+#: per-lane scans win 5-11x at 2 lanes and 1.3-2.4x at 8, break even
+#: at 12-19 lanes depending on the host, and lose 1.5-3.4x at 32.
+LANE_SCAN_MIN_LANES = 16
 
 
 def _lane_scan(
@@ -75,11 +90,12 @@ def _lane_scan(
     under the invariant ``x <= depth`` that consumption preserves) — so
     the unconditional update is bit-identical.
 
-    This is the one grid kernel. Per-lane ``bucket_fill`` scans give
-    the same columns with one Python step per packet per lane: over the
-    64-point batch gate's 32 lanes per seed (11,506 ``lost`` packets)
-    they took 117-118 ms per seed against 65-76 ms here, on a 2-vCPU
-    host.
+    This is the one grid kernel. Its numpy calls cost about the same
+    per packet at any width, while per-lane ``bucket_fill`` scans cost
+    one Python step per packet per lane, so it wins only on wide
+    streams: :func:`_run_group` calls it from
+    :data:`LANE_SCAN_MIN_LANES` lanes up (the 64-point batch gate's
+    32 lanes per seed) and scans narrower streams lane by lane.
     """
     t = np.asarray(times, dtype=np.float64)
     n = len(t)
@@ -146,16 +162,30 @@ def _run_group(specs: list, vqm_tool: Optional[VqmTool]) -> list:
             ids = np.asarray(pol_ids, dtype=np.int64)
             sizes = sched.sizes_arr[ids]
             fids = sched.fids_arr[ids]
-            rate_bytes = np.array(
-                [specs[i].token_rate_bps / 8.0 for i in lanes], dtype=np.float64
-            )
-            depths = np.array(
-                [float(specs[i].bucket_depth_bytes) for i in lanes],
-                dtype=np.float64,
-            )
-            conform = _lane_scan(times, sizes.tolist(), rate_bytes, depths)
-            for col, i in enumerate(lanes):
-                mask = np.ascontiguousarray(conform[:, col])
+            size_list = sizes.tolist()
+            if len(lanes) < LANE_SCAN_MIN_LANES:
+                masks = [
+                    bucket_fill(
+                        pol_times,
+                        size_list,
+                        specs[i].token_rate_bps,
+                        specs[i].bucket_depth_bytes,
+                    )
+                    >= sizes
+                    for i in lanes
+                ]
+            else:
+                rate_bytes = np.array(
+                    [specs[i].token_rate_bps / 8.0 for i in lanes],
+                    dtype=np.float64,
+                )
+                depths = np.array(
+                    [float(specs[i].bucket_depth_bytes) for i in lanes],
+                    dtype=np.float64,
+                )
+                conform = _lane_scan(times, size_list, rate_bytes, depths)
+                masks = np.ascontiguousarray(conform.T)  # one row per lane
+            for i, mask in zip(lanes, masks):
                 key = (marker, mask.tobytes())
                 summary = outcome_cache.get(key)
                 if summary is None:

@@ -324,19 +324,29 @@ def jitter_releases(
     max_jitter = cfg.jitter_max_s
     burst_p = 0.004
     burst_lo, burst_hi = (0.001, 0.004)
+    # Bound once: each call returns a Python float. numpy computes
+    # exponential(scale) as scale * standard_exponential(), so the
+    # product below is the engine's draw, bit for bit, and the
+    # branches are its min() and max() clamps.
+    standard_exponential = rng.standard_exponential
+    random = rng.random
+    uniform = rng.uniform
     releases: list[float] = []
+    append = releases.append
     last_release = 0.0
     for a in campus_departs:
         jitter = 0.0
         if mean_jitter > 0:
-            jitter = min(float(rng.exponential(mean_jitter)), max_jitter)
-        if burst_p > 0 and rng.random() < burst_p:
-            jitter += float(rng.uniform(burst_lo, burst_hi))
+            jitter = mean_jitter * standard_exponential()
+            if jitter > max_jitter:
+                jitter = max_jitter
+        if burst_p > 0 and random() < burst_p:
+            jitter += uniform(burst_lo, burst_hi)
         release = a + base + jitter
         if release < last_release:
             release = last_release
         last_release = release
-        releases.append(release)
+        append(release)
     return releases
 
 
@@ -510,18 +520,34 @@ def backbone(
     exit order, ``tx`` its per-hop transmission time and ``is_ef`` its
     codepoint (``None``: all EF). Returns the client arrival instants
     and, in the same arrival order, each packet's input position. The
-    hops are identical strict-priority links with a fixed propagation
-    delay. A stream of one class (drop's pure EF, or remark where every
-    packet conforms or none does) has nothing to overtake, so each hop
-    is the FIFO recurrence, which serves it exactly as the priority
-    queue would, in identity order.
+    hops are three identical strict-priority links with a fixed
+    propagation delay. A stream of one class (drop's pure EF, or remark
+    where every packet conforms or none does) has nothing to overtake,
+    so each hop is the FIFO recurrence of :func:`_fifo_departs`, which
+    serves it exactly as the priority queue would, in identity order.
+    One pass over the packets carries all three hops' finish times:
+    FIFO hops keep the packet order, so the pass runs each hop's
+    recurrence on the same values, in the same order, as three
+    ``_fifo_departs`` passes would, in about half their time.
     """
+    if cfg.backbone_hops != 3:
+        raise ValueError(
+            f"the Abilene path has 3 backbone hops, not {cfg.backbone_hops}"
+        )
     prop = cfg.backbone_hop_delay_s
     n = len(arr)
     if is_ef is None or sum(is_ef) in (0, n):
-        for _hop in range(cfg.backbone_hops):
-            arr = [d + prop for d in _fifo_departs(arr, tx)]
-        return np.asarray(arr, dtype=np.float64), np.arange(n)
+        out: list[float] = []
+        append = out.append
+        free1 = free2 = free3 = float("-inf")
+        for a, t in zip(arr, tx):
+            free1 = (a if a > free1 else free1) + t
+            a = free1 + prop
+            free2 = (a if a > free2 else free2) + t
+            a = free2 + prop
+            free3 = (a if a > free3 else free3) + t
+            append(free3 + prop)
+        return np.asarray(out, dtype=np.float64), np.arange(n)
     order = list(range(n))
     for _hop in range(cfg.backbone_hops):
         departs, served = _priority_link(arr, tx, is_ef)

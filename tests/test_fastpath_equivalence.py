@@ -12,7 +12,9 @@ path cannot serve.
 """
 
 import random
+import zlib
 
+import numpy as np
 import pytest
 
 from repro.core import fastlane
@@ -20,7 +22,10 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.fastlane import FastpathUnsupported, qualifies_for_fastpath
 from repro.core.runner import ResultSummary
 from repro.server.videocharger import VideoChargerServer, message_schedule
+from repro.sim import batchpath
 from repro.sim.engine import Engine
+from repro.sim.fastpath import compute_schedule, jitter_releases
+from repro.testbeds.qbone import QBoneTestbedConfig
 from repro.units import mbps
 from repro.video.clips import encode_clip
 
@@ -177,6 +182,56 @@ class TestScheduleEquivalence:
             assert due == dues[m]  # bitwise, not approx
             m += 1
         assert m == len(lens)
+
+
+def _jitter_releases_oracle(campus_departs, seed, cfg):
+    """The jitter replay spelled as ``JitterElement.receive`` draws it:
+    ``exponential(mean)``, clamped with ``min``, then the burst draws."""
+    key = zlib.crc32(b"jitter") & 0x7FFFFFFF
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(key,))
+    )
+    base = 0.0005
+    mean_jitter = cfg.jitter_mean_s
+    max_jitter = cfg.jitter_max_s
+    burst_p = 0.004
+    burst_lo, burst_hi = (0.001, 0.004)
+    releases = []
+    last_release = 0.0
+    for a in campus_departs:
+        jitter = 0.0
+        if mean_jitter > 0:
+            jitter = min(float(rng.exponential(mean_jitter)), max_jitter)
+        if burst_p > 0 and rng.random() < burst_p:
+            jitter += float(rng.uniform(burst_lo, burst_hi))
+        release = a + base + jitter
+        if release < last_release:
+            release = last_release
+        last_release = release
+        releases.append(release)
+    return releases
+
+
+class TestJitterReplay:
+    """``jitter_releases`` draws the engine's stream, float for float."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            QBoneTestbedConfig(),
+            # Mean == max: about a third of the draws clip.
+            QBoneTestbedConfig(jitter_mean_s=0.002, jitter_max_s=0.002),
+            # No exponential draw: only the burst draws advance the stream.
+            QBoneTestbedConfig(jitter_mean_s=0.0),
+        ],
+        ids=["default", "clipping", "no-exponential"],
+    )
+    def test_matches_engine_spelling_over_seeds(self, cfg):
+        sched = compute_schedule(encode_clip("test-150", "mpeg1", mbps(1.7)), cfg)
+        for seed in [*range(50), 2**31 - 1, 10**12]:
+            expected = _jitter_releases_oracle(sched.campus_departs, seed, cfg)
+            got = jitter_releases(sched.campus_departs, seed, cfg)
+            assert got == expected, f"seed {seed}"
 
 
 NON_QUALIFYING = [
@@ -370,6 +425,41 @@ class TestBatchEquivalence:
         assert second.stats.simulated == 0
         for a, b in zip(batch_side, replayed):
             _assert_identical(a, b)
+
+    def test_wide_grid_lane_scan_matches_scalar_and_narrow_halves(
+        self, monkeypatch
+    ):
+        # 16 lanes per seed reach the 2-D lane scan; each seed's lanes
+        # run in two halves scan lane by lane. All three must agree.
+        rates = (1.2, 1.3, 1.4, 1.45, 1.5, 1.55, 1.6, 1.8)
+        grid = [
+            _spec(clip="test-150", encoding=1.5, rate=rate, depth=depth, seed=seed)
+            for seed in (0, 9)
+            for rate in rates
+            for depth in (3000.0, 4500.0)
+        ]
+        per_seed = len(grid) // 2
+        assert per_seed == batchpath.LANE_SCAN_MIN_LANES
+        widths = []
+        lane_scan = batchpath._lane_scan
+
+        def counted(times, sizes, rate_bytes, depths):
+            widths.append(len(rate_bytes))
+            return lane_scan(times, sizes, rate_bytes, depths)
+
+        monkeypatch.setattr(batchpath, "_lane_scan", counted)
+        wide = fastlane.run_batchpath(grid)
+        assert widths == [per_seed, per_seed]
+        halves = [
+            summary
+            for lo in range(0, len(grid), per_seed // 2)
+            for summary in fastlane.run_batchpath(grid[lo : lo + per_seed // 2])
+        ]
+        assert widths == [per_seed, per_seed]
+        assert len({s.dropped_packets for s in wide}) > 2  # distinct masks
+        for spec, wide_side, half_side in zip(grid, wide, halves):
+            _assert_identical(wide_side, half_side)
+            _assert_identical(_summary(spec, "1", monkeypatch), wide_side)
 
     def test_mode_zero_disables_coalescing(self, monkeypatch):
         from repro.core.runner import make_runner

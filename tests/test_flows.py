@@ -392,6 +392,67 @@ class TestBitIdentity:
         )
 
 
+def _cross_flow_ties(agg) -> int:
+    """Merged-stream neighbours of different flows at the same instant."""
+    times, _sizes, flows = multipath.merged_arrival_arrays(agg)
+    return int(((times[1:] == times[:-1]) & (flows[1:] != flows[:-1])).sum())
+
+
+class TestKnownLaneGaps:
+    """Known differences between the interleaved lane and the engine.
+
+    Each test states the bit-identity the lane owes and is expected to
+    fail until its defect is fixed. A fix changes outputs recorded in
+    ``perfbench/expected/flow_aggregates.json``, so it ships with a
+    re-record. ``raises=AssertionError`` keeps a broken precondition
+    (``pytest.fail``) from passing as the known failure.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "the interleaved lane's backbone hops have no queue bound; the "
+            "engine's PriorityScheduler drops EF packets past 1000 per level"
+        ),
+    )
+    def test_backbone_overflow_matches_engine(self):
+        # 96 x 1.7 Mbps puts ~163 Mbps into the 155 Mbps backbone: the
+        # engine drops 7,108 packets at the first Abilene hop (quality
+        # 1.098, frame loss 0.80); the interleaved lane delivers all.
+        agg = AggregateSpec.homogeneous(
+            _flow(seed=3), 96,
+            token_rate_bps=mbps(240.0), bucket_depth_bytes=150_000.0,
+        )
+        engine_side = run_engine_aggregate(agg)
+        if engine_side.client_packets == engine_side.server_packets:
+            pytest.fail("the engine's backbone no longer overflows here")
+        _assert_aggregate_identical(engine_side, run_multipath(agg))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "the merged stream breaks exact cross-flow ties by flow index; "
+            "the engine breaks them by event order"
+        ),
+    )
+    def test_cross_flow_ties_match_engine(self):
+        # Flows sharing a schedule tie whenever both jitter draws clip
+        # at jitter_max_s: 32 ties here and no queue drops, yet two
+        # flows' delay and jitter differ from the engine's.
+        agg = AggregateSpec.homogeneous(
+            _flow(seed=3), 40,
+            token_rate_bps=mbps(100.0), bucket_depth_bytes=150_000.0,
+        )
+        if not _cross_flow_ties(agg):
+            pytest.fail("the merged stream has no cross-flow ties")
+        engine_side = run_engine_aggregate(agg)
+        if engine_side.client_packets != engine_side.server_packets:
+            pytest.fail("the engine drops packets: not a pure tie case")
+        _assert_aggregate_identical(engine_side, run_multipath(agg))
+
+
 class TestFlowpathDispatch:
     def test_qualification_rejects_cross_traffic(self):
         clean = AggregateSpec.homogeneous(_flow(), 2)

@@ -1,17 +1,19 @@
 """Property-based tests (hypothesis) for core invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.diffserv.token_bucket import TokenBucket
 from repro.sim.engine import Engine
-from repro.sim.fastpath import _fifo_departs, _priority_link
+from repro.sim.fastpath import _fifo_departs, _priority_link, backbone
 from repro.sim.queues import DropTailQueue, PriorityQueueSet
 from repro.sim.packet import Packet
 from repro.video.gop import GopStructure, decodable_frames
 from repro.vqm.segments import SCORING_FRAMES, SEGMENT_OVERLAP, segment_plan
 from repro.client.renderer import RendererEmulation
 from repro.client.playout import ClientRecord, FrameRecord
+from repro.testbeds.qbone import QBoneTestbedConfig
 
 
 # ----------------------------------------------------------------------
@@ -292,3 +294,29 @@ def test_priority_link_serves_one_class_as_fifo(stream, ef):
     departs, order = _priority_link(arrivals, tx, [ef] * len(arrivals))
     assert order == list(range(len(arrivals)))
     assert departs == _fifo_departs(arrivals, tx)
+
+
+@given(stream=one_class_stream(), ef=st.sampled_from([None, True, False]))
+@settings(max_examples=400, deadline=None)
+@example(stream=([], []), ef=None)
+@example(stream=([0.0, 0.001, 0.001], [0.001, 0.0, 0.002]), ef=False)
+def test_backbone_one_pass_equals_three_fifo_hops(stream, ef):
+    # The one-pass loop carries all three hops' finish times; it must
+    # give the floats of three _fifo_departs passes plus propagation.
+    arrivals, tx = stream
+    cfg = QBoneTestbedConfig()
+    expected = arrivals
+    for _hop in range(3):
+        expected = [
+            d + cfg.backbone_hop_delay_s for d in _fifo_departs(expected, tx)
+        ]
+    is_ef = None if ef is None else [ef] * len(arrivals)
+    times, order = backbone(cfg, arrivals, tx, is_ef)
+    assert times.tolist() == expected
+    assert order.tolist() == list(range(len(arrivals)))
+
+
+def test_backbone_rejects_other_hop_counts():
+    cfg = QBoneTestbedConfig(backbone_hops=2)
+    with pytest.raises(ValueError, match="3 backbone hops"):
+        backbone(cfg, [0.0], [0.001])
