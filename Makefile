@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TIMEOUT ?= 300
 TIMEOUT_OPTS = --timeout=$(TIMEOUT)
 
-.PHONY: check check-fast test test-fast test-recovery test-detect test-flows perf-smoke lint compile bench bench-figures perfbench-check
+.PHONY: check check-fast test test-fast test-recovery test-detect test-flows perf-smoke lint compile bench bench-paper bench-figures perfbench-check
 
 # `test` already runs every suite under tests/ (recovery, detect,
 # flows included); the per-marker targets below are for targeted
@@ -67,6 +67,17 @@ bench:
 	REPRO_BENCH_COMMIT="$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
 	REPRO_BENCH_TIMESTAMP="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 	$(PYTHON) -m pytest -q -s benchmarks/perf $(TIMEOUT_OPTS)
+
+# Paper-set ledger: every figure/table bench under benchmarks/ run cold
+# (result cache off, a fresh temporary cache dir, pytest-benchmark's
+# timing off) with its wall seconds written to BENCH_paper.json by
+# tools/paper_ledger.py.
+bench-paper:
+	@cache="$$(mktemp -d)"; \
+	REPRO_BENCH_CACHE=0 REPRO_CACHE_DIR="$$cache" \
+	$(PYTHON) -m pytest -q -p tools.paper_ledger benchmarks \
+		--ignore=benchmarks/perf --benchmark-disable $(TIMEOUT_OPTS); \
+	status=$$?; rm -rf "$$cache"; exit $$status
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

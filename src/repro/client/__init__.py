@@ -9,13 +9,12 @@ algorithm).
 """
 
 from repro.client.reassembly import DatagramReassembler
-from repro.client.playout import PlayoutClient, FrameRecord, ClientRecord
+from repro.client.playout import PlayoutClient, ClientRecord
 from repro.client.renderer import RendererEmulation, DisplayTrace
 
 __all__ = [
     "DatagramReassembler",
     "PlayoutClient",
-    "FrameRecord",
     "ClientRecord",
     "RendererEmulation",
     "DisplayTrace",

@@ -33,23 +33,21 @@ from repro.video.gop import GopStructure, decodable_mask
 from repro.video.mpeg import EncodedClip
 
 
-@dataclass(frozen=True)
-class FrameRecord:
-    """One row of the storage filter's "parallel ASCII file"."""
-
-    frame_id: int
-    arrival_time: Optional[float]  # completion time; None = never arrived
-    presentation_time: float
-    decodable: bool
-
-
 @dataclass
 class ClientRecord:
-    """Everything the offline analysis needs about one session."""
+    """Everything the offline analysis needs about one session.
+
+    The storage filter's per-frame timing file, as three parallel
+    columns indexed by frame id: ``arrival`` (completion time, NaN
+    for a frame that never arrived), ``presentation`` (nominal
+    presentation time) and ``decodable``.
+    """
 
     n_frames: int
     fps: float
-    records: list[FrameRecord]
+    arrival: np.ndarray
+    presentation: np.ndarray
+    decodable: np.ndarray
     startup_delay: float
     first_arrival_time: float
 
@@ -62,11 +60,9 @@ class ClientRecord:
         presentation time contribute their overshoot. This is the
         delay half of the recovery trade-off.
         """
-        late = [
-            max(0.0, r.arrival_time - r.presentation_time)
-            for r in self.records
-            if r.arrival_time is not None
-        ]
+        arrived = ~np.isnan(self.arrival)
+        overshoot = self.arrival[arrived] - self.presentation[arrived]
+        late = np.maximum(overshoot, 0.0).tolist()
         return sum(late) / len(late) if late else 0.0
 
     @property
@@ -77,24 +73,16 @@ class ClientRecord:
         figures: frames that never completed *or* completed but were
         undecodable.
         """
-        lost = sum(
-            1
-            for r in self.records
-            if r.arrival_time is None or not r.decodable
-        )
+        lost = int(np.count_nonzero(np.isnan(self.arrival) | ~self.decodable))
         return lost / self.n_frames if self.n_frames else 0.0
 
     def arrival_array(self) -> np.ndarray:
-        """Per-frame arrival times; NaN for lost frames."""
-        out = np.full(self.n_frames, np.nan)
-        for r in self.records:
-            if r.arrival_time is not None and r.decodable:
-                out[r.frame_id] = r.arrival_time
-        return out
+        """Per-frame arrival times; NaN for lost or undecodable frames."""
+        return np.where(self.decodable, self.arrival, np.nan)
 
     def presentation_array(self) -> np.ndarray:
         """Per-frame nominal presentation times."""
-        return np.array([r.presentation_time for r in self.records])
+        return self.presentation.copy()
 
 
 class PlayoutClient:
@@ -153,10 +141,9 @@ class PlayoutClient:
 
         n = clip.n_frames
         if expected_frame_bytes is None:
-            expected_frame_bytes = np.array(
-                [f.size_bytes for f in clip.frames], dtype=np.int64
-            )
-        self._expected = expected_frame_bytes.astype(np.int64).copy()
+            expected_frame_bytes = clip.frame_sizes
+        # Own copy: a ``frame_total`` annotation rewrites entries.
+        self._expected = np.array(expected_frame_bytes, dtype=np.int64)
         self._received_bytes = np.zeros(n, dtype=np.int64)
         self._completion = np.full(n, np.nan)
         self._first_arrival: Optional[float] = None
@@ -278,34 +265,29 @@ class PlayoutClient:
     # offline record
     # ------------------------------------------------------------------
     def finalize(self) -> ClientRecord:
-        """Close the session and emit the storage-filter record."""
+        """Close the session and emit the storage-filter record.
+
+        The one place a :class:`ClientRecord` is built: the engine and
+        every fast lane finalize through here. The record's columns
+        are fresh arrays: presentation is ``(t0 + startup) + f / fps``
+        elementwise, arrivals are a copy of the completion array (NaN
+        where a frame never completed), and decodability follows the
+        GOP chain (or completion alone in ``independent`` mode).
+        """
         n = self.clip.n_frames
         t0 = self._first_arrival if self._first_arrival is not None else 0.0
-        complete = ~np.isnan(self._completion[:n])
+        arrival = self._completion[:n].copy()
+        complete = ~np.isnan(arrival)
         if self.decode_mode == "gop":
             decodable = decodable_mask(complete, self.gop)
         else:
-            decodable = complete.copy()
-        # Vectorized bookkeeping with the same float ops as the per-frame
-        # form: presentation is (t0 + startup) + f / fps elementwise, and
-        # arrivals come straight off the completion array.
-        base = t0 + self.startup_delay
-        presentation = (base + np.arange(n) / self.clip.fps).tolist()
-        completion = self._completion[:n].tolist()
-        dec_list = decodable.tolist()
-        records = [
-            FrameRecord(
-                frame_id=f,
-                arrival_time=None if c != c else c,  # NaN -> never arrived
-                presentation_time=presentation[f],
-                decodable=dec_list[f],
-            )
-            for f, c in enumerate(completion)
-        ]
+            decodable = complete
         return ClientRecord(
             n_frames=n,
             fps=self.clip.fps,
-            records=records,
+            arrival=arrival,
+            presentation=(t0 + self.startup_delay) + np.arange(n) / self.clip.fps,
+            decodable=decodable,
             startup_delay=self.startup_delay,
             first_arrival_time=t0,
         )

@@ -96,14 +96,15 @@ class RendererEmulation:
 
         display: list[int] = []
         last_shown = -1
-        for rec in record.records:
-            f = rec.frame_id
+        decodable = record.decodable.tolist()
+        for f, arrival in enumerate(record.arrival.tolist()):
             scheduled = playback_start + shift + f / fps
-            if rec.arrival_time is None or not rec.decodable:
-                # Lost frame: its slot shows a repeat; timeline moves on.
+            if arrival != arrival or not decodable[f]:
+                # Lost frame (NaN: never arrived, or undecodable): its
+                # slot shows a repeat; timeline moves on.
                 display.append(last_shown)
                 continue
-            if rec.arrival_time <= scheduled:
+            if arrival <= scheduled:
                 display.append(f)
                 last_shown = f
                 continue
@@ -111,7 +112,7 @@ class RendererEmulation:
             # the playback point — the "offset" going negative in the
             # paper's script, answered by inserting previous-frame
             # copies.
-            stall = rec.arrival_time - scheduled + self.resume_buffer_s
+            stall = arrival - scheduled + self.resume_buffer_s
             if stall > self.max_stall_s:
                 # Session is hopeless from here on; screen freezes.
                 remaining = n - f

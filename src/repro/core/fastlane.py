@@ -227,9 +227,11 @@ def result_from_session(
 ) -> ExperimentResult:
     """Offline stages shared by the scalar and batched fast lanes.
 
-    A real PlayoutClient finalizes the session so FrameRecord
-    construction and GOP decodability are literally the same code as
-    the engine path; only the per-packet bookkeeping was vectorized.
+    A real PlayoutClient finalizes the session, so the columnar
+    :class:`~repro.client.playout.ClientRecord` and GOP decodability
+    come from literally the same code as the engine path (only the
+    per-packet bookkeeping was vectorized), and the renderer and VQM
+    read its arrays exactly as they read an engine session's.
     """
     client = PlayoutClient(
         None,

@@ -19,6 +19,7 @@ accessor that the validation suite and the CLI's accuracy report use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,12 +65,33 @@ class FlowTrace:
         """Packets observed entering the bottleneck."""
         return len(self.packet_ids)
 
+    @cached_property
+    def _received_view(self) -> tuple:
+        """Send-order ``(delivered, dscp)``; NaN DSCP where not delivered.
+
+        One sorted-id lookup of ``received_dscp``, so a receiver id seen
+        twice keeps the dict's rule (the last DSCP wins). DSCPs are held
+        as float64 (exact for any codepoint) with a missing codepoint as
+        NaN, which compares like ``None``: equal to nothing, unequal to
+        everything.
+        """
+        ids = np.fromiter(
+            self.received_dscp.keys(), dtype=np.int64, count=len(self.received_dscp)
+        )
+        dscps = np.array(list(self.received_dscp.values()), dtype=np.float64)
+        order = np.argsort(ids)
+        ids, dscps = ids[order], dscps[order]
+        delivered = np.zeros(self.n_sent, dtype=bool)
+        dscp = np.full(self.n_sent, np.nan)
+        if len(ids):
+            pos = np.minimum(np.searchsorted(ids, self.packet_ids), len(ids) - 1)
+            delivered = ids[pos] == self.packet_ids
+            dscp[delivered] = dscps[pos[delivered]]
+        return delivered, dscp
+
     def delivered_mask(self) -> np.ndarray:
         """Send-order mask: did the packet reach the receiver?"""
-        return np.array(
-            [int(pid) in self.received_dscp for pid in self.packet_ids],
-            dtype=bool,
-        )
+        return self._received_view[0].copy()
 
     def conformance_mask(self, conform_dscp: int) -> np.ndarray:
         """Send-order mask: delivered *and* carrying the conform DSCP.
@@ -78,24 +100,12 @@ class FlowTrace:
         dropped packet is missing, a remarked one arrives with a
         different codepoint, and both count as non-conformant.
         """
-        return np.array(
-            [
-                self.received_dscp.get(int(pid)) == conform_dscp
-                for pid in self.packet_ids
-            ],
-            dtype=bool,
-        )
+        return self._received_view[1] == conform_dscp
 
     def remarked_mask(self, conform_dscp: int) -> np.ndarray:
         """Send-order mask: delivered but with a non-conform DSCP."""
-        return np.array(
-            [
-                int(pid) in self.received_dscp
-                and self.received_dscp[int(pid)] != conform_dscp
-                for pid in self.packet_ids
-            ],
-            dtype=bool,
-        )
+        delivered, dscp = self._received_view
+        return delivered & (dscp != conform_dscp)
 
 
 def ground_truth_verdicts(payload: dict) -> list:

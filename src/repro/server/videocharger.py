@@ -53,7 +53,7 @@ def message_schedule(
     (same dtypes, same IEEE-754 rounding), so event-driven and
     fast-path runs see bit-identical timestamps.
     """
-    sizes = np.array([f.size_bytes for f in clip.frames], dtype=np.int64)
+    sizes = clip.frame_sizes
     mb = int(message_bytes)
     counts = (sizes + mb - 1) // mb  # messages per frame (0 for empty frames)
     total = int(counts.sum())

@@ -586,9 +586,7 @@ def flow_session(
         # First crossing of the expected byte count, per frame, in
         # arrival order: stable-group by frame, running sum within the
         # group, first index meeting the frame's expected payload.
-        expected = np.array(
-            [f.size_bytes for f in encoded.frames], dtype=np.int64
-        )
+        expected = encoded.frame_sizes
         order = np.argsort(d_fid, kind="stable")
         fid_s = d_fid[order]
         pay_s = d_pay[order]

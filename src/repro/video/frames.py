@@ -406,15 +406,50 @@ class FrameFeatures:
             scene_ids=versions[0].scene_ids,
         )
 
+    def consecutive_ti(self) -> np.ndarray:
+        """``ti_between(j - 1, j)`` for every frame ``j``; entry 0 is 0.
+
+        Built once per instance and cached on it, like the pair memo.
+        Bit-identical to the scalar method: each ``y_std[i] ** 2`` is
+        the same float32 *scalar* power ``ti_between`` computes (numpy's
+        float32 array power rounds some inputs differently, e.g. bits
+        ``0x3e7f23bf``), and the rest is elementwise float32 add and
+        sqrt widened to float64, then within a scene the float64
+        minimum against the measured step.
+        """
+        column = self.__dict__.get("_consecutive_ti")
+        if column is None:
+            squares = np.array([v ** 2 for v in self.y_std], dtype=np.float32)
+            bound = np.sqrt(squares[:-1] + squares[1:]).astype(np.float64)
+            step = np.abs(self.ti[1:].astype(np.float64))
+            same_scene = self.scene_ids[1:] == self.scene_ids[:-1]
+            column = np.zeros(self.n_frames, dtype=np.float64)
+            column[1:] = np.where(same_scene, np.minimum(step, bound), bound)
+            self.__dict__["_consecutive_ti"] = column
+        return column
+
     def ti_for_display_sequence(self, display: np.ndarray) -> np.ndarray:
-        """TI stream of a rendered display sequence.
+        """TI stream of a rendered display sequence (float32).
 
         ``display[k]`` is the source frame index shown at presentation
-        slot ``k`` (repeats model renderer freezes). Element 0 is 0.
+        slot ``k``: repeats model renderer freezes and ``-1`` a dark
+        screen. Element 0 is 0. Slot ``k`` reads:
+
+        * a frozen or dark slot — 0;
+        * dark to picture — the picture's ``y_std`` (all of it is new);
+        * the next frame — :meth:`consecutive_ti`;
+        * any other jump — :meth:`ti_between`.
         """
-        display = np.asarray(display)
-        n = len(display)
-        out = np.zeros(n, dtype=np.float32)
-        for k in range(1, n):
-            out[k] = self.ti_between(int(display[k - 1]), int(display[k]))
+        display = np.asarray(display, dtype=np.int64)
+        out = np.zeros(len(display), dtype=np.float32)
+        prev, cur = display[:-1], display[1:]
+        slots = out[1:]  # view: slot k + 1 of ``out``
+        shown = cur >= 0
+        from_dark = shown & (prev < 0)
+        moved = shown & (prev >= 0) & (cur != prev)
+        step = moved & (cur == prev + 1)
+        slots[from_dark] = self.y_std[cur[from_dark]]
+        slots[step] = self.consecutive_ti()[cur[step]]
+        for k in np.flatnonzero(moved & ~step).tolist():
+            slots[k] = self.ti_between(int(prev[k]), int(cur[k]))
         return out

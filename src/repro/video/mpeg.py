@@ -75,6 +75,8 @@ class EncodedClip:
     frames: list[EncodedFrame]
     transport_slots: np.ndarray
 
+    #: Per-frame byte counts (``frames[f].size_bytes``), read-only.
+    frame_sizes: np.ndarray = field(init=False, repr=False)
     _frame_byte_starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -83,6 +85,8 @@ class EncodedClip:
             raise ValueError(
                 "frame sizes and transport schedule disagree on stream length"
             )
+        sizes.flags.writeable = False
+        self.frame_sizes = sizes
         self._frame_byte_starts = np.concatenate([[0], np.cumsum(sizes)])
 
     @property

@@ -8,7 +8,8 @@ and clip-level quality scores plus the parameters behind them.
 The received feature streams are constructed on the display timeline:
 slot ``k`` carries the features of whichever encoded frame was shown
 there (repeats repeat features; the TI stream is rebuilt from the
-display sequence so freezes read as zero motion and skips as jumps).
+display sequence by :meth:`FrameFeatures.ti_for_display_sequence`, so
+freezes read as zero motion and skips as jumps).
 """
 
 from __future__ import annotations
@@ -126,21 +127,13 @@ class VqmTool:
         frozen[1:] = idx[1:] == idx[:-1]
         frozen[idx < 0] = True  # dark screen counts as frozen
 
-        ti = np.zeros(n, dtype=np.float32)
-        changed = np.nonzero(~frozen[1:])[0] + 1
-        for k in changed:
-            if idx[k - 1] >= 0 and idx[k] >= 0:
-                ti[k] = encoding.ti_between(int(idx[k - 1]), int(idx[k]))
-            elif idx[k] >= 0:
-                ti[k] = encoding.y_std[idx[k]]  # dark -> picture
-
         return {
             "si": mapped(encoding.si, 0.0),
             "hv": mapped(encoding.hv, 0.0),
             "y_mean": mapped(encoding.y_mean, 0.0),
             "u_mean": mapped(encoding.u_mean, 0.5),
             "v_mean": mapped(encoding.v_mean, 0.5),
-            "ti": ti,
+            "ti": encoding.ti_for_display_sequence(idx),
             "frozen": frozen,
         }
 

@@ -1,15 +1,23 @@
 """Tests for reassembly, playout capture, and the renderer emulation."""
 
+import math
+import struct
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Optional
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.client.playout import ClientRecord, FrameRecord, PlayoutClient
+from repro.client.playout import ClientRecord, PlayoutClient
 from repro.client.reassembly import DatagramReassembler
 from repro.client.renderer import RendererEmulation
 from repro.diffserv.policer import DROP_REASON_TOKENS, PolicerDrop
 from repro.sim.node import Host
 from repro.sim.packet import Packet
 from repro.units import UDP_IP_HEADER
+from repro.video.gop import decodable_mask
 
 
 def fragment(engine, datagram_id, index, count, size=1500, frame_id=0):
@@ -106,7 +114,7 @@ class TestPlayoutClient:
             )
             sent += payload
         record = client.finalize()
-        assert record.records[0].arrival_time is not None
+        assert not np.isnan(record.arrival[0])
 
     def test_partial_frame_never_completes(self, engine, small_clip_mpeg):
         client = PlayoutClient(engine, small_clip_mpeg)
@@ -114,7 +122,7 @@ class TestPlayoutClient:
             Packet(packet_id=0, flow_id="v", size=100 + UDP_IP_HEADER, frame_id=0)
         )
         record = client.finalize()
-        assert record.records[0].arrival_time is None
+        assert np.isnan(record.arrival[0])
 
     def test_gop_propagation_in_finalize(self, engine, small_clip_mpeg):
         """Deliver every frame except the first I: entire GOP is lost."""
@@ -122,7 +130,7 @@ class TestPlayoutClient:
         for frame in small_clip_mpeg.frames[1:]:
             client.on_tcp_deliver(frame.frame_id, frame.size_bytes, 0.1)
         record = client.finalize()
-        decodable = [r.decodable for r in record.records]
+        decodable = record.decodable.tolist()
         assert not any(decodable[:15])
         assert all(decodable[15:])
 
@@ -131,8 +139,8 @@ class TestPlayoutClient:
         for frame in small_clip_mpeg.frames[1:]:
             client.on_tcp_deliver(frame.frame_id, frame.size_bytes, 0.1)
         record = client.finalize()
-        assert not record.records[0].decodable
-        assert all(r.decodable for r in record.records[1:])
+        assert not record.decodable[0]
+        assert record.decodable[1:].all()
 
     def test_lost_frame_fraction(self, engine, small_clip_mpeg):
         client = PlayoutClient(engine, small_clip_mpeg, decode_mode="independent")
@@ -147,8 +155,8 @@ class TestPlayoutClient:
         client = PlayoutClient(engine, small_clip_mpeg, startup_delay=2.0)
         client.on_tcp_deliver(0, small_clip_mpeg.frames[0].size_bytes, 5.0)
         record = client.finalize()
-        assert record.records[0].presentation_time == pytest.approx(7.0)
-        assert record.records[30].presentation_time == pytest.approx(
+        assert record.presentation[0] == pytest.approx(7.0)
+        assert record.presentation[30] == pytest.approx(
             7.0 + 30 / small_clip_mpeg.fps
         )
 
@@ -160,7 +168,7 @@ class TestPlayoutClient:
         packet.annotations["frame_total"] = 500
         client.receive(packet)
         record = client.finalize()
-        assert record.records[0].arrival_time is not None
+        assert not np.isnan(record.arrival[0])
 
     def test_feedback_reports_loss_fraction(self, engine, small_clip_mpeg):
         reports = []
@@ -193,19 +201,12 @@ def make_record(arrivals, fps=30.0, startup=1.0, decodable=None):
     n = len(arrivals)
     decodable = decodable if decodable is not None else [a is not None for a in arrivals]
     t0 = min(a for a in arrivals if a is not None)
-    records = [
-        FrameRecord(
-            frame_id=i,
-            arrival_time=arrivals[i],
-            presentation_time=t0 + startup + i / fps,
-            decodable=decodable[i],
-        )
-        for i in range(n)
-    ]
     return ClientRecord(
         n_frames=n,
         fps=fps,
-        records=records,
+        arrival=np.array([np.nan if a is None else a for a in arrivals]),
+        presentation=(t0 + startup) + np.arange(n) / fps,
+        decodable=np.array(decodable, dtype=bool),
         startup_delay=startup,
         first_arrival_time=t0,
     )
@@ -274,3 +275,154 @@ class TestRenderer:
         arrivals[5] = None
         trace = RendererEmulation().replay(make_record(arrivals))
         assert trace.frozen_fraction == pytest.approx(2 / 9)
+
+
+# ----------------------------------------------------------------------
+# Columnar record vs the per-frame record it replaced
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class OracleFrameRecord:
+    """One row of the per-frame record the columnar one replaced."""
+
+    frame_id: int
+    arrival_time: Optional[float]  # None = never arrived
+    presentation_time: float
+    decodable: bool
+
+
+def oracle_records(completion, t0, startup, fps, decodable):
+    """The per-frame ``finalize`` bookkeeping, row by row."""
+    presentation = ((t0 + startup) + np.arange(len(completion)) / fps).tolist()
+    return [
+        OracleFrameRecord(
+            frame_id=f,
+            arrival_time=None if c != c else c,
+            presentation_time=presentation[f],
+            decodable=d,
+        )
+        for f, (c, d) in enumerate(zip(completion.tolist(), decodable.tolist()))
+    ]
+
+
+def oracle_views(records):
+    """``(lost_frame_fraction, mean_lateness_s, arrival_array)`` per row."""
+    n = len(records)
+    lost = sum(1 for r in records if r.arrival_time is None or not r.decodable)
+    late = [
+        max(0.0, r.arrival_time - r.presentation_time)
+        for r in records
+        if r.arrival_time is not None
+    ]
+    arrivals = np.full(n, np.nan)
+    for r in records:
+        if r.arrival_time is not None and r.decodable:
+            arrivals[r.frame_id] = r.arrival_time
+    return (
+        lost / n if n else 0.0,
+        sum(late) / len(late) if late else 0.0,
+        arrivals,
+    )
+
+
+def oracle_replay(records, fps, t0, startup, max_stall_s, resume_buffer_s):
+    """The renderer's Figure 2 walk over per-frame rows."""
+    slot = 1.0 / fps
+    n = len(records)
+    playback_start = t0 + startup
+    shift = total_stall = 0.0
+    rebuffers = 0
+    display = []
+    last_shown = -1
+    for rec in records:
+        f = rec.frame_id
+        scheduled = playback_start + shift + f / fps
+        if rec.arrival_time is None or not rec.decodable:
+            display.append(last_shown)
+            continue
+        if rec.arrival_time <= scheduled:
+            display.append(f)
+            last_shown = f
+            continue
+        stall = rec.arrival_time - scheduled + resume_buffer_s
+        if stall > max_stall_s:
+            display.extend([last_shown] * (n - f))
+            total_stall += stall
+            rebuffers += 1
+            break
+        stall_slots = math.ceil(stall / slot)
+        display.extend([last_shown] * stall_slots)
+        shift += stall_slots * slot
+        total_stall += stall_slots * slot
+        rebuffers += 1
+        display.append(f)
+        last_shown = f
+    return np.array(display, dtype=np.int64), total_stall, rebuffers
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@given(
+    completion=st.lists(
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=40.0)),
+        min_size=1,
+        max_size=75,
+    ),
+    lead=st.floats(min_value=0.0, max_value=1.0),
+    startup=st.floats(min_value=0.0, max_value=5.0),
+    fps=st.sampled_from([25.0, 29.97, 30.0]),
+    decode_mode=st.sampled_from(["gop", "independent"]),
+    max_stall_s=st.sampled_from([0.5, 2.0, 10.0]),
+    resume_buffer_s=st.sampled_from([0.0, 0.1, 1.5]),
+)
+@example(  # a late frame past max_stall_s ends the session
+    completion=[0.0, 0.01, 30.0, 30.1],
+    lead=0.0, startup=1.0, fps=30.0, decode_mode="independent",
+    max_stall_s=10.0, resume_buffer_s=0.0,
+)
+@example(  # undecodable arrivals behind a lost anchor, stall with resume buffer
+    completion=[None] + [0.5 + 0.04 * f for f in range(1, 20)] + [3.0, 3.1],
+    lead=0.2, startup=0.5, fps=25.0, decode_mode="gop",
+    max_stall_s=2.0, resume_buffer_s=0.1,
+)
+@settings(max_examples=150, deadline=None)
+def test_columnar_record_matches_per_frame_oracle(
+    completion, lead, startup, fps, decode_mode, max_stall_s, resume_buffer_s
+):
+    """Columnar finalize and replay are bit-identical to the per-frame rows."""
+    n = len(completion)
+    completion = np.array([np.nan if c is None else c for c in completion])
+    arrived = completion[~np.isnan(completion)]
+    first = float(arrived.min()) - lead if len(arrived) else None
+    clip = SimpleNamespace(
+        n_frames=n, fps=fps, frame_sizes=np.ones(n, dtype=np.int64)
+    )
+    client = PlayoutClient(None, clip, startup_delay=startup, decode_mode=decode_mode)
+    client._completion = completion.copy()
+    client._first_arrival = first
+    record = client.finalize()
+
+    t0 = first if first is not None else 0.0
+    complete = ~np.isnan(completion)
+    decodable = decodable_mask(complete) if decode_mode == "gop" else complete
+    rows = oracle_records(completion, t0, startup, fps, decodable)
+    lost, lateness, arrivals = oracle_views(rows)
+
+    assert float_bits(record.lost_frame_fraction) == float_bits(lost)
+    assert float_bits(record.mean_lateness_s) == float_bits(lateness)
+    assert record.arrival_array().tobytes() == arrivals.tobytes()
+    assert record.presentation_array().tobytes() == np.array(
+        [r.presentation_time for r in rows]
+    ).tobytes()
+
+    trace = RendererEmulation(
+        max_stall_s=max_stall_s, resume_buffer_s=resume_buffer_s
+    ).replay(record)
+    display, total_stall, rebuffers = oracle_replay(
+        rows, fps, t0, startup, max_stall_s, resume_buffer_s
+    )
+    assert trace.display.dtype == display.dtype
+    assert np.array_equal(trace.display, display)
+    assert float_bits(trace.total_stall_s) == float_bits(total_stall)
+    assert trace.rebuffer_events == rebuffers

@@ -176,6 +176,46 @@ class TestFlowTrace:
         assert trace.conformance_mask(EF).tolist() == [True, False, False]
         assert trace.remarked_mask(EF).tolist() == [False, True, False]
 
+    def test_masks_last_receiver_dscp_wins(self):
+        """A receiver id seen twice keeps its last DSCP, as a dict does."""
+        payload = tiny_payload()
+        receiver = payload["receiver"]
+        receiver["time"] += [0.012, 0.013]
+        receiver["packet_id"] += [1, 0]
+        receiver["size"] += [1500.0, 1500.0]
+        receiver["frame_id"] += [0, 0]
+        receiver["dscp"] += [EF, BE]
+        trace = FlowTrace.from_payload(payload)
+        assert trace.delivered_mask().tolist() == [True, True, False]
+        assert trace.conformance_mask(EF).tolist() == [False, True, False]
+        assert trace.remarked_mask(EF).tolist() == [True, False, False]
+
+    def test_masks_unsorted_ids_and_unmarked_arrivals(self):
+        trace = FlowTrace(
+            times=np.zeros(4),
+            sizes=np.full(4, 1500.0),
+            packet_ids=np.array([7, 2, 9, 5], dtype=np.int64),
+            received_dscp={9: EF, 2: None, 7: BE},
+        )
+        assert trace.delivered_mask().tolist() == [True, True, True, False]
+        assert trace.conformance_mask(EF).tolist() == [False, False, True, False]
+        assert trace.remarked_mask(EF).tolist() == [True, True, False, False]
+
+    @pytest.mark.parametrize("action", ["drop", "remark"])
+    def test_masks_match_per_packet_lookup(self, action):
+        spec = dataclasses.replace(TRACE_SPEC, policer_action=action)
+        trace = FlowTrace.from_payload(run_experiment(spec).extras["flow_trace"])
+        seen = trace.received_dscp
+        ids = [int(pid) for pid in trace.packet_ids]
+        assert trace.delivered_mask().tolist() == [pid in seen for pid in ids]
+        assert trace.conformance_mask(EF).tolist() == [
+            seen.get(pid) == EF for pid in ids
+        ]
+        assert trace.remarked_mask(EF).tolist() == [
+            pid in seen and seen[pid] != EF for pid in ids
+        ]
+        assert not trace.conformance_mask(EF).all()
+
     def test_rejects_unknown_schema_version(self):
         payload = tiny_payload()
         payload["version"] = 999

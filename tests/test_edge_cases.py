@@ -76,24 +76,19 @@ class TestClientRecordViews:
         client.on_tcp_deliver(0, size, 1.0)
         client.on_tcp_deliver(0, size, 2.0)  # retransmitted duplicate
         record = client.finalize()
-        assert record.records[0].arrival_time == 1.0
+        assert record.arrival[0] == 1.0
 
 
 class TestRendererDegenerate:
     def test_single_frame_clip(self):
-        from repro.client.playout import ClientRecord, FrameRecord
+        from repro.client.playout import ClientRecord
 
         record = ClientRecord(
             n_frames=1,
             fps=30.0,
-            records=[
-                FrameRecord(
-                    frame_id=0,
-                    arrival_time=0.0,
-                    presentation_time=1.0,
-                    decodable=True,
-                )
-            ],
+            arrival=np.array([0.0]),
+            presentation=np.array([1.0]),
+            decodable=np.array([True]),
             startup_delay=1.0,
             first_arrival_time=0.0,
         )
@@ -126,7 +121,7 @@ class TestPlayoutIgnoresForeignPackets:
         )
         assert client.received_packets == 1
         record = client.finalize()
-        assert all(r.arrival_time is None for r in record.records)
+        assert np.isnan(record.arrival).all()
 
 
 class TestSpecValidationSurface:

@@ -12,7 +12,7 @@ from repro.sim.packet import Packet
 from repro.video.gop import GopStructure, decodable_frames
 from repro.vqm.segments import SCORING_FRAMES, SEGMENT_OVERLAP, segment_plan
 from repro.client.renderer import RendererEmulation
-from repro.client.playout import ClientRecord, FrameRecord
+from repro.client.playout import ClientRecord
 from repro.testbeds.qbone import QBoneTestbedConfig
 
 
@@ -211,30 +211,20 @@ def test_segment_plan_invariants(n):
 @settings(max_examples=80, deadline=None)
 def test_renderer_invariants(n, lost, late):
     fps = 30.0
-    records = []
-    for f in range(n):
-        if f in lost:
-            arrival = None
-        else:
-            arrival = f / fps + late.get(f, 0.0)
-        records.append(
-            FrameRecord(
-                frame_id=f,
-                arrival_time=arrival,
-                presentation_time=1.0 + f / fps,
-                decodable=arrival is not None,
-            )
-        )
-    if all(r.arrival_time is None for r in records):
+    arrival = np.array(
+        [np.nan if f in lost else f / fps + late.get(f, 0.0) for f in range(n)]
+    )
+    arrived = ~np.isnan(arrival)
+    if not arrived.any():
         return  # nothing ever arrives; replay needs a first arrival
     record = ClientRecord(
         n_frames=n,
         fps=fps,
-        records=records,
+        arrival=arrival,
+        presentation=1.0 + np.arange(n) / fps,
+        decodable=arrived,
         startup_delay=1.0,
-        first_arrival_time=min(
-            r.arrival_time for r in records if r.arrival_time is not None
-        ),
+        first_arrival_time=float(arrival[arrived].min()),
     )
     trace = RendererEmulation().replay(record)
     # 1. At least as many display slots as source frames.

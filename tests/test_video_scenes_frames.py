@@ -205,6 +205,67 @@ class TestTiComposition:
         assert ti[3] == 0.0 and ti[4] == 0.0
         assert ti[2] > 0.0
 
+    def test_display_sequence_dark_slots(self, features):
+        """Dark slots read 0 and the first picture reads its own y_std,
+        never a transition from the clip's last frame."""
+        ti = features.ti_for_display_sequence(np.array([-1, -1, 0, 1, 2]))
+        assert ti[0] == 0.0 and ti[1] == 0.0
+        assert ti[2] == features.y_std[0]
+        assert ti[3] == np.float32(features.ti_between(0, 1))
+        assert ti[4] == np.float32(features.ti_between(1, 2))
+
+    def test_display_sequence_jumps_use_ti_between(self, features):
+        display = np.array([3, 7, 7, 2, 3, 149])
+        ti = features.ti_for_display_sequence(display)
+        for k in (1, 3, 4, 5):
+            want = features.ti_between(int(display[k - 1]), int(display[k]))
+            assert ti[k] == np.float32(want)
+        assert ti[2] == 0.0
+
+
+def consecutive_ti_oracle(features):
+    """``ti_between(j - 1, j)`` pair by pair, with entry 0 = 0."""
+    return np.array(
+        [0.0] + [features.ti_between(j - 1, j) for j in range(1, features.n_frames)]
+    )
+
+
+class TestConsecutiveTi:
+    """The gathered TI column is ``ti_between`` on every consecutive pair."""
+
+    @pytest.mark.parametrize("clip_name", ["test-150", "test-300"])
+    def test_matches_ti_between_on_every_version(self, clip_name):
+        versions = [(None, None)] + [
+            ("mpeg1", rate) for rate in clips.MPEG_RATES_BPS
+        ] + [("wmv", None)]
+        for features in clips.clip_versions(clip_name, versions):
+            column = features.consecutive_ti()
+            assert column.dtype == np.float64
+            assert column.tobytes() == consecutive_ti_oracle(features).tobytes()
+
+    def test_follows_the_scalar_float32_power(self):
+        """``y_std`` bits 0x3e7f23bf square differently as a float32
+        scalar (0.06208060681819916) and inside a float32 array
+        (0.06208060309290886) on some numpy builds; across this cut the
+        difference survives the add and the sqrt, so a column built
+        from the squared array would disagree with ``ti_between``."""
+        y_std = np.array([0x3E7F23BF, 0x3F000000], dtype=np.uint32).view(np.float32)
+        zeros = np.zeros(2, dtype=np.float32)
+        features = FrameFeatures(
+            clip_name="bits",
+            y_mean=zeros,
+            y_std=y_std,
+            si=zeros,
+            hv=zeros,
+            ti=zeros,
+            u_mean=zeros,
+            v_mean=zeros,
+            scene_ids=np.array([0, 1]),
+        )
+        assert features.consecutive_ti().tobytes() == (
+            consecutive_ti_oracle(features).tobytes()
+        )
+
 
 class TestTiCompositionAccuracy:
     """Validate the composed TI against directly rendered frame diffs."""
