@@ -31,6 +31,10 @@ CODE_NONCONFORMANT = "nonconformant-loss"
 #: rather than risked (the USC-NSL detector draws the same line).
 MIN_EVENTS_DEFAULT = 5
 
+#: The estimator needs at least one inter-event pair, so below two
+#: events the answer is insufficient loss whatever ``min_events`` says.
+MIN_EVENTS_FLOOR = 2
+
 
 @dataclass(frozen=True)
 class DetectionVerdict:
@@ -81,6 +85,8 @@ def detect_policing(
     :class:`FlowTrace`). ``conform_dscp`` is the codepoint conformant
     traffic is expected to carry (EF for the paper's experiments);
     packets delivered with any other codepoint count as remarked.
+    Fewer than ``max(min_events, 2)`` non-conformant events answer
+    ``insufficient-loss``.
     """
     trace = (
         payload
@@ -110,7 +116,7 @@ def detect_policing(
             nonconform_fraction=0.0,
             estimate=None,
         )
-    if n_nonconform < min_events:
+    if n_nonconform < max(min_events, MIN_EVENTS_FLOOR):
         return DetectionVerdict(
             policed=False,
             code=CODE_INSUFFICIENT,

@@ -38,12 +38,32 @@ margin, shrink the window, and repeat until a feasible rate appears;
 then bisect the interval's edges. ``r̂`` is the interval midpoint with
 the interval itself as the confidence band, and ``b̂`` is the midpoint
 of ``(b_lo, b_hi)`` at ``r̂``.
+
+The search replays only the rates it needs, and each replay is exact,
+so every output is the one a full scan of each grid would give. Every
+step of the replay is a monotone IEEE-754 operation, so neither bound
+grows with the rate. A grid lane between two replayed lanes
+``a < j < c`` therefore has margin at most ``b_hi(a) − b_lo(c)`` and
+at least ``b_hi(c) − b_lo(a)`` (both rounded), and each grid finds its
+first-maximum lane and the feasible run around it by branch-and-bound
+over those bounds (:func:`_zoom_grid`). The packets at which the
+deficit is floored at zero (its *clamps*) form a set that only grows
+with the rate. Between two clamps the deficit is a left-to-right chain
+of ``−r·dt`` and ``+size`` terms from an exact 0.0, which
+``np.add.accumulate`` reproduces bit for bit. So when two replayed
+rates bracketing a new one share a clamp set, that set is the new
+rate's own, and the rate replays as one accumulate per class of
+segment lengths, checked against the set (:class:`_SegmentLayout`).
+Every other rate runs the scalar loop, which also returns its clamps.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -105,24 +125,24 @@ class TokenBucketEstimate:
         }
 
 
-def replay_depth_bounds(times, sizes, conform, rate_bytes_per_s: float):
-    """Depth bounds ``(b_lo, b_hi)`` implied by a candidate rate.
+def _replay(gaps, sizes, conform, rate_bytes_per_s: float):
+    """The scalar deficit replay over lists: ``(b_lo, b_hi, clamps)``.
 
-    Replays the deficit recurrence described in the module docstring.
-    ``b_hi`` is ``inf`` when every packet conformed (nothing upper-
-    bounds the depth); the candidate is feasible iff ``b_lo < b_hi``.
+    ``gaps`` holds each packet's time step from the one before it (the
+    first from 0.0); a step that is not positive skips the decay.
+    ``clamps`` lists, in order, the packets at which the decayed
+    deficit went negative and was floored at zero.
     """
     deficit = 0.0
-    t_prev = 0.0
     b_lo = 0.0
     b_hi = math.inf
-    for t, s, ok in zip(times, sizes, conform):
-        dt = t - t_prev
+    clamps = []
+    for k, dt, s, ok in zip(count(), gaps, sizes, conform):
         if dt > 0.0:
             deficit -= rate_bytes_per_s * dt
             if deficit < 0.0:
                 deficit = 0.0
-        t_prev = t
+                clamps.append(k)
         demand = deficit + s
         if ok:
             if demand > b_lo:
@@ -130,7 +150,144 @@ def replay_depth_bounds(times, sizes, conform, rate_bytes_per_s: float):
             deficit = demand  # the admitted bytes leave the bucket
         elif demand < b_hi:
             b_hi = demand
+    return b_lo, b_hi, clamps
+
+
+def _gaps(times) -> np.ndarray:
+    """Each packet's time step from the one before it, the first from 0.0."""
+    return np.diff(np.asarray(times, dtype=np.float64), prepend=0.0)
+
+
+def replay_depth_bounds(times, sizes, conform, rate_bytes_per_s: float):
+    """Depth bounds ``(b_lo, b_hi)`` implied by a candidate rate.
+
+    Replays the deficit recurrence described in the module docstring.
+    ``b_hi`` is ``inf`` when every packet conformed (nothing upper-
+    bounds the depth); the candidate is feasible iff ``b_lo < b_hi``.
+    """
+    b_lo, b_hi, _ = _replay(
+        _gaps(times).tolist(),
+        np.asarray(sizes, dtype=np.float64).tolist(),
+        np.asarray(conform, dtype=bool).tolist(),
+        rate_bytes_per_s,
+    )
     return b_lo, b_hi
+
+
+class _SegmentLayout:
+    """Vectorized replay of one trace under one given clamp set.
+
+    The replay is a stream of terms, packet ``k``'s decay ``−r·dt`` at
+    position ``2k`` and its admitted bytes at ``2k + 1``. Each clamp
+    restarts the deficit at 0.0, so the stream splits into segments
+    that each run from 0.0. Segments are stored as rows of one matrix
+    per width class (a power of two: a leading 0.0, the segment's
+    terms, then 0.0 padding), and ``np.add.accumulate`` along each
+    row repeats the scalar loop's additions in its order. The result
+    stands only if the negative decayed deficits are exactly the
+    clamps at the rows' ends; :meth:`bounds` returns ``None``
+    otherwise.
+    """
+
+    def __init__(self, gaps, sizes, conform, clamps):
+        n = len(gaps)
+        clamps = np.asarray(clamps, dtype=np.int64)  # ascending packets
+        self.n_clamps = len(clamps)
+        # The first segment starts with the trace, each later one just
+        # past a clamp's decay (that decay ends the segment before it).
+        starts = np.concatenate(([0], 2 * clamps + 1))
+        lengths = np.diff(starts, append=2 * n)
+        # A row is the smallest power of two above its segment's length,
+        # which leaves room for the leading 0.0; rows go in width order.
+        widths = np.left_shift(1, np.frexp(lengths)[1].astype(np.int64))
+        order = np.argsort(widths, kind="stable")
+        sorted_widths = widths[order]
+        offsets = np.concatenate(([0], np.cumsum(sorted_widths)))
+        row_cells = np.empty_like(offsets[:-1])
+        row_cells[order] = offsets[:-1]
+        cells = np.repeat(row_cells + 1 - starts, lengths) + np.arange(2 * n)
+        decay_cells, add_cells = cells[0::2], cells[1::2]
+        self._steps = np.zeros(offsets[-1])
+        self._steps[decay_cells] = np.where(gaps > 0.0, gaps, 0.0)
+        self._adds = np.zeros(offsets[-1])
+        self._adds[add_cells] = np.where(conform, sizes, 0.0)
+        edges = np.flatnonzero(np.diff(sorted_widths, prepend=0, append=0))
+        self._blocks = [
+            (int(offsets[a]), int(offsets[b]), int(sorted_widths[a]))
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+        is_clamp = np.zeros(n, dtype=bool)
+        is_clamp[clamps] = True
+        self._held = decay_cells[~is_clamp]
+        self._clamped = decay_cells[is_clamp]
+        self._conform_cells = add_cells[conform]
+        self._excess_cells = add_cells[~conform]
+        self._excess_sizes = sizes[~conform]
+
+    def bounds(self, rate_bytes_per_s: float):
+        """``(b_lo, b_hi)`` at this rate, or ``None`` if the clamps differ."""
+        # The terms, then, accumulated in place, the deficit after each.
+        deficit = self._steps * -rate_bytes_per_s
+        deficit += self._adds
+        for lo, hi, width in self._blocks:
+            rows = deficit[lo:hi].reshape(-1, width)
+            np.add.accumulate(rows, axis=1, out=rows)
+        held = deficit[self._held]
+        clamped = deficit[self._clamped]
+        if (len(held) and held.min() < 0.0) or (
+            len(clamped) and clamped.max() >= 0.0
+        ):
+            return None
+        b_lo = 0.0
+        if len(self._conform_cells):
+            b_lo = max(0.0, float(deficit[self._conform_cells].max()))
+        b_hi = math.inf
+        if len(self._excess_cells):
+            demands = deficit[self._excess_cells] + self._excess_sizes
+            b_hi = float(demands.min())
+        return b_lo, b_hi
+
+
+class _Replayer:
+    """Exact depth bounds at any rate for one trace, memoized.
+
+    A rate between two replayed rates whose clamp sets are equal
+    replays through that set's :class:`_SegmentLayout`; any other rate
+    runs :func:`_replay`. Clamp sets of different rates are nested, so
+    two of them are equal exactly when their sizes are. Only the
+    layout of the latest such bracket is kept.
+    """
+
+    def __init__(self, times, sizes, conform):
+        self._arrays = (_gaps(times), sizes, conform)
+        self._lists = tuple(a.tolist() for a in self._arrays)
+        self._rates = []  # ascending
+        self._bounds = []
+        self._clamps = []
+        self._layout = None
+
+    def __call__(self, rate_bytes_per_s: float):
+        rates = self._rates
+        i = bisect.bisect_left(rates, rate_bytes_per_s)
+        if i < len(rates) and rates[i] == rate_bytes_per_s:
+            return self._bounds[i]
+        found = None
+        if 0 < i < len(rates):
+            clamps = self._clamps[i - 1]
+            if len(clamps) == len(self._clamps[i]):
+                layout = self._layout
+                if layout is None or layout.n_clamps != len(clamps):
+                    layout = self._layout = _SegmentLayout(
+                        *self._arrays, clamps
+                    )
+                found = layout.bounds(rate_bytes_per_s)
+        if found is None:
+            b_lo, b_hi, clamps = _replay(*self._lists, rate_bytes_per_s)
+            found = (b_lo, b_hi)
+        rates.insert(i, rate_bytes_per_s)
+        self._bounds.insert(i, found)
+        self._clamps.insert(i, clamps)
+        return found
 
 
 def _interdrop_rate(times, sizes, conform, mtu_bytes: float):
@@ -175,51 +332,85 @@ def _interdrop_rate(times, sizes, conform, mtu_bytes: float):
     return rate, pairs_used
 
 
-def _grid_depth_bounds(times, sizes, conform, rates):
-    """Vectorized :func:`replay_depth_bounds` over a whole rate grid.
+def _zoom_grid(grid, bounds):
+    """One zoom grid's first-maximum margin lane and its feasible run.
 
-    One pass over the packets updates every candidate rate's deficit
-    in lockstep; element ``k`` of the returned arrays equals the
-    scalar replay at ``rates[k]`` exactly (identical operations).
+    ``grid`` is a non-decreasing array of rates and ``bounds`` maps a
+    rate to ``(b_lo, b_hi)``, neither of which may grow with the rate.
+    Returns ``(best, run)``: ``best`` is the first lane of maximum
+    margin ``b_hi − b_lo`` (``np.argmax`` of the grid's margins), and
+    ``run`` is the ``(lo, hi)`` lanes of the connected feasible run
+    around it, or ``None`` when no lane is feasible. Lanes are replayed
+    only where the bounds of their replayed neighbours leave either
+    answer open.
     """
-    rates = np.asarray(rates, dtype=np.float64)
-    deficit = np.zeros_like(rates)
-    b_lo = np.zeros_like(rates)
-    b_hi = np.full_like(rates, math.inf)
-    t_prev = 0.0
-    for t, s, ok in zip(times, sizes, conform):
-        dt = t - t_prev
-        if dt > 0.0:
-            deficit = np.maximum(0.0, deficit - rates * dt)
-        t_prev = t
-        demand = deficit + s
-        if ok:
-            np.maximum(b_lo, demand, out=b_lo)
-            deficit = demand
-        else:
-            np.minimum(b_hi, demand, out=b_hi)
-    return b_lo, b_hi
+    n = len(grid)
+    lanes = {}
+
+    def lane(j):
+        if j not in lanes:
+            lanes[j] = bounds(float(grid[j]))
+        return lanes[j]
+
+    def margin(j):
+        b_lo, b_hi = lane(j)
+        return b_hi - b_lo
+
+    def most(a, c):
+        """No lane strictly between replayed lanes ``a < c`` has more."""
+        return lanes[a][1] - lanes[c][0]
+
+    def least(a, c):
+        """No lane strictly between replayed lanes ``a < c`` has less."""
+        return lanes[c][1] - lanes[a][0]
+
+    best, top = 0, margin(0)
+    if margin(n - 1) > top:
+        best, top = n - 1, margin(n - 1)
+    gaps = [(-most(0, n - 1), 0, n - 1)] if n > 2 else []
+    while gaps:
+        neg_most, a, c = heapq.heappop(gaps)
+        # A gap lies wholly before or after ``best``: a lane in it wins
+        # with a larger margin, or with an equal one if it comes first.
+        if -neg_most < top or (-neg_most == top and a >= best):
+            continue
+        j = (a + c) // 2
+        m = margin(j)
+        if m > top or (m == top and j < best):
+            best, top = j, m
+        for x, y in ((a, j), (j, c)):
+            if y - x > 1:
+                heapq.heappush(gaps, (-most(x, y), x, y))
+    if not top > 0.0:
+        return best, None
+
+    def edge(step):
+        """Last feasible lane walking from ``best`` by ``step``."""
+        a = best
+        while 0 <= a + step < n:
+            c = a + step
+            while c not in lanes:
+                c += step
+            x, y = min(a, c), max(a, c)
+            if c == a + step:
+                if not margin(c) > 0.0:
+                    return a
+            elif not least(x, y) > 0.0:
+                if not most(x, y) > 0.0:
+                    return a  # every lane up to ``c`` is infeasible
+                lane((x + y) // 2)
+                continue
+            a = c
+        return a
+
+    return best, (edge(-1), edge(+1))
 
 
-def _feasible_run(grid, margins):
-    """Indices of the connected feasible run containing the best margin."""
-    feasible = np.flatnonzero(np.asarray(margins) > 0.0)
-    if not len(feasible):
-        return None
-    best = feasible[int(np.argmax([margins[i] for i in feasible]))]
-    lo = hi = int(best)
-    while lo - 1 >= 0 and margins[lo - 1] > 0.0:
-        lo -= 1
-    while hi + 1 < len(grid) and margins[hi + 1] > 0.0:
-        hi += 1
-    return lo, hi
-
-
-def _bisect_edge(times, sizes, conform, r_feasible, r_infeasible):
+def _bisect_edge(bounds, r_feasible, r_infeasible):
     """Tighten one feasibility edge between a good and a bad rate."""
     for _ in range(_EDGE_STEPS):
         mid = 0.5 * (r_feasible + r_infeasible)
-        b_lo, b_hi = replay_depth_bounds(times, sizes, conform, mid)
+        b_lo, b_hi = bounds(mid)
         if b_lo < b_hi:
             r_feasible = mid
         else:
@@ -249,9 +440,7 @@ def estimate_token_bucket(
     if r0 is None:
         return None
 
-    t_list = times.tolist()
-    s_list = sizes.tolist()
-    c_list = conform.tolist()
+    bounds = _Replayer(times, sizes, conform)
 
     # Cascaded zoom (see the schedule constants above). A heavily
     # constrained trace admits a feasible window well under 1 B/s wide
@@ -262,13 +451,11 @@ def estimate_token_bucket(
         half = start * r0
         while half > _ZOOM_FLOOR * center:
             grid = np.linspace(center - half, center + half, _ZOOM_POINTS)
-            b_los, b_his = _grid_depth_bounds(t_list, s_list, c_list, grid)
-            margins = b_his - b_los
-            run = _feasible_run(grid, margins)
+            best, run = _zoom_grid(grid, bounds)
             if run is not None:
                 break
             spacing = 2.0 * half / (_ZOOM_POINTS - 1)
-            center = float(grid[int(np.argmax(margins))])
+            center = float(grid[best])
             half = _ZOOM_GUARD * spacing
             if center <= 0.0:
                 break
@@ -284,9 +471,9 @@ def estimate_token_bucket(
         step = spacing
         probe = rate_feasible + direction * step
         for _ in range(60):
-            b_lo, b_hi = replay_depth_bounds(t_list, s_list, c_list, probe)
+            b_lo, b_hi = bounds(probe)
             if not (b_lo < b_hi):
-                return _bisect_edge(t_list, s_list, c_list, rate_feasible, probe)
+                return _bisect_edge(bounds, rate_feasible, probe)
             rate_feasible = probe
             step *= 2.0
             probe = rate_feasible + direction * step
@@ -298,7 +485,7 @@ def estimate_token_bucket(
     rate_hi = _bracket_edge(float(grid[hi_idx]), +1.0)
 
     rate_hat = 0.5 * (rate_lo + rate_hi)
-    b_lo, b_hi = replay_depth_bounds(t_list, s_list, c_list, rate_hat)
+    b_lo, b_hi = bounds(rate_hat)
     if not (b_lo < b_hi):  # pragma: no cover - edges bisected feasible
         return None
     depth_hi = b_hi if math.isfinite(b_hi) else b_lo + mtu_bytes

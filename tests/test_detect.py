@@ -264,6 +264,20 @@ class TestDetector:
         assert verdict.code == CODE_INSUFFICIENT
         assert verdict.n_lost == 2
 
+    def test_single_event_is_insufficient_whatever_min_events(self):
+        """One event has no inter-event pair: never "no bucket explains it"."""
+        times, sizes, _ = synthetic_trace(mbps(1.5), 3000.0, n=200)
+        conform = np.ones(len(times), dtype=bool)
+        conform[50] = False
+        for lose in (True, False):
+            verdict = detect_policing(
+                flow_trace_from_arrays(times, sizes, conform, lose=lose),
+                min_events=1,
+            )
+            assert not verdict.policed
+            assert verdict.code == CODE_INSUFFICIENT
+            assert verdict.n_lost + verdict.n_remarked == 1
+
     def test_policed_drop_action(self):
         times, sizes, conform = synthetic_trace(mbps(1.5), 3000.0)
         verdict = detect_policing(flow_trace_from_arrays(times, sizes, conform))
