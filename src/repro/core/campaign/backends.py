@@ -2,23 +2,25 @@
 
 A backend answers exactly one question for the scheduler: "run this
 spec, give me its outcome". Everything else — queueing, retries,
-quarantine, caching, single-flight — lives in the scheduler, so a
-backend only implements ``slots`` and ``execute`` (plus
-``execute_batch`` when it can run a coalesced grid as one program).
+quarantine, caching, single-flight, and counting which lane served a
+unit — lives in the scheduler, so a backend only implements ``slots``
+and ``execute`` (plus ``execute_batch`` when it can run a coalesced
+grid as one program).
 
 Two backends ship, one per built-in runner (each runner builds its
 own in :meth:`~repro.core.runner.Runner.make_backend`):
 
-* :class:`SerialBackend` — in-process, one unit at a time, the only
-  backend that can retain full-detail results;
+* :class:`SerialBackend` — in-process, one unit at a time;
 * :class:`ProcessPoolBackend` — worker processes; a persistent
   ``ProcessPoolExecutor`` on the plain path, one supervised process
   per attempt when a retry policy needs hang/crash containment.
 
-Every backend preserves the bit-identical guarantee: workers build
-their own engine and VQM tool per spec, so an outcome is a pure
-function of the spec, independent of which backend (or how many
-slots) produced it.
+Both run the same two entry points of :mod:`repro.core.runner`,
+``_summarize_run`` for one unit and ``_batch_run`` for a grid, and
+return only outcomes. Every backend preserves the bit-identical
+guarantee: each run builds its own engine from the spec, so an
+outcome is a pure function of the spec, independent of which backend
+(or how many slots) produced it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ import multiprocessing
 import time
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.experiment import ExperimentSpec, ExperimentResult
+from repro.core.experiment import ExperimentSpec
 from repro.core.faults import SpecTimeout, WorkerCrash, deadline
-from repro.vqm.tool import VqmTool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runner import BatchOutcome, RunnerStats
@@ -56,9 +57,9 @@ class WorkerBackend:
 
     slots: int = 1
 
-    #: Whether :meth:`execute_batch` actually coalesces. The scheduler
-    #: only drains batch-mates out of its queue when the backend can
-    #: run them as one array program.
+    #: Whether :meth:`execute_batch` is available. The scheduler only
+    #: drains batch-mates out of its queue when the backend can run
+    #: them as one array program.
     batch_capable: bool = False
 
     async def execute(
@@ -70,14 +71,13 @@ class WorkerBackend:
         self,
         specs: Sequence[ExperimentSpec],
         timeout_s: Optional[float] = None,
-    ) -> Optional[list["BatchOutcome"]]:
+    ) -> list["BatchOutcome"]:
         """Run a coalesced grid of qualifying specs as one program.
 
-        Returns one outcome per spec in input order, or ``None`` when
-        this backend does not batch (the scheduler then resolves the
-        members through the per-unit path).
+        Returns one outcome per spec in input order. Called only when
+        :attr:`batch_capable` is true.
         """
-        return None
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release pools/processes; called once per campaign, always."""
@@ -89,57 +89,28 @@ class SerialBackend(WorkerBackend):
     Timeouts are enforced with ``SIGALRM`` (the execution happens
     synchronously on the event-loop thread, which is the main thread,
     so the deadline context works exactly as in the pre-async runner).
-    With ``keep_details`` the full :class:`ExperimentResult` of every
-    simulated unit is appended to ``details`` in execution order.
     """
 
     slots = 1
-
-    def __init__(
-        self,
-        vqm_tool: Optional[VqmTool] = None,
-        keep_details: bool = False,
-        details: Optional[list] = None,
-    ):
-        self.vqm_tool = vqm_tool or VqmTool()
-        self.keep_details = keep_details
-        self.details: list[ExperimentResult] = details if details is not None else []
-        self._details_reset = False
+    batch_capable = True
 
     async def execute(
         self, spec: ExperimentSpec, timeout_s: Optional[float] = None
     ) -> "BatchOutcome":
         from repro.core.runner import _summarize_run
 
-        if self.keep_details and not self._details_reset:
-            # Reset on first execution, not construction: a batch that
-            # is answered entirely from cache keeps the previous
-            # batch's details, exactly like the pre-scheduler runner.
-            self.details.clear()
-            self._details_reset = True
         with deadline(timeout_s):
-            summary, result = _summarize_run(spec, vqm_tool=self.vqm_tool)
-        if self.keep_details and result is not None:
-            self.details.append(result)
-        return summary
-
-    @property
-    def batch_capable(self) -> bool:  # type: ignore[override]
-        # The batch lane produces summaries only; a caller keeping
-        # full-detail results needs the per-unit path.
-        return not self.keep_details
+            return _summarize_run(spec)
 
     async def execute_batch(
         self,
         specs: Sequence[ExperimentSpec],
         timeout_s: Optional[float] = None,
-    ) -> Optional[list["BatchOutcome"]]:
+    ) -> list["BatchOutcome"]:
         from repro.core.runner import _batch_run
 
-        if self.keep_details:
-            return None
         with deadline(timeout_s):
-            return _batch_run(list(specs), vqm_tool=self.vqm_tool)
+            return _batch_run(list(specs))
 
 
 class ProcessPoolBackend(WorkerBackend):
@@ -197,42 +168,33 @@ class ProcessPoolBackend(WorkerBackend):
             or (self._total_hint is not None and self._total_hint <= 1)
         )
 
-    def _fold_fastlane(self, delta: Optional[dict]) -> None:
-        """Fold a worker process's fast-lane counter delta into stats.
+    async def _run(self, entry, work):
+        """``entry(work)`` in the pool, or in-process when there is none.
 
-        Only cross-process deltas are folded here: in-process
-        executions accrue on the parent's own
-        :data:`repro.core.fastlane.stats`, which the scheduler bridge
-        folds once at the end of the run (folding both would double
-        count).
+        ``entry`` is one of the runner's worker entry points. A pool
+        broken by a dying worker (segfault, OOM kill) degrades this and
+        every later call to in-process execution: outcomes are pure
+        functions of their specs, so the campaign completes, slower.
         """
-        if self.stats is not None:
-            self.stats.fold_fastlane(delta)
-
-    async def execute(
-        self, spec: ExperimentSpec, timeout_s: Optional[float] = None
-    ) -> "BatchOutcome":
-        from repro.core.runner import _pool_worker, _pool_worker_stats
-
-        if self.supervised and not self._in_process_mode():
-            return await asyncio.to_thread(self._run_supervised, spec, timeout_s)
         if self._in_process_mode():
-            return await asyncio.to_thread(_pool_worker, spec)
+            return await asyncio.to_thread(entry, work)
         from concurrent.futures.process import BrokenProcessPool
 
         loop = asyncio.get_running_loop()
         try:
-            outcome, delta = await loop.run_in_executor(
-                self._ensure_pool(), _pool_worker_stats, spec
-            )
-            self._fold_fastlane(delta)
-            return outcome
+            return await loop.run_in_executor(self._ensure_pool(), entry, work)
         except BrokenProcessPool:
-            # A worker segfaulted or was OOM-killed. Outcomes are pure
-            # functions of their specs, so finish in-process — slower,
-            # but the campaign completes.
             self._note_fallback()
-            return await asyncio.to_thread(_pool_worker, spec)
+            return await asyncio.to_thread(entry, work)
+
+    async def execute(
+        self, spec: ExperimentSpec, timeout_s: Optional[float] = None
+    ) -> "BatchOutcome":
+        from repro.core.runner import _summarize_run
+
+        if self.supervised and not self._in_process_mode():
+            return await asyncio.to_thread(self._run_supervised, spec, timeout_s)
+        return await self._run(_summarize_run, spec)
 
     @property
     def batch_capable(self) -> bool:  # type: ignore[override]
@@ -245,32 +207,10 @@ class ProcessPoolBackend(WorkerBackend):
         self,
         specs: Sequence[ExperimentSpec],
         timeout_s: Optional[float] = None,
-    ) -> Optional[list["BatchOutcome"]]:
-        from repro.core.runner import _pool_batch_worker
+    ) -> list["BatchOutcome"]:
+        from repro.core.runner import _batch_run
 
-        if self.supervised:
-            return None
-        specs = list(specs)
-        if self._in_process_mode():
-            outcomes, _delta = await asyncio.to_thread(
-                _pool_batch_worker, specs
-            )
-            return outcomes
-        from concurrent.futures.process import BrokenProcessPool
-
-        loop = asyncio.get_running_loop()
-        try:
-            outcomes, delta = await loop.run_in_executor(
-                self._ensure_pool(), _pool_batch_worker, specs
-            )
-            self._fold_fastlane(delta)
-            return outcomes
-        except BrokenProcessPool:
-            self._note_fallback()
-            outcomes, _delta = await asyncio.to_thread(
-                _pool_batch_worker, specs
-            )
-            return outcomes
+        return await self._run(_batch_run, list(specs))
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -310,8 +250,7 @@ class ProcessPoolBackend(WorkerBackend):
             # Cannot spawn processes at all (fd/PID exhaustion,
             # restricted sandbox): degrade to in-process execution.
             self._note_fallback()
-            summary, _ = _summarize_run(spec)
-            return summary
+            return _summarize_run(spec)
         child_conn.close()
         deadline_at = (
             time.monotonic() + timeout_s if timeout_s else None
@@ -326,10 +265,6 @@ class ProcessPoolBackend(WorkerBackend):
                     if message is None:
                         raise WorkerCrash("worker pipe closed mid-send")
                     if message[0] == "ok":
-                        # Third element (fast-lane counter delta) is
-                        # optional so older two-element workers parse.
-                        if len(message) > 2:
-                            self._fold_fastlane(message[2])
                         return message[1]
                     _, exc_type, text = message
                     if exc_type == "SpecTimeout":

@@ -33,7 +33,6 @@ from repro.core.experiment import ExperimentSpec
 from repro.core.faults import FailureRecord
 from repro.core.runner import Runner, SerialRunner
 from repro.core.sweep import SweepResult, validate_grid
-from repro.vqm.tool import VqmTool
 
 from repro.core.campaign.aggregate import SweepAggregator
 
@@ -101,7 +100,6 @@ def adaptive_token_rate_sweep(
     base_spec: ExperimentSpec,
     token_rates_bps: Sequence[float],
     bucket_depths_bytes: Iterable[float] = (3000.0, 4500.0),
-    vqm_tool: Optional[VqmTool] = None,
     runner: Optional[Runner] = None,
     cliff_quality_jump: float = DEFAULT_CLIFF_QUALITY_JUMP,
     cliff_loss_jump: float = DEFAULT_CLIFF_LOSS_JUMP,
@@ -124,7 +122,7 @@ def adaptive_token_rate_sweep(
     rates, depths = validate_grid(
         token_rates_bps, bucket_depths_bytes, forbid_duplicates=False
     )
-    active = runner or SerialRunner(vqm_tool=vqm_tool)
+    active = runner or SerialRunner()
 
     n = len(rates)
     # Work in rate-sorted position space per depth; keep the original

@@ -22,6 +22,14 @@ what the streaming aggregator, journal checkpointing, and progress
 reporting all hang off. Because every outcome is a pure function of
 its spec, emission order is free to vary with scheduling while the
 assembled results stay bit-identical.
+
+The scheduler also keeps the runner's :class:`~repro.core.runner.
+RunnerStats`, in the calling process. It chooses between a lone unit
+and a batch grid, so it counts the lane of each fresh outcome there:
+a grid member as a batch point, a lone flat unit as a fast-path hit
+or an engine fallback by :func:`~repro.core.fastlane.
+qualifies_for_fastpath`. Where the unit then ran, in-process or in a
+worker, does not change the counts.
 """
 
 from __future__ import annotations
@@ -33,13 +41,25 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
+from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec
-from repro.core.faults import FailureRecord, RetryPolicy, classify_failure
+from repro.core.faults import (
+    FailureRecord,
+    PoisonResult,
+    RetryPolicy,
+    classify_failure,
+)
+from repro.core.runner import (
+    ResultSummary,
+    RunnerStats,
+    spec_fingerprint,
+    validate_summary,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.campaign.backends import WorkerBackend
     from repro.core.resultstore import ResultStore
-    from repro.core.runner import BatchOutcome, Runner, RunnerStats
+    from repro.core.runner import BatchOutcome, Runner
 
 #: How an outcome was obtained: a result-store read (``cache``), a
 #: wait on another process's single-flight lease (``single-flight``),
@@ -60,7 +80,11 @@ MAX_BATCH_UNITS = 64
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One schedulable point: a spec plus its submission position."""
+    """One schedulable point: a spec plus its submission position.
+
+    ``fingerprint`` is the spec's :func:`~repro.core.runner.
+    spec_fingerprint` when a result store is attached, else empty.
+    """
 
     index: int
     spec: ExperimentSpec
@@ -83,8 +107,6 @@ class CampaignScheduler:
         stats: Optional["RunnerStats"] = None,
         window: Optional[int] = None,
     ):
-        from repro.core.runner import RunnerStats
-
         self.backend = backend
         self.store = store
         self.retry = retry
@@ -180,7 +202,7 @@ class CampaignScheduler:
         store = self.store
         if store is None:
             outcome = await self._execute(unit)
-            self._count_fresh(outcome)
+            self._count_fresh(unit, outcome)
             emit(unit, outcome, "fresh")
             return
 
@@ -206,7 +228,7 @@ class CampaignScheduler:
             if self._answer_from_store(unit, emit):
                 return
             outcome = await self._execute(unit)
-            self._count_fresh(outcome)
+            self._count_fresh(unit, outcome)
             if not isinstance(outcome, FailureRecord):
                 # Publish before releasing so waiters always find the
                 # entry once the lease is gone.
@@ -231,8 +253,6 @@ class CampaignScheduler:
         survivors is preserved) and move to in-flight accounting; the
         feeder's window sees no change in queued+inflight totals.
         """
-        from repro.core import fastlane
-
         if fastlane.fastpath_mode() == "0" or not self.backend.batch_capable:
             return None
         if not fastlane.qualifies_for_batch(unit.spec):
@@ -266,11 +286,9 @@ class CampaignScheduler:
         served by the batch call — lease held by another process,
         validation failure under a retry policy, or a batch execution
         error — are re-routed through :meth:`_process`, which owns
-        waiting, retries, and quarantine.
+        waiting, retries, and quarantine. Each batch call that returns
+        counts one batch group.
         """
-        from repro.core.faults import PoisonResult
-        from repro.core.runner import validate_summary
-
         store = self.store
         pending = list(units)
         rerouted: list[WorkUnit] = []
@@ -314,6 +332,7 @@ class CampaignScheduler:
             if outcomes is None:
                 rerouted.extend(pending)
             else:
+                self.stats.batch_groups += 1
                 for unit, outcome in zip(pending, outcomes):
                     if self.retry is not None:
                         try:
@@ -321,7 +340,7 @@ class CampaignScheduler:
                         except PoisonResult:
                             rerouted.append(unit)
                             continue
-                    self._count_fresh(outcome)
+                    self._count_fresh(unit, outcome, batched=True)
                     lease = leases.pop(unit.index, None)
                     if store is not None and not isinstance(
                         outcome, FailureRecord
@@ -339,16 +358,29 @@ class CampaignScheduler:
         for unit in rerouted:
             await self._process(unit, emit)
 
-    def _count_fresh(self, outcome: "BatchOutcome") -> None:
+    def _count_fresh(
+        self, unit: WorkUnit, outcome: "BatchOutcome", batched: bool = False
+    ) -> None:
+        """Count one executed unit and the lane that served its summary."""
+        stats = self.stats
         if isinstance(outcome, FailureRecord):
-            self.stats.quarantined += 1
-        else:
-            self.stats.simulated += 1
+            stats.quarantined += 1
+            return
+        stats.simulated += 1
+        if not isinstance(outcome, ResultSummary):
+            return  # a poisoned result, passed through without a policy
+        if batched:
+            stats.batch_points += 1
+        elif fastlane.fastpath_mode() != "0" and not getattr(
+            unit.spec, "is_aggregate", False
+        ):
+            if fastlane.qualifies_for_fastpath(unit.spec):
+                stats.fastpath_hits += 1
+            else:
+                stats.fastpath_fallbacks += 1
 
     async def _execute(self, unit: WorkUnit) -> "BatchOutcome":
         """One unit through the backend, under the retry policy if any."""
-        from repro.core.runner import spec_fingerprint, validate_summary
-
         policy = self.retry
         if policy is None:
             return await self.backend.execute(unit.spec, timeout_s=None)
@@ -389,30 +421,26 @@ def run_stream_through_scheduler(
     specs: Iterable[ExperimentSpec],
     emit: EmitCallback,
     plan_specs: Optional[Sequence[ExperimentSpec]] = None,
-    need_fingerprints: bool = True,
 ) -> None:
     """Stream ``specs`` through a scheduler built from a runner.
 
     The bridge the rewired entry points use: the runner contributes
     its store, retry policy, stats object, and execution strategy (as
     a backend); the scheduler contributes the bounded window, batch
-    coalescing, and single-flight. ``emit`` fires as each outcome
-    resolves; nothing is accumulated here, so callers decide whether
-    to stream (sweeps) or collect (batches).
+    coalescing, single-flight, and the stats counts. ``emit`` fires as
+    each outcome resolves; nothing is accumulated here, so callers
+    decide whether to stream (sweeps) or collect (batches).
 
     ``plan_specs`` optionally names the full batch up front so a pool
     backend can pre-warm worker caches; when omitted (a lazy spec
-    stream), workers warm lazily instead. ``need_fingerprints=False``
-    skips per-unit hashing for store-less, callback-less batches.
+    stream), workers warm lazily instead. Units are fingerprinted only
+    when the runner has a store to key.
     """
-    from repro.core.runner import spec_fingerprint
-
-    if runner.store is not None:
+    store = runner.store
+    if store is not None:
         # Campaign-startup hygiene: a previous campaign that crashed
         # mid-publish leaves ``.tmp-*`` litter no read path ever sees.
-        runner.store.reap_tmp()
-
-    hash_units = need_fingerprints or runner.store is not None
+        store.reap_tmp()
 
     def unit_stream() -> Iterator[WorkUnit]:
         for index, spec in enumerate(specs):
@@ -420,26 +448,14 @@ def run_stream_through_scheduler(
             yield WorkUnit(
                 index=index,
                 spec=spec,
-                fingerprint=spec_fingerprint(spec) if hash_units else "",
+                fingerprint=spec_fingerprint(spec) if store is not None else "",
             )
 
     scheduler = CampaignScheduler(
         runner.make_backend(plan_specs),
-        store=runner.store,
+        store=store,
         retry=runner.retry,
         stats=runner.stats,
         window=runner.window,
     )
-    # Fast-lane dispatch counters are per-process: in-process execution
-    # (serial backend, pool fallbacks) accrues on this process's
-    # fastlane.stats, which we fold as a delta here; worker processes
-    # ship their deltas back with each outcome and the backends fold
-    # those directly. Together the runner's stats line covers the whole
-    # campaign.
-    from repro.core import fastlane
-
-    snapshot = fastlane.stats.as_dict()
-    try:
-        asyncio.run(scheduler.run(unit_stream(), emit))
-    finally:
-        runner.stats.fold_fastlane(fastlane.stats.delta_since(snapshot))
+    asyncio.run(scheduler.run(unit_stream(), emit))

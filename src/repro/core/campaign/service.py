@@ -34,8 +34,7 @@ from typing import TYPE_CHECKING, Optional, TextIO
 
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import FailureRecord, RetryPolicy
-from repro.core.runner import Runner, make_runner
-from repro.vqm.tool import VqmTool
+from repro.core.runner import make_runner
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.resultstore import ResultStore
@@ -72,13 +71,9 @@ class CampaignService:
         store: "ResultStore",
         jobs: int = 1,
         retry: Optional[RetryPolicy] = None,
-        vqm_tool: Optional[VqmTool] = None,
-        runner: Optional[Runner] = None,
     ):
         self.store = store
-        self.runner = runner or make_runner(
-            jobs=jobs, store=store, vqm_tool=vqm_tool, retry=retry
-        )
+        self.runner = make_runner(jobs=jobs, store=store, retry=retry)
         self.queries = 0
 
     # ------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Fault-injection harness for the campaign runners.
 
 Proving fault tolerance needs faults on demand: workers that raise,
-hang, crash, or return garbage, and cache files that rot on disk. A
-:class:`ChaosPlan` maps spec fingerprints to :class:`ChaosRule`
+hang, crash, or return garbage. A :class:`ChaosPlan` maps spec fingerprints to :class:`ChaosRule`
 behaviours and is installed through an environment variable, so the
 injection point (:func:`maybe_inject`, called at the top of every spec
 execution) fires identically in-process and inside forked/spawned
@@ -223,17 +222,3 @@ def feedback_disruption(fingerprint: str) -> Optional[str]:
     if rule is None or rule.action not in FEEDBACK_ACTIONS:
         return None
     return rule.action.removeprefix("feedback-")
-
-
-def truncate_cache_entry(path: Union[str, Path], keep_bytes: int = 20) -> None:
-    """Chop a cache/journal file mid-record (a torn write)."""
-    path = Path(path)
-    data = path.read_bytes()
-    path.write_bytes(data[: min(keep_bytes, len(data))])
-
-
-def corrupt_cache_entry(
-    path: Union[str, Path], payload: bytes = b'{"schema_version": "\x00garbage'
-) -> None:
-    """Overwrite a cache/journal file with non-JSON bytes (bit rot)."""
-    Path(path).write_bytes(payload)

@@ -38,6 +38,10 @@ from repro.vqm.tool import VqmResult, VqmTool
 #: startup buffer, retransmissions, and adaptation wobble.
 RUN_SLACK_S = 45.0
 
+#: The VQM tool every run scores with. It keeps no state between
+#: calls, so one instance serves every lane and process.
+_VQM_TOOL = VqmTool()
+
 #: Allowed values of the spec's closed-set string fields.
 SPEC_CHOICES = {
     "server": ("videocharger", "adaptive-vc", "wmt", "largeudp"),
@@ -259,7 +263,6 @@ def _build_server(
 def assess_playback(
     spec: ExperimentSpec,
     record: ClientRecord,
-    vqm_tool: Optional[VqmTool] = None,
     received_features=None,
 ):
     """Offline assessment stages shared by the engine and fast paths.
@@ -291,11 +294,10 @@ def assess_playback(
         )
     else:
         raise ValueError(f"unknown reference mode {spec.reference!r}")
-    tool = vqm_tool or VqmTool()
-    return trace, tool.assess(reference_features, received_features, trace)
+    return trace, _VQM_TOOL.assess(reference_features, received_features, trace)
 
 
-def run_experiment(spec: ExperimentSpec, vqm_tool: Optional[VqmTool] = None) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one full experiment and assess the received video.
 
     Qualifying specs (see :mod:`repro.core.fastlane`) are served by the
@@ -306,13 +308,11 @@ def run_experiment(spec: ExperimentSpec, vqm_tool: Optional[VqmTool] = None) -> 
     from repro.core import fastlane
 
     if fastlane.use_fastpath(spec):
-        return fastlane.run_fastpath(spec, vqm_tool=vqm_tool)
-    return _run_engine_experiment(spec, vqm_tool)
+        return fastlane.run_fastpath(spec)
+    return _run_engine_experiment(spec)
 
 
-def _run_engine_experiment(
-    spec: ExperimentSpec, vqm_tool: Optional[VqmTool] = None
-) -> ExperimentResult:
+def _run_engine_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """The discrete-event path of :func:`run_experiment`."""
     engine = Engine(seed=spec.seed)
     encoded = encode_clip(spec.clip, spec.codec, spec.encoding_rate_bps)
@@ -381,7 +381,7 @@ def _run_engine_experiment(
     else:
         received_features = None
     trace, vqm = assess_playback(
-        spec, record, vqm_tool, received_features=received_features
+        spec, record, received_features=received_features
     )
 
     from repro.core.netmetrics import summarize_path

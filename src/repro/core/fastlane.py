@@ -43,7 +43,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.experiment import (
     ExperimentResult,
@@ -53,7 +53,6 @@ from repro.core.experiment import (
 from repro.client.playout import PlayoutClient
 from repro.sim.fastpath import simulate_qbone_session
 from repro.video.clips import encode_clip
-from repro.vqm.tool import VqmTool
 
 #: Environment variable controlling dispatch (see module docstring).
 FASTPATH_ENV = "REPRO_FASTPATH"
@@ -69,11 +68,12 @@ class FastpathUnsupported(RuntimeError):
 
 @dataclass
 class FastlaneStats:
-    """Dispatch counters (in-process; the bench harness reads these).
+    """Dispatch counters of this process (the bench harness reads these).
 
-    Counters are per-process: pool workers accumulate their own
-    copies and ship deltas back to the parent, which folds them into
-    :class:`repro.core.runner.RunnerStats` for the CLI stats line.
+    They count where each lane actually ran, so a pool worker's runs
+    land in the worker's copy. A runner's stats line does not read
+    them: the campaign scheduler counts lanes itself, in the calling
+    process (:class:`repro.core.runner.RunnerStats`).
     """
 
     hits: int = 0
@@ -100,7 +100,7 @@ class FastlaneStats:
         self.batch_groups = 0
 
     def as_dict(self) -> dict:
-        """Counter snapshot (for cross-process deltas)."""
+        """Counter snapshot, for :meth:`delta_since`."""
         return {
             "hits": self.hits,
             "fallbacks": self.fallbacks,
@@ -202,9 +202,7 @@ def batch_key(spec: ExperimentSpec) -> tuple:
     return _batch_key_fields(spec)
 
 
-def run_batchpath(
-    specs: Sequence[ExperimentSpec], vqm_tool: Optional[VqmTool] = None
-):
+def run_batchpath(specs: Sequence[ExperimentSpec]):
     """Run a grid of qualifying specs as one array program.
 
     Returns one :class:`~repro.core.runner.ResultSummary` per spec, in
@@ -213,18 +211,13 @@ def run_batchpath(
     """
     from repro.sim.batchpath import run_batch_specs
 
-    summaries = run_batch_specs(specs, vqm_tool=vqm_tool)
+    summaries = run_batch_specs(specs)
     stats.batch_points += len(specs)
     stats.batch_groups += 1
     return summaries
 
 
-def result_from_session(
-    spec: ExperimentSpec,
-    encoded,
-    session,
-    vqm_tool: Optional[VqmTool] = None,
-) -> ExperimentResult:
+def result_from_session(spec: ExperimentSpec, encoded, session) -> ExperimentResult:
     """Offline stages shared by the scalar and batched fast lanes.
 
     A real PlayoutClient finalizes the session, so the columnar
@@ -246,7 +239,7 @@ def result_from_session(
     client.received_packets = session.received_packets
     record = client.finalize()
 
-    trace, vqm = assess_playback(spec, record, vqm_tool)
+    trace, vqm = assess_playback(spec, record)
     extras = {
         "server_packets": session.server_packets,
         "client_packets": session.received_packets,
@@ -266,9 +259,7 @@ def result_from_session(
     )
 
 
-def run_fastpath(
-    spec: ExperimentSpec, vqm_tool: Optional[VqmTool] = None
-) -> ExperimentResult:
+def run_fastpath(spec: ExperimentSpec) -> ExperimentResult:
     """Produce the full :class:`ExperimentResult` without an engine.
 
     The network timeline comes from
@@ -278,4 +269,4 @@ def run_fastpath(
     """
     encoded = encode_clip(spec.clip, spec.codec, spec.encoding_rate_bps)
     session = simulate_qbone_session(spec, encoded)
-    return result_from_session(spec, encoded, session, vqm_tool)
+    return result_from_session(spec, encoded, session)

@@ -12,11 +12,11 @@ the batch the unit of work:
   that crosses process and cache boundaries — the headline numbers of
   one run without the traces and client records that make
   :class:`~repro.core.experiment.ExperimentResult` heavyweight.
-* :class:`SerialRunner` runs a batch in-process (optionally keeping
-  the full-detail results); :class:`ProcessPoolRunner` fans the batch
-  out over worker processes. Each worker builds its own engine and
-  VQM tool, so a spec's result is a pure function of the spec and the
-  two runners produce bitwise-identical summaries.
+* :class:`SerialRunner` runs a batch in-process;
+  :class:`ProcessPoolRunner` fans the batch out over worker processes.
+  Each run builds its own engine from the spec, so a spec's result is
+  a pure function of the spec and the two runners produce
+  bitwise-identical summaries.
 
 Since the campaign refactor, a runner no longer executes its batch
 directly: :meth:`Runner.run_batch` and :meth:`Runner.run_stream` feed
@@ -26,7 +26,9 @@ grids, and (with a store attached) deduplicates concurrent campaigns
 through cross-process single-flight leases. The runner object remains
 the user-facing handle: it owns the execution strategy (the worker
 backend it builds in :meth:`Runner.make_backend`), the result store,
-the retry policy, and the stats.
+the retry policy, and the stats. The scheduler fills the stats in the
+calling process, lane counts included, so a pooled campaign reports
+exactly what a serial one does.
 
 Fault tolerance (see :mod:`repro.core.faults`): attach a
 :class:`~repro.core.faults.RetryPolicy` and a batch survives its own
@@ -48,7 +50,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.core import chaos
 from repro.core.experiment import (
@@ -61,7 +63,6 @@ from repro.core.faults import (
     PoisonResult,
     RetryPolicy,
 )
-from repro.vqm.tool import VqmTool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.campaign.backends import WorkerBackend
@@ -74,11 +75,6 @@ CACHE_SCHEMA_VERSION = 3  # v3: capture_trace spec field + flow_trace payload
 
 #: One batch slot: a summary on success, a failure record on quarantine.
 BatchOutcome = Union["ResultSummary", FailureRecord]
-
-#: Per-outcome callback: ``(spec, fingerprint, outcome)``, invoked as
-#: each slot resolves (cache hit, fresh result, or quarantine) — the
-#: hook journals use to checkpoint incrementally.
-OutcomeCallback = Callable[[ExperimentSpec, str, BatchOutcome], None]
 
 
 def spec_fingerprint(spec: ExperimentSpec) -> str:
@@ -236,23 +232,14 @@ class RunnerStats:
     fallbacks: int = 0
     # Waits spent on another process's single-flight lease.
     single_flight_waits: int = 0
-    # Fast-lane counters aggregated across processes. The in-process
-    # :data:`repro.core.fastlane.stats` object is per-process, so pool
-    # workers ship deltas back with their outcomes and the parent
-    # folds them here — the CLI stats line reads these.
+    # The lane that served each simulated unit, counted by the campaign
+    # scheduler where it chose the lane: the scalar fast path, the
+    # event engine, or a batch grid (points, and one group per call).
+    # Aggregates count as neither, and REPRO_FASTPATH=0 counts nothing.
     fastpath_hits: int = 0
     fastpath_fallbacks: int = 0
     batch_points: int = 0
     batch_groups: int = 0
-
-    def fold_fastlane(self, delta: Optional[dict]) -> None:
-        """Fold a worker's fast-lane counter delta into the aggregate."""
-        if not delta:
-            return
-        self.fastpath_hits += int(delta.get("hits", 0))
-        self.fastpath_fallbacks += int(delta.get("fallbacks", 0))
-        self.batch_points += int(delta.get("batch_points", 0))
-        self.batch_groups += int(delta.get("batch_groups", 0))
 
     def describe(self) -> str:
         """One-line cache/throughput report."""
@@ -282,67 +269,33 @@ class RunnerStats:
         return line
 
 
-def _summarize_run(
-    spec: ExperimentSpec, vqm_tool: Optional[VqmTool] = None
-) -> tuple[BatchOutcome, Optional[ExperimentResult]]:
+def _summarize_run(spec: ExperimentSpec) -> BatchOutcome:
+    """Run one unit and summarize it: the single-unit worker entry point.
+
+    Backends call it in-process or in a pool worker; it builds its own
+    engine from the spec, so the outcome is the same either way.
+    """
     started = time.perf_counter()
     if chaos.enabled():
         injected = chaos.maybe_inject(spec_fingerprint(spec))
         if injected is not None:
             # A garbage rule: hand the poison to the caller's validator.
-            return injected, None
+            return injected
     if getattr(spec, "is_aggregate", False):
         # Multi-flow aggregate unit: the flows layer owns execution
         # (engine fan-in or interleaved fast lane) and returns a
         # summary directly — there is no single ExperimentResult.
         from repro.flows.aggregate import run_aggregate
 
-        summary = run_aggregate(spec, vqm_tool=vqm_tool)
+        summary = run_aggregate(spec)
         elapsed = time.perf_counter() - started
-        return dataclasses.replace(summary, elapsed_s=elapsed), None
-    result = run_experiment(spec, vqm_tool=vqm_tool)
+        return dataclasses.replace(summary, elapsed_s=elapsed)
+    result = run_experiment(spec)
     elapsed = time.perf_counter() - started
-    return ResultSummary.from_result(result, elapsed_s=elapsed), result
+    return ResultSummary.from_result(result, elapsed_s=elapsed)
 
 
-def _pool_worker(spec: ExperimentSpec) -> BatchOutcome:
-    """Process-pool entry point: fresh engine and VQM tool per call."""
-    summary, _ = _summarize_run(spec)
-    return summary
-
-
-def _fastlane_snapshot() -> dict:
-    """Current process's fast-lane counter snapshot."""
-    from repro.core import fastlane
-
-    return fastlane.stats.as_dict()
-
-
-def _fastlane_delta(snapshot: dict) -> dict:
-    """Fast-lane counters accrued since ``snapshot``."""
-    from repro.core import fastlane
-
-    return fastlane.stats.delta_since(snapshot)
-
-
-def _pool_worker_stats(
-    spec: ExperimentSpec,
-) -> tuple[BatchOutcome, dict]:
-    """Pool entry point that also ships the fast-lane counter delta.
-
-    Dispatch counters live in the worker process
-    (:data:`repro.core.fastlane.stats` is per-process); the parent
-    folds the returned delta into its :class:`RunnerStats` so the CLI
-    stats line reports the whole campaign, not just the parent.
-    """
-    snapshot = _fastlane_snapshot()
-    summary, _ = _summarize_run(spec)
-    return summary, _fastlane_delta(snapshot)
-
-
-def _batch_run(
-    specs: Sequence[ExperimentSpec], vqm_tool: Optional[VqmTool] = None
-) -> list[BatchOutcome]:
+def _batch_run(specs: Sequence[ExperimentSpec]) -> list[BatchOutcome]:
     """Run a coalesced grid through the batch lane, chaos rules intact.
 
     Chaos injection is consulted per member — exactly as the per-unit
@@ -362,21 +315,10 @@ def _batch_run(
     if live:
         from repro.core.fastlane import run_batchpath
 
-        summaries = run_batchpath(
-            [specs[i] for i in live], vqm_tool=vqm_tool
-        )
+        summaries = run_batchpath([specs[i] for i in live])
         for i, summary in zip(live, summaries):
             outcomes[i] = summary
     return outcomes  # type: ignore[return-value]
-
-
-def _pool_batch_worker(
-    specs: Sequence[ExperimentSpec],
-) -> tuple[list[BatchOutcome], dict]:
-    """Process-pool entry point for a coalesced batch grid."""
-    snapshot = _fastlane_snapshot()
-    outcomes = _batch_run(specs)
-    return outcomes, _fastlane_delta(snapshot)
 
 
 def _warm_plan(specs: Sequence[ExperimentSpec]) -> list[tuple]:
@@ -424,16 +366,13 @@ def _warm_worker_caches(plan: list[tuple]) -> None:
 def _supervised_worker(conn, spec: ExperimentSpec) -> None:
     """Entry point of one supervised worker process.
 
-    Sends ``("ok", summary, fastlane_delta)`` or ``("error",
-    type_name, message)`` back over the pipe; a worker that dies
-    without sending anything (crash, kill, ``os._exit``) is detected
-    by the supervisor through its exit code, and one that never sends
-    is reaped at the deadline. The receiver tolerates a two-element
-    ``ok`` tuple, so older workers still parse.
+    Sends ``("ok", outcome)`` or ``("error", type_name, message)``
+    back over the pipe; a worker that dies without sending anything
+    (crash, kill, ``os._exit``) is detected by the supervisor through
+    its exit code, and one that never sends is reaped at the deadline.
     """
     try:
-        outcome, delta = _pool_worker_stats(spec)
-        conn.send(("ok", outcome, delta))
+        conn.send(("ok", _summarize_run(spec)))
     except BaseException as exc:  # noqa: BLE001 - must cross the pipe
         try:
             conn.send(("error", type(exc).__name__, str(exc)))
@@ -467,19 +406,13 @@ class Runner:
         self.window = window
         self.stats = RunnerStats()
 
-    def run_batch(
-        self,
-        specs: Sequence[ExperimentSpec],
-        on_outcome: Optional[OutcomeCallback] = None,
-    ) -> list[BatchOutcome]:
+    def run_batch(self, specs: Sequence[ExperimentSpec]) -> list[BatchOutcome]:
         """Run every spec; returns outcomes in submission order.
 
         Cached points never re-simulate. Without a retry policy any
         spec failure propagates (the historical behaviour). With one,
         each slot resolves to either a summary or a
         :class:`FailureRecord` and the batch always returns.
-        ``on_outcome`` fires once per slot as it resolves — which is
-        what lets a sweep journal checkpoint incrementally.
         """
         from repro.core.campaign.scheduler import run_stream_through_scheduler
 
@@ -488,16 +421,8 @@ class Runner:
 
         def emit(unit, outcome, source) -> None:
             outcomes[unit.index] = outcome
-            if on_outcome is not None:
-                on_outcome(unit.spec, unit.fingerprint, outcome)
 
-        run_stream_through_scheduler(
-            self,
-            specs,
-            emit,
-            plan_specs=specs,
-            need_fingerprints=on_outcome is not None,
-        )
+        run_stream_through_scheduler(self, specs, emit, plan_specs=specs)
         return outcomes  # type: ignore[return-value]
 
     def run_stream(
@@ -533,43 +458,22 @@ class Runner:
 class SerialRunner(Runner):
     """In-process, one-at-a-time execution.
 
-    The only runner that can retain full-detail results: with
-    ``keep_details=True``, :attr:`last_details` holds the
-    :class:`ExperimentResult` of every point the most recent batch
-    actually simulated (cache hits have no detail to keep), in
-    execution order. Spec timeouts are enforced with ``SIGALRM``
-    (main thread, Unix); elsewhere timeout enforcement degrades to
-    none and the other retry machinery still applies.
+    Spec timeouts are enforced with ``SIGALRM`` (main thread, Unix);
+    elsewhere timeout enforcement degrades to none and the other retry
+    machinery still applies.
     """
-
-    def __init__(
-        self,
-        store: Optional["ResultStore"] = None,
-        vqm_tool: Optional[VqmTool] = None,
-        keep_details: bool = False,
-        retry: Optional[RetryPolicy] = None,
-        window: Optional[int] = None,
-    ):
-        super().__init__(store=store, retry=retry, window=window)
-        self.vqm_tool = vqm_tool
-        self.keep_details = keep_details
-        self.last_details: list[ExperimentResult] = []
 
     def make_backend(self, plan_specs):
         from repro.core.campaign.backends import SerialBackend
 
-        return SerialBackend(
-            vqm_tool=self.vqm_tool,
-            keep_details=self.keep_details,
-            details=self.last_details,
-        )
+        return SerialBackend()
 
 
 class ProcessPoolRunner(Runner):
     """Fan a batch out over worker processes.
 
-    Workers build their own engine and VQM tool per spec, so results
-    are a pure function of the spec — independent of worker count and
+    Workers build their own engine per spec, so results are a pure
+    function of the spec — independent of worker count and
     bitwise-identical to :class:`SerialRunner` output.
 
     Two degradation paths keep a campaign alive when workers die:
@@ -610,13 +514,10 @@ class ProcessPoolRunner(Runner):
 def make_runner(
     jobs: int = 1,
     store: Optional["ResultStore"] = None,
-    vqm_tool: Optional[VqmTool] = None,
     retry: Optional[RetryPolicy] = None,
     window: Optional[int] = None,
 ) -> Runner:
     """The natural runner for a job count: serial for 1, pooled above."""
     if jobs <= 1:
-        return SerialRunner(
-            store=store, vqm_tool=vqm_tool, retry=retry, window=window
-        )
+        return SerialRunner(store=store, retry=retry, window=window)
     return ProcessPoolRunner(jobs, store=store, retry=retry, window=window)

@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import FailureRecord
 from repro.core.runner import ResultSummary, Runner, SerialRunner, spec_fingerprint
-from repro.vqm.tool import VqmTool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.campaign.aggregate import CampaignProgress
@@ -167,7 +166,6 @@ def token_rate_sweep(
     base_spec: ExperimentSpec,
     token_rates_bps: Sequence[float],
     bucket_depths_bytes: Iterable[float] = (3000.0, 4500.0),
-    vqm_tool: Optional[VqmTool] = None,
     runner: Optional[Runner] = None,
     journal_path: Union[str, Path, None] = None,
     resume: bool = False,
@@ -179,9 +177,7 @@ def token_rate_sweep(
     The whole cross product streams through ``runner`` (a fresh
     :class:`SerialRunner` by default) and the campaign scheduler, so
     parallel runners see all the work at once and cache-backed runners
-    answer repeated points without simulating. ``vqm_tool`` is only
-    consulted when the default serial runner is built; explicit runners
-    own their tooling.
+    answer repeated points without simulating.
 
     ``journal_path`` enables incremental checkpointing (see
     :mod:`repro.core.journal`): every outcome is durably appended as it
@@ -201,7 +197,7 @@ def token_rate_sweep(
         token_rates_bps, bucket_depths_bytes, forbid_duplicates=False
     )
     specs = sweep_specs(base_spec, token_rates_bps, bucket_depths_bytes)
-    active = runner or SerialRunner(vqm_tool=vqm_tool)
+    active = runner or SerialRunner()
 
     from repro.core.campaign.aggregate import SweepAggregator
 
@@ -235,7 +231,9 @@ def token_rate_sweep(
                 grid_index = to_run[unit.index]
                 aggregator.add(grid_index, specs[grid_index], outcome)
                 if journal is not None:
-                    journal.record(unit.fingerprint, outcome)
+                    journal.record(
+                        unit.fingerprint or spec_fingerprint(unit.spec), outcome
+                    )
                 if progress is not None:
                     progress.update(source, outcome)
 

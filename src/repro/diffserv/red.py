@@ -93,11 +93,6 @@ class WredQueue(DropTailQueue):
         self._avg_queue = 0.0
         self.early_drops = {1: 0, 2: 0, 3: 0}
 
-    @property
-    def average_queue(self) -> float:
-        """Current EWMA of the queue occupancy (packets)."""
-        return self._avg_queue
-
     def enqueue(self, packet: Packet) -> bool:
         """Enqueue with WRED early-drop applied first."""
         self._avg_queue = (

@@ -57,18 +57,15 @@ from repro.sim.link import Link
 from repro.sim.node import Host, Router
 from repro.sim.tracer import FlowTracer
 from repro.testbeds.crosstraffic import PoissonSource
-from repro.testbeds.jitter import JitterElement
+from repro.testbeds.jitter import (
+    BURST_DELAY_RANGE_S,
+    BURST_PROBABILITY,
+    CAMPUS_BASE_DELAY_S,
+    JitterElement,
+)
 from repro.testbeds.qbone import QBoneTestbedConfig
 from repro.units import mbps
 from repro.video.clips import encode_clip
-from repro.vqm.tool import VqmTool
-
-#: Campus front-end constants, matching the single-flow QBone build
-#: (qbone.py wires base_delay=0.0005 into its JitterElement) and the
-#: JitterElement defaults for contention bursts.
-JITTER_BASE_DELAY_S = 0.0005
-JITTER_BURST_PROBABILITY = 0.004
-JITTER_BURST_RANGE_S = (0.001, 0.004)
 
 
 def derive_flow_seed(base_seed: int, flow_index: int) -> int:
@@ -105,13 +102,13 @@ def flow_jitter_delays(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=flow_seed, spawn_key=(key,))
     )
-    delays = np.full(n_packets, JITTER_BASE_DELAY_S, dtype=np.float64)
+    delays = np.full(n_packets, CAMPUS_BASE_DELAY_S, dtype=np.float64)
     if cfg.jitter_mean_s > 0:
         delays = delays + np.minimum(
             rng.exponential(cfg.jitter_mean_s, size=n_packets), cfg.jitter_max_s
         )
-    burst = rng.random(n_packets) < JITTER_BURST_PROBABILITY
-    extra = rng.uniform(*JITTER_BURST_RANGE_S, size=n_packets)
+    burst = rng.random(n_packets) < BURST_PROBABILITY
+    extra = rng.uniform(*BURST_DELAY_RANGE_S, size=n_packets)
     delays[burst] += extra[burst]
     return delays
 
@@ -435,9 +432,7 @@ class _PerFlowPolicerStats:
             stats.remarked_packets += 1
 
 
-def run_engine_aggregate(
-    agg: AggregateSpec, vqm_tool: Optional[VqmTool] = None
-) -> AggregateSummary:
+def run_engine_aggregate(agg: AggregateSpec) -> AggregateSummary:
     """Discrete-event lane: the bit-checked oracle for aggregates.
 
     Topology (fan-in over the single-flow QBone path): each flow gets
@@ -545,14 +540,8 @@ def run_engine_aggregate(
         delays = flow_jitter_delays(
             derive_flow_seed(agg.seed, i), len(fids), cfg
         )
-        jitter = JitterElement(
-            engine,
-            sink=first_hop,
-            base_delay=JITTER_BASE_DELAY_S,
-            mean_jitter=cfg.jitter_mean_s,
-            max_jitter=cfg.jitter_max_s,
-            delays=delays,
-        )
+        # The delay vector already holds base, jitter and bursts.
+        jitter = JitterElement(engine, sink=first_hop, delays=delays)
         campus = Link(
             engine,
             rate_bps=cfg.campus_lan_rate_bps,
@@ -583,7 +572,7 @@ def run_engine_aggregate(
     flow_summaries = []
     for i, flow in enumerate(agg.flows):
         record = clients[i].finalize()
-        trace, vqm = assess_playback(flow, record, vqm_tool)
+        trace, vqm = assess_playback(flow, record)
         extras = {
             "server_packets": servers[i].stats.packets_sent,
             "client_packets": getattr(clients[i], "received_packets", 0),
@@ -605,9 +594,7 @@ def run_engine_aggregate(
     return rollup_summaries(flow_summaries)
 
 
-def run_aggregate(
-    agg: AggregateSpec, vqm_tool: Optional[VqmTool] = None
-) -> AggregateSummary:
+def run_aggregate(agg: AggregateSpec) -> AggregateSummary:
     """Dispatch an aggregate to the interleaved lane or the engine.
 
     ``REPRO_FASTPATH`` governs aggregates as it governs single flows:
@@ -622,10 +609,10 @@ def run_aggregate(
 
     mode = fastpath_mode()
     if mode != "0" and multipath.qualifies_for_flowpath(agg):
-        return multipath.run_multipath(agg, vqm_tool=vqm_tool)
+        return multipath.run_multipath(agg)
     if mode == "1":
         raise FastpathUnsupported(
             f"REPRO_FASTPATH=1 but the aggregate does not qualify for the "
             f"interleaved lane: {agg!r}"
         )
-    return run_engine_aggregate(agg, vqm_tool=vqm_tool)
+    return run_engine_aggregate(agg)

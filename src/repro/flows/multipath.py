@@ -38,7 +38,6 @@ the engine breaks them by event order.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
@@ -60,7 +59,6 @@ from repro.sim.fastpath import (
     policer_outcome,
 )
 from repro.video.clips import encode_clip
-from repro.vqm.tool import VqmTool
 
 
 def qualifies_for_flowpath(agg: AggregateSpec) -> bool:
@@ -136,9 +134,7 @@ class _MergedStream:
         self.local_idx = self.local_idx[order]
 
 
-def run_multipath(
-    agg: AggregateSpec, vqm_tool: Optional[VqmTool] = None
-) -> AggregateSummary:
+def run_multipath(agg: AggregateSpec) -> AggregateSummary:
     """Run one aggregate through the interleaved array lane.
 
     Returns the same :class:`AggregateSummary` (per-flow summaries and
@@ -190,10 +186,7 @@ def run_multipath(
 
     # ------------------------------------------------------------------
     # Demux: per-flow sessions through the unchanged offline stages.
-    # One VQM tool is shared across flows; it keeps no state between
-    # calls.
     # ------------------------------------------------------------------
-    tool = vqm_tool if vqm_tool is not None else VqmTool()
     # Stable flow-sort of the delivered stream: one O(n log n) pass
     # replaces N boolean mask sweeps, and stability preserves each
     # flow's delivery order exactly as the mask would.
@@ -209,7 +202,7 @@ def run_multipath(
             final_times[member],
             stats[i],
         )
-        result = result_from_session(flow, stream.encodeds[i], session, tool)
+        result = result_from_session(flow, stream.encodeds[i], session)
         flow_summaries.append(ResultSummary.from_result(result))
     return rollup_summaries(flow_summaries)
 
@@ -225,13 +218,11 @@ def merged_arrival_arrays(agg: AggregateSpec) -> tuple:
     return stream.times, stream.sizes, stream.flow_idx
 
 
-def run_flows_loop(
-    agg: AggregateSpec, vqm_tool: Optional[VqmTool] = None
-) -> list:
+def run_flows_loop(agg: AggregateSpec) -> list:
     """Naive uncontended baseline: independent single-flow runs.
 
     N separate scalar fast-path pipelines, each with its own RNG
-    replay, policer scan, and VQM tool — and, importantly, each
+    replay, policer scan, and assessment — and, importantly, each
     policing its *own* full-rate bucket, because the single-flow
     pipeline cannot express a shared one. It approximates an aggregate
     only in per-flow mode with zero offsets. The scale benchmark
@@ -250,6 +241,6 @@ def run_flows_loop(
             policer_action=agg.policer_action,
             seed=derive_flow_seed(agg.seed, i),
         )
-        result = run_fastpath(spec, vqm_tool=vqm_tool)
+        result = run_fastpath(spec)
         summaries.append(ResultSummary.from_result(result))
     return summaries

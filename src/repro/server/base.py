@@ -84,7 +84,3 @@ class StreamingServer:
             self.stats.packets_sent += 1
             self.stats.bytes_sent += packet.size
             self.sink.receive(packet)
-
-    def stream_byte_to_frame(self, offset: int) -> int:
-        """Frame owning a given stream byte (delegates to the clip)."""
-        return self.clip.frame_of_byte(offset)

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,7 +61,6 @@ from repro.sim.fastpath import (
     shaper_releases,
 )
 from repro.video.clips import encode_clip
-from repro.vqm.tool import VqmTool
 
 #: Fewest lanes on one policer-input stream that the 2-D
 #: :func:`_lane_scan` serves; narrower streams scan lane by lane with
@@ -117,7 +116,7 @@ def _lane_scan(
     return conform
 
 
-def _run_group(specs: list, vqm_tool: Optional[VqmTool]) -> list:
+def _run_group(specs: list) -> list:
     """One (clip, encoding, …) group: shared front end, per-lane scan."""
     from repro.core.fastlane import result_from_session
     from repro.core.runner import ResultSummary
@@ -126,7 +125,6 @@ def _run_group(specs: list, vqm_tool: Optional[VqmTool]) -> list:
     encoded = encode_clip(spec0.clip, spec0.codec, spec0.encoding_rate_bps)
     cfg = qbone_config(spec0)
     sched = compute_schedule(encoded, cfg)
-    tool = vqm_tool or VqmTool()
 
     summaries: list = [None] * len(specs)
     by_seed: dict = {}
@@ -192,14 +190,14 @@ def _run_group(specs: list, vqm_tool: Optional[VqmTool]) -> list:
                     session = build_session(
                         cfg, encoded, sched, times, ids, sizes, fids, mask
                     )
-                    result = result_from_session(specs[i], encoded, session, tool)
+                    result = result_from_session(specs[i], encoded, session)
                     summary = ResultSummary.from_result(result, elapsed_s=0.0)
                     outcome_cache[key] = summary
                 summaries[i] = summary
     return summaries
 
 
-def run_batch_specs(specs: Sequence, vqm_tool: Optional[VqmTool] = None) -> list:
+def run_batch_specs(specs: Sequence) -> list:
     """Run a grid of qualifying specs as one batched array program.
 
     Specs may span multiple (clip, encoding) groups; grouping happens
@@ -220,7 +218,7 @@ def run_batch_specs(specs: Sequence, vqm_tool: Optional[VqmTool] = None) -> list
         groups.setdefault(batch_key(spec), []).append(i)
     out: list = [None] * len(specs)
     for members in groups.values():
-        results = _run_group([specs[i] for i in members], vqm_tool)
+        results = _run_group([specs[i] for i in members])
         for i, summary in zip(members, results):
             out[i] = summary
     per_point = (time.perf_counter() - started) / len(specs)

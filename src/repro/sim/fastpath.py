@@ -63,6 +63,11 @@ from repro.sim.tracer import (
     RECEIVER_TRACE_COLUMNS,
     TRACE_SCHEMA_VERSION,
 )
+from repro.testbeds.jitter import (
+    BURST_DELAY_RANGE_S,
+    BURST_PROBABILITY,
+    CAMPUS_BASE_DELAY_S,
+)
 from repro.testbeds.qbone import QBoneTestbedConfig
 from repro.units import UDP_IP_HEADER
 from repro.video.mpeg import EncodedClip
@@ -319,11 +324,11 @@ def jitter_releases(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(key,))
     )
-    base = 0.0005  # the QBone testbed's campus base delay
+    base = CAMPUS_BASE_DELAY_S
     mean_jitter = cfg.jitter_mean_s
     max_jitter = cfg.jitter_max_s
-    burst_p = 0.004
-    burst_lo, burst_hi = (0.001, 0.004)
+    burst_p = BURST_PROBABILITY
+    burst_lo, burst_hi = BURST_DELAY_RANGE_S
     # Bound once: each call returns a Python float. numpy computes
     # exponential(scale) as scale * standard_exponential(), so the
     # product below is the engine's draw, bit for bit, and the

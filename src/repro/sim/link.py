@@ -83,11 +83,6 @@ class Link:
         """True while a packet is being serialized."""
         return self._busy
 
-    @property
-    def utilization_bytes(self) -> int:
-        """Total bytes pushed through the link so far."""
-        return self.transmitted_bytes
-
     def receive(self, packet: Packet) -> None:
         """Accept a packet for transmission (PacketSink interface)."""
         self.queue.enqueue(packet)

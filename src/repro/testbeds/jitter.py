@@ -16,27 +16,36 @@ from typing import Optional
 from repro.sim.engine import Engine
 from repro.sim.packet import Packet, PacketSink
 
+#: Base delay of the QBone remote site's campus LAN, seconds.
+CAMPUS_BASE_DELAY_S = 0.0005
+
+#: Chance that a packet meets a contention burst on the campus LAN.
+BURST_PROBABILITY = 0.004
+
+#: A contention burst adds a delay drawn uniformly from this range,
+#: seconds.
+BURST_DELAY_RANGE_S = (0.001, 0.004)
+
 
 class JitterElement:
     """Adds random, order-preserving delay to every packet.
 
     Per-packet delay is ``base_delay + Exp(mean_jitter)``, truncated at
-    ``max_jitter``; release times are made monotone so packets never
-    reorder (later packets clump behind delayed earlier ones, exactly
-    the effect we want to model).
+    ``max_jitter``, plus a contention burst with probability
+    ``burst_probability``; release times are made monotone so packets
+    never reorder (later packets clump behind delayed earlier ones,
+    exactly the effect we want to model). The defaults are the QBone
+    campus constants above, which the fast lanes replay.
     """
 
     def __init__(
         self,
         engine: Engine,
         sink: Optional[PacketSink] = None,
-        base_delay: float = 0.001,
+        base_delay: float = CAMPUS_BASE_DELAY_S,
         mean_jitter: float = 0.0004,
         max_jitter: float = 0.002,
-        burst_probability: float = 0.004,
-        burst_delay_range: tuple = (0.001, 0.004),
-        rng_stream: str = "jitter",
-        rng=None,
+        burst_probability: float = BURST_PROBABILITY,
         delays=None,
     ):
         if base_delay < 0 or mean_jitter < 0 or max_jitter < 0:
@@ -49,12 +58,6 @@ class JitterElement:
         self.mean_jitter = mean_jitter
         self.max_jitter = max_jitter
         self.burst_probability = burst_probability
-        self.burst_delay_range = burst_delay_range
-        self.rng_stream = rng_stream
-        # Injected generator (multi-flow aggregates give each flow its
-        # own, derived from the flow seed); None keeps the historical
-        # engine-owned per-stream generator.
-        self._rng = rng
         # Precomputed per-packet total delay sequence (base + jitter,
         # indexed by arrival order). When set, no RNG is consulted at
         # receive time — the aggregate lanes draw each flow's whole
@@ -82,7 +85,7 @@ class JitterElement:
             sink = self._sink
             self.engine.schedule_at(release, lambda p=packet: sink.receive(p))
             return
-        rng = self._rng if self._rng is not None else self.engine.rng(self.rng_stream)
+        rng = self.engine.rng("jitter")
         jitter = 0.0
         if self.mean_jitter > 0:
             jitter = min(
@@ -91,7 +94,7 @@ class JitterElement:
         # Occasional contention bursts: someone else's traffic stalls
         # the campus queue for a few milliseconds, clumping our packets.
         if self.burst_probability > 0 and rng.random() < self.burst_probability:
-            jitter += float(rng.uniform(*self.burst_delay_range))
+            jitter += float(rng.uniform(*BURST_DELAY_RANGE_S))
         release = max(
             self.engine.now + self.base_delay + jitter, self._last_release
         )

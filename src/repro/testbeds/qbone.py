@@ -122,11 +122,11 @@ class QBoneTestbed:
             )
             first_hop = self.shaper
 
-        # Remote campus: LAN then jitter, into the border router.
+        # Remote campus: LAN then jitter, into the border router. The
+        # element's defaults are this campus's base delay and bursts.
         jitter = JitterElement(
             engine,
             sink=first_hop,
-            base_delay=0.0005,
             mean_jitter=cfg.jitter_mean_s,
             max_jitter=cfg.jitter_max_s,
         )

@@ -193,10 +193,9 @@ class StubBackend(WorkerBackend):
 
 class TestBackendSelection:
     def test_serial_runner_maps_to_serial_backend(self):
-        runner = SerialRunner(keep_details=True)
+        runner = SerialRunner()
         backend = runner.make_backend(None)
         assert isinstance(backend, SerialBackend)
-        assert backend.details is runner.last_details
 
     def test_pool_runner_maps_to_pool_backend(self):
         runner = ProcessPoolRunner(jobs=3, retry=RetryPolicy())

@@ -157,13 +157,6 @@ class TestRunners:
         pooled = ProcessPoolRunner(jobs=2).run_batch(specs)
         assert serial == pooled
 
-    def test_serial_keep_details_retains_full_results(self):
-        runner = SerialRunner(keep_details=True)
-        runner.run_batch([fast_spec()])
-        [detail] = runner.last_details
-        assert detail.trace is not None
-        assert detail.client_record is not None
-
     def test_pool_rejects_zero_jobs(self):
         with pytest.raises(ValueError):
             ProcessPoolRunner(jobs=0)
