@@ -32,6 +32,13 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import SpecTimeout, WorkerCrash, deadline
+from repro.core.runner import (
+    _batch_run,
+    _summarize_run,
+    _supervised_worker,
+    _warm_plan,
+    _warm_worker_caches,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runner import BatchOutcome, RunnerStats
@@ -97,8 +104,6 @@ class SerialBackend(WorkerBackend):
     async def execute(
         self, spec: ExperimentSpec, timeout_s: Optional[float] = None
     ) -> "BatchOutcome":
-        from repro.core.runner import _summarize_run
-
         with deadline(timeout_s):
             return _summarize_run(spec)
 
@@ -107,8 +112,6 @@ class SerialBackend(WorkerBackend):
         specs: Sequence[ExperimentSpec],
         timeout_s: Optional[float] = None,
     ) -> list["BatchOutcome"]:
-        from repro.core.runner import _batch_run
-
         with deadline(timeout_s):
             return _batch_run(list(specs))
 
@@ -190,8 +193,6 @@ class ProcessPoolBackend(WorkerBackend):
     async def execute(
         self, spec: ExperimentSpec, timeout_s: Optional[float] = None
     ) -> "BatchOutcome":
-        from repro.core.runner import _summarize_run
-
         if self.supervised and not self._in_process_mode():
             return await asyncio.to_thread(self._run_supervised, spec, timeout_s)
         return await self._run(_summarize_run, spec)
@@ -208,15 +209,11 @@ class ProcessPoolBackend(WorkerBackend):
         specs: Sequence[ExperimentSpec],
         timeout_s: Optional[float] = None,
     ) -> list["BatchOutcome"]:
-        from repro.core.runner import _batch_run
-
         return await self._run(_batch_run, list(specs))
 
     def _ensure_pool(self):
         if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
-
-            from repro.core.runner import _warm_plan, _warm_worker_caches
 
             workers = self.jobs
             if self._total_hint is not None:
@@ -237,8 +234,6 @@ class ProcessPoolBackend(WorkerBackend):
         Runs on a worker thread, so supervision never blocks the event
         loop; up to ``jobs`` of these are in flight at once.
         """
-        from repro.core.runner import _summarize_run, _supervised_worker
-
         ctx = multiprocessing.get_context()
         try:
             parent_conn, child_conn = ctx.Pipe(duplex=False)

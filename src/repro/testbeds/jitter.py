@@ -34,8 +34,9 @@ class JitterElement:
     ``max_jitter``, plus a contention burst with probability
     ``burst_probability``; release times are made monotone so packets
     never reorder (later packets clump behind delayed earlier ones,
-    exactly the effect we want to model). The defaults are the QBone
-    campus constants above, which the fast lanes replay.
+    exactly the effect we want to model). ``base_delay`` and
+    ``burst_probability`` default to the QBone campus constants above,
+    which the fast lanes replay.
     """
 
     def __init__(
