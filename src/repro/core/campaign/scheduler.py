@@ -23,13 +23,13 @@ reporting all hang off. Because every outcome is a pure function of
 its spec, emission order is free to vary with scheduling while the
 assembled results stay bit-identical.
 
-The scheduler also keeps the runner's :class:`~repro.core.runner.
-RunnerStats`, in the calling process. It chooses between a lone unit
-and a batch grid, so it counts the lane of each fresh outcome there:
-a grid member as a batch point, a lone flat unit as a fast-path hit
-or an engine fallback by :func:`~repro.core.fastlane.
-qualifies_for_fastpath`. Where the unit then ran, in-process or in a
-worker, does not change the counts.
+The scheduler also keeps the runner's
+:class:`~repro.core.runner.RunnerStats`, in the calling process. It
+chooses between a lone unit and a batch grid, so it counts the lane of
+each fresh outcome there: a grid member as a batch point, a lone flat
+unit as a fast-path hit or an engine fallback by
+:func:`~repro.core.fastlane.qualifies_for_fastpath`. Where the unit
+then ran, in-process or in a worker, does not change the counts.
 """
 
 from __future__ import annotations
@@ -82,8 +82,9 @@ MAX_BATCH_UNITS = 64
 class WorkUnit:
     """One schedulable point: a spec plus its submission position.
 
-    ``fingerprint`` is the spec's :func:`~repro.core.runner.
-    spec_fingerprint` when a result store is attached, else empty.
+    ``fingerprint`` keys the result store.
+    :func:`run_stream_through_scheduler` computes it only when a store
+    is attached and leaves it empty otherwise.
     """
 
     index: int
