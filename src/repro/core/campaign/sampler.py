@@ -33,6 +33,7 @@ from repro.core.experiment import ExperimentSpec
 from repro.core.faults import FailureRecord
 from repro.core.runner import Runner, SerialRunner
 from repro.core.sweep import SweepResult, validate_grid
+from repro.sim.fastpath import front_end_scope
 
 from repro.core.campaign.aggregate import SweepAggregator
 
@@ -96,6 +97,7 @@ def _jumps(
     )
 
 
+@front_end_scope()
 def adaptive_token_rate_sweep(
     base_spec: ExperimentSpec,
     token_rates_bps: Sequence[float],
@@ -113,7 +115,9 @@ def adaptive_token_rate_sweep(
     but evaluates only the coarse pass plus cliff refinements. The
     result's ``points`` are the evaluated subset of the uniform
     sweep's points — bit-identical summaries for shared fingerprints —
-    and ``sampling`` carries the :class:`AdaptiveSampleReport`.
+    and ``sampling`` carries the :class:`AdaptiveSampleReport`. All
+    rounds run in one front-end scope, so in-process they compute the
+    schedule and the seed's jitter replay once.
     """
     if coarse_step < 1:
         raise ValueError(f"coarse_step must be positive (got {coarse_step})")

@@ -55,6 +55,7 @@ from repro.core.runner import (
     spec_fingerprint,
     validate_summary,
 )
+from repro.sim.fastpath import front_end_scope
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.campaign.backends import WorkerBackend
@@ -436,6 +437,11 @@ def run_stream_through_scheduler(
     backend can pre-warm worker caches; when omitted (a lazy spec
     stream), workers warm lazily instead. Units are fingerprinted only
     when the runner has a store to key.
+
+    The whole call runs in one front-end scope
+    (:func:`~repro.sim.fastpath.front_end_scope`), so the batch calls
+    of its scheduler windows compute each schedule and jitter replay
+    once; a caller's enclosing scope stretches that over its calls.
     """
     store = runner.store
     if store is not None:
@@ -459,4 +465,5 @@ def run_stream_through_scheduler(
         stats=runner.stats,
         window=runner.window,
     )
-    asyncio.run(scheduler.run(unit_stream(), emit))
+    with front_end_scope():
+        asyncio.run(scheduler.run(unit_stream(), emit))

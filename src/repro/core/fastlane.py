@@ -32,10 +32,11 @@ the same cache entries interchangeably.
 The *batch* lane sits one level up: the campaign scheduler coalesces
 adjacent qualifying work units that differ only in
 ``(token_rate_bps, bucket_depth_bytes, seed)`` and hands the whole
-grid to :func:`run_batchpath`, which amortizes the shared front end
-(schedule, jitter replay) across the grid and vectorizes the
-token-bucket scan over the rate×depth axis — still bit-identical per
-point. A lone qualifying unit runs on the scalar path.
+grid to :func:`run_batchpath`, which scans the whole rate×depth grid
+at once — still bit-identical per point. A lone qualifying unit runs
+on the scalar path. Every lane call of one request, batched or not,
+reads the same shared front end (schedule, jitter replay per seed):
+:func:`repro.sim.fastpath.front_end_scope` computes each once.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ average and maximum encoding rates.
 
 The search runs *lockstep*: each bisection iteration submits one probe
 per still-active depth as a single batch, so a pooled runner
-parallelizes across depths and a cached one re-simulates nothing.
+parallelizes across depths and a cached one re-simulates nothing. All
+rounds run in one front-end scope, so in-process rounds compute the
+clip's schedule and the seed's jitter replay once per recommend.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional, Sequence
 
 from repro.core.faults import FailureRecord
 from repro.core.runner import ResultSummary, Runner, SerialRunner
+from repro.sim.fastpath import front_end_scope
 from repro.units import mbps
 from repro.video.clips import encode_clip
 
@@ -152,6 +155,7 @@ def _meets(summary: ResultSummary, metric: str, bound: float) -> bool:
     return getattr(summary, metric) <= bound
 
 
+@front_end_scope()
 def recommend_provisioning(
     base_spec,
     depths: Sequence[float] = (3000.0, 4500.0),

@@ -38,6 +38,7 @@ from repro.core.faults import FailureRecord
 from repro.core.runner import Runner, SerialRunner
 from repro.flows.aggregate import AggregateSpec, AggregateSummary
 from repro.flows.measure import DEFAULT_WINDOW_S, measure_aggregate
+from repro.sim.fastpath import front_end_scope
 from repro.video.clips import encode_clip
 
 #: Default QoE floor: clip-level VQM score (0 best, 1 worst) each
@@ -289,6 +290,7 @@ class AdmissionFrontier:
         }
 
 
+@front_end_scope()
 def admission_frontier(
     base_flow,
     max_flows: int,
@@ -312,7 +314,9 @@ def admission_frontier(
     floor — admission is sequential, so a dip at K closes the door
     even if K+1 were somehow admissible again. The bandwidth count is
     the naive ``budget / nominal`` cutoff (``budget`` defaults to the
-    token rate itself).
+    token rate itself). The probes and the load measurements run in one
+    front-end scope, so in-process they share one schedule per clip
+    version and start offset.
     """
     if max_flows < 1:
         raise ValueError("max_flows must be at least 1")

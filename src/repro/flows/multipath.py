@@ -2,7 +2,8 @@
 
 One aggregate run is N single-flow front ends feeding one shared
 policing point. The front ends are already pure functions of the spec
-(:func:`repro.sim.fastpath.compute_schedule` plus each flow's batched
+(a schedule from the request's
+:class:`~repro.sim.fastpath.FrontEndMemo` plus each flow's batched
 jitter vector), so the only genuinely *coupled* computation is the
 policer: every packet's conformance depends on the token state left by
 whichever flow arrived before it. This module merges the per-flow
@@ -54,8 +55,8 @@ from repro.flows.aggregate import (
 from repro.sim.fastpath import (
     backbone,
     bucket_fill,
-    compute_schedule,
     flow_session,
+    front_end_scope,
     policer_outcome,
 )
 from repro.video.clips import encode_clip
@@ -74,37 +75,37 @@ def qualifies_for_flowpath(agg: AggregateSpec) -> bool:
 
 
 class _MergedStream:
-    """Per-flow schedules merged into one time-sorted arrival stream."""
+    """Per-flow schedules merged into one time-sorted arrival stream.
+
+    Flows of one clip version and start offset share one schedule from
+    the request's front-end memo. A bare aggregate opens a scope of its
+    own, so its zero-offset flows still share one. Each flow's jitter
+    vector is drawn afresh: at about 0.1 ms a flow it is not worth
+    keeping.
+    """
 
     def __init__(self, agg: AggregateSpec, cfg):
         self.encodeds = []
         self.schedules = []
         self.releases = []
-        schedule_cache: dict = {}
-        for i, flow in enumerate(agg.flows):
-            encoded = encode_clip(flow.clip, flow.codec, flow.encoding_rate_bps)
-            key = (
-                flow.clip,
-                flow.codec,
-                flow.encoding_rate_bps,
-                agg.start_offsets[i],
-            )
-            sched = schedule_cache.get(key)
-            if sched is None:
-                sched = compute_schedule(encoded, cfg, start=agg.start_offsets[i])
-                schedule_cache[key] = sched
-            delays = flow_jitter_delays(
-                derive_flow_seed(agg.seed, i), sched.n_packets, cfg
-            )
-            campus = np.asarray(sched.campus_departs, dtype=np.float64)
-            self.encodeds.append(encoded)
-            self.schedules.append(sched)
-            # The jitter element's monotone clamp, vectorized: the
-            # engine computes max(arrival + delay, last) packet by
-            # packet; maximum.accumulate is that exact chain (max has
-            # no rounding) and the initial last=0.0 is absorbed since
-            # every release is positive.
-            self.releases.append(np.maximum.accumulate(campus + delays))
+        with front_end_scope() as front:
+            for i, flow in enumerate(agg.flows):
+                encoded = encode_clip(
+                    flow.clip, flow.codec, flow.encoding_rate_bps
+                )
+                sched = front.schedule(encoded, cfg, start=agg.start_offsets[i])
+                delays = flow_jitter_delays(
+                    derive_flow_seed(agg.seed, i), sched.n_packets, cfg
+                )
+                campus = np.asarray(sched.campus_departs, dtype=np.float64)
+                self.encodeds.append(encoded)
+                self.schedules.append(sched)
+                # The jitter element's monotone clamp, vectorized: the
+                # engine computes max(arrival + delay, last) packet by
+                # packet; maximum.accumulate is that exact chain (max
+                # has no rounding) and the initial last=0.0 is absorbed
+                # since every release is positive.
+                self.releases.append(np.maximum.accumulate(campus + delays))
 
         counts = [len(r) for r in self.releases]
         self.counts = counts

@@ -7,10 +7,12 @@ recomputed: the message schedule, the emission and campus-LAN
 recurrences, and the jitter RNG replay depend only on the clip and the
 seed — not on the policing profile. This module exploits that:
 
-1. **Shared front end.** The schedule/emission/campus arrays are
-   computed once per (clip, encoding) group
-   (:func:`repro.sim.fastpath.compute_schedule`), and the jitter
-   replay once per seed — not per grid point.
+1. **Shared front end.** The schedule/emission/campus arrays
+   (:func:`repro.sim.fastpath.compute_schedule`) and, per seed, the
+   jitter replay are computed once per request, not per grid point
+   or per batch call: every lane of a request reads them from one
+   :class:`~repro.sim.fastpath.FrontEndMemo`, so a recommend's probe
+   rounds and a sweep's scheduler windows share them.
 2. **Conformance scan by width.** Lanes that share one policer-input
    stream are scanned together. A stream of
    :data:`LANE_SCAN_MIN_LANES` lanes or more runs the token-bucket
@@ -55,8 +57,7 @@ import numpy as np
 from repro.sim.fastpath import (
     bucket_fill,
     build_session,
-    compute_schedule,
-    jitter_releases,
+    front_end_scope,
     qbone_config,
     shaper_releases,
 )
@@ -124,15 +125,19 @@ def _run_group(specs: list) -> list:
     spec0 = specs[0]
     encoded = encode_clip(spec0.clip, spec0.codec, spec0.encoding_rate_bps)
     cfg = qbone_config(spec0)
-    sched = compute_schedule(encoded, cfg)
 
     summaries: list = [None] * len(specs)
     by_seed: dict = {}
     for i, spec in enumerate(specs):
         by_seed.setdefault(spec.seed, []).append(i)
 
+    with front_end_scope() as front:
+        sched = front.schedule(encoded, cfg)
+        releases_by_seed = {
+            seed: front.releases(encoded, cfg, seed) for seed in by_seed
+        }
     for seed, members in by_seed.items():
-        releases = jitter_releases(sched.campus_departs, seed, cfg)
+        releases = releases_by_seed[seed]
         # Lanes sharing one policer-input packet stream. Unshaped lanes
         # all see the jitter releases; shaped lanes see their shaper
         # profile's output, which lanes with equal profiles share.

@@ -37,16 +37,24 @@ the scalar path calls it once per run and the batch lane once per
 unique mask. :func:`repro.flows.multipath.run_multipath` composes them
 over a merged multi-flow stream.
 
+Before the policer, every lane takes its server schedule and jitter
+replay from :func:`front_end_scope`'s memo, so all the lane calls of
+one request (a recommend's probe rounds, a sweep's scheduler windows)
+compute each once.
+
 See DESIGN.md §8 for the qualification rules and the equivalence test
 contract (``tests/test_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations
 
+import os
 import zlib
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -267,7 +275,7 @@ class ScheduleBundle:
 
     Everything here is a pure function of (clip, encoding, campus
     rate) — independent of the policing profile and the seed — so one
-    bundle is shared across every grid point of a batched sweep.
+    bundle serves every lane call of a request (:class:`FrontEndMemo`).
     """
 
     fids_arr: np.ndarray  # frame id per packet (int64)
@@ -307,6 +315,90 @@ def compute_schedule(
         emit_times=emit_times,
         campus_departs=campus_departs,
     )
+
+
+class FrontEndMemo:
+    """The schedules and jitter replays computed so far in one request.
+
+    A schedule is keyed by the clip version (clip, codec, encoding
+    rate), the campus-LAN rate and the start offset; a jitter replay by
+    its zero-offset schedule's key, the seed and the jitter element's
+    mean and cap. Both are pure functions of their keys, so a hit
+    returns the very lists the first call built. Callers only read
+    them. A miss calls :func:`compute_schedule` or
+    :func:`jitter_releases` through this module's globals.
+    """
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self._schedules: dict = {}
+        self._releases: dict = {}
+
+    @staticmethod
+    def _schedule_key(encoded: EncodedClip, cfg: QBoneTestbedConfig, start: float):
+        return (
+            encoded.clip_name,
+            encoded.codec,
+            encoded.target_rate_bps,
+            cfg.campus_lan_rate_bps,
+            start,
+        )
+
+    def schedule(
+        self, encoded: EncodedClip, cfg: QBoneTestbedConfig, start: float = 0.0
+    ) -> ScheduleBundle:
+        """:func:`compute_schedule`, computed once per key."""
+        key = self._schedule_key(encoded, cfg, start)
+        sched = self._schedules.get(key)
+        if sched is None:
+            sched = self._schedules[key] = compute_schedule(encoded, cfg, start)
+        return sched
+
+    def releases(
+        self, encoded: EncodedClip, cfg: QBoneTestbedConfig, seed: int
+    ) -> list[float]:
+        """:func:`jitter_releases` over the zero-offset schedule, once per key."""
+        key = (
+            self._schedule_key(encoded, cfg, 0.0),
+            seed,
+            cfg.jitter_mean_s,
+            cfg.jitter_max_s,
+        )
+        releases = self._releases.get(key)
+        if releases is None:
+            campus_departs = self.schedule(encoded, cfg).campus_departs
+            releases = jitter_releases(campus_departs, seed, cfg)
+            self._releases[key] = releases
+        return releases
+
+
+_front_end: ContextVar[Optional[FrontEndMemo]] = ContextVar(
+    "front_end", default=None
+)
+
+
+@contextmanager
+def front_end_scope() -> Iterator[FrontEndMemo]:
+    """Share schedules and jitter replays across the calls of one request.
+
+    Yields the active :class:`FrontEndMemo`, opening one when none is
+    active. A nested scope reuses the outer memo, and the outermost
+    one drops it on exit, so nothing outlives its request. The memo
+    lives in a context variable, which ``asyncio.run`` and
+    ``asyncio.to_thread`` carry into the scheduler's task and threads.
+    A forked worker process inherits the variable but not the scope: a
+    memo opened by another process counts as none.
+    """
+    memo = _front_end.get()
+    if memo is not None and memo.pid == os.getpid():
+        yield memo
+        return
+    memo = FrontEndMemo()
+    token = _front_end.set(memo)
+    try:
+        yield memo
+    finally:
+        _front_end.reset(token)
 
 
 def jitter_releases(
@@ -629,8 +721,9 @@ def simulate_qbone_session(spec, encoded: EncodedClip) -> FastPathSession:
     topology, a VideoCharger server, and no recovery machinery).
     """
     cfg = qbone_config(spec)
-    sched = compute_schedule(encoded, cfg)
-    releases = jitter_releases(sched.campus_departs, spec.seed, cfg)
+    with front_end_scope() as front:
+        sched = front.schedule(encoded, cfg)
+        releases = front.releases(encoded, cfg, spec.seed)
 
     # Optional edge shaper between the jitter box and the policer.
     if cfg.use_shaper:
