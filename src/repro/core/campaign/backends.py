@@ -44,6 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runner import BatchOutcome, RunnerStats
 
 
+#: What a supervised attempt returns when it cannot spawn a process;
+#: the unit then runs in-process, under its deadline.
+_NO_PROCESS = object()
+
+
 class RemoteWorkerError(Exception):
     """An exception a supervised worker reported over its pipe.
 
@@ -132,7 +137,10 @@ class ProcessPoolBackend(WorkerBackend):
     classify.
 
     Single-spec batches and ``jobs=1`` run in-process, which keeps
-    them usable in environments without working multiprocessing.
+    them usable in environments without working multiprocessing. An
+    in-process unit runs on the event-loop thread under the same
+    ``SIGALRM`` deadline as :class:`SerialBackend`, so a retry policy's
+    ``spec_timeout_s`` holds there too.
     """
 
     #: Seconds between supervision polls of a worker's pipe/liveness.
@@ -171,31 +179,39 @@ class ProcessPoolBackend(WorkerBackend):
             or (self._total_hint is not None and self._total_hint <= 1)
         )
 
-    async def _run(self, entry, work):
+    async def _run(self, entry, work, timeout_s: Optional[float]):
         """``entry(work)`` in the pool, or in-process when there is none.
 
-        ``entry`` is one of the runner's worker entry points. A pool
-        broken by a dying worker (segfault, OOM kill) degrades this and
-        every later call to in-process execution: outcomes are pure
-        functions of their specs, so the campaign completes, slower.
+        ``entry`` is one of the runner's worker entry points. In-process
+        it runs on the event-loop thread, where ``SIGALRM`` can enforce
+        ``timeout_s``. A pool broken by a dying worker (segfault, OOM
+        kill) degrades this and every later call to in-process
+        execution: outcomes are pure functions of their specs, so the
+        campaign completes, slower.
         """
-        if self._in_process_mode():
-            return await asyncio.to_thread(entry, work)
-        from concurrent.futures.process import BrokenProcessPool
+        if not self._in_process_mode():
+            from concurrent.futures.process import BrokenProcessPool
 
-        loop = asyncio.get_running_loop()
-        try:
-            return await loop.run_in_executor(self._ensure_pool(), entry, work)
-        except BrokenProcessPool:
-            self._note_fallback()
-            return await asyncio.to_thread(entry, work)
+            loop = asyncio.get_running_loop()
+            try:
+                return await loop.run_in_executor(
+                    self._ensure_pool(), entry, work
+                )
+            except BrokenProcessPool:
+                self._note_fallback()
+        with deadline(timeout_s):
+            return entry(work)
 
     async def execute(
         self, spec: ExperimentSpec, timeout_s: Optional[float] = None
     ) -> "BatchOutcome":
         if self.supervised and not self._in_process_mode():
-            return await asyncio.to_thread(self._run_supervised, spec, timeout_s)
-        return await self._run(_summarize_run, spec)
+            outcome = await asyncio.to_thread(
+                self._run_supervised, spec, timeout_s
+            )
+            if outcome is not _NO_PROCESS:
+                return outcome
+        return await self._run(_summarize_run, spec, timeout_s)
 
     @property
     def batch_capable(self) -> bool:  # type: ignore[override]
@@ -209,7 +225,7 @@ class ProcessPoolBackend(WorkerBackend):
         specs: Sequence[ExperimentSpec],
         timeout_s: Optional[float] = None,
     ) -> list["BatchOutcome"]:
-        return await self._run(_batch_run, list(specs))
+        return await self._run(_batch_run, list(specs), timeout_s)
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -232,7 +248,8 @@ class ProcessPoolBackend(WorkerBackend):
         """One supervised attempt: spawn, watch, reap.
 
         Runs on a worker thread, so supervision never blocks the event
-        loop; up to ``jobs`` of these are in flight at once.
+        loop; up to ``jobs`` of these are in flight at once. Returns
+        :data:`_NO_PROCESS` when no process can be spawned.
         """
         ctx = multiprocessing.get_context()
         try:
@@ -245,7 +262,7 @@ class ProcessPoolBackend(WorkerBackend):
             # Cannot spawn processes at all (fd/PID exhaustion,
             # restricted sandbox): degrade to in-process execution.
             self._note_fallback()
-            return _summarize_run(spec)
+            return _NO_PROCESS
         child_conn.close()
         deadline_at = (
             time.monotonic() + timeout_s if timeout_s else None

@@ -315,6 +315,50 @@ class TestPoolFaultTolerance:
         assert outcomes == clean
         assert runner.stats.fallbacks == 1
 
+    def test_in_process_unit_honours_spec_timeout(self, tmp_path):
+        """A one-spec pooled batch runs in-process, under its deadline."""
+        spec = fast_spec()
+        plan = chaos.ChaosPlan(tmp_path).add(
+            spec_fingerprint(spec), chaos.ChaosRule("hang", hang_s=3.0)
+        )
+        started = time.monotonic()
+        with plan.installed():
+            runner = ProcessPoolRunner(
+                jobs=2, retry=RetryPolicy(max_retries=0, spec_timeout_s=0.5)
+            )
+            [outcome] = runner.run_batch([spec])
+        assert time.monotonic() - started < 2.5
+        assert isinstance(outcome, FailureRecord)
+        assert outcome.kind == "timeout"
+
+    def test_unspawnable_attempt_runs_in_process_under_deadline(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.campaign import backends
+
+        class NoProcesses:
+            def Pipe(self, duplex=True):
+                raise OSError("cannot spawn")
+
+        monkeypatch.setattr(backends.multiprocessing, "get_context", NoProcesses)
+        hanger = fast_spec(token_rate_bps=mbps(2.0))
+        healthy = fast_spec()
+        clean = SerialRunner().run_batch([healthy])
+        plan = chaos.ChaosPlan(tmp_path).add(
+            spec_fingerprint(hanger), chaos.ChaosRule("hang", hang_s=3.0)
+        )
+        started = time.monotonic()
+        with plan.installed():
+            runner = ProcessPoolRunner(
+                jobs=2, retry=RetryPolicy(max_retries=0, spec_timeout_s=0.5)
+            )
+            outcomes = runner.run_batch([hanger, healthy])
+        assert time.monotonic() - started < 2.5
+        assert isinstance(outcomes[0], FailureRecord)
+        assert outcomes[0].kind == "timeout"
+        assert outcomes[1:] == clean
+        assert runner.stats.fallbacks == 1
+
 
 class TestChaosAcceptance:
     def test_chaos_sweep_completes_and_resumes(self, tmp_path):
