@@ -25,12 +25,11 @@ from repro.recovery.stats import RecoveryStats
 #: channel. Receivers must discard it without raising.
 GARBLED = "<garbled-feedback>"
 
-#: Engine RNG stream used for feedback loss draws.
-FEEDBACK_RNG_STREAM = "recovery-feedback"
-
-
 class FeedbackChannel:
     """Lossy, delayed reverse path for NACKs and receiver reports."""
+
+    #: Engine RNG stream of the feedback loss draws.
+    rng_stream = "recovery-feedback"
 
     def __init__(
         self,
@@ -39,7 +38,6 @@ class FeedbackChannel:
         *,
         loss_rate: float = 0.0,
         rtt_s: float = 0.02,
-        rng_stream: str = FEEDBACK_RNG_STREAM,
         disruption: Optional[str] = None,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
@@ -52,7 +50,6 @@ class FeedbackChannel:
         self.stats = stats
         self.loss_rate = loss_rate
         self.rtt_s = rtt_s
-        self.rng_stream = rng_stream
         self.disruption = disruption
         self._on_receive: Optional[Callable[[object], None]] = None
 

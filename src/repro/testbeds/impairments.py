@@ -28,19 +28,20 @@ from repro.sim.packet import Packet, PacketSink
 class RandomLossElement:
     """Drops each packet independently with probability ``loss_rate``."""
 
+    #: Engine RNG stream of the loss draws.
+    rng_stream = "random-loss"
+
     def __init__(
         self,
         engine: Engine,
         sink: Optional[PacketSink] = None,
         loss_rate: float = 0.01,
-        rng_stream: str = "random-loss",
     ):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
         self.engine = engine
         self._sink = sink
         self.loss_rate = loss_rate
-        self.rng_stream = rng_stream
         self.dropped_packets = 0
         self.passed_packets = 0
 
@@ -78,13 +79,15 @@ class GilbertLossElement:
         bursts.
     """
 
+    #: Engine RNG stream of the state-transition draws.
+    rng_stream = "gilbert-loss"
+
     def __init__(
         self,
         engine: Engine,
         sink: Optional[PacketSink] = None,
         mean_loss_rate: float = 0.01,
         mean_burst_packets: float = 5.0,
-        rng_stream: str = "gilbert-loss",
     ):
         if not 0.0 <= mean_loss_rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
@@ -92,7 +95,6 @@ class GilbertLossElement:
             raise ValueError("mean burst length must be >= 1 packet")
         self.engine = engine
         self._sink = sink
-        self.rng_stream = rng_stream
         # BAD state drops every packet. Exit probability fixes the
         # burst length; entry probability then fixes the average rate:
         # stationary P(bad) = p_enter / (p_enter + p_exit).
@@ -143,13 +145,15 @@ class DelaySpikeElement:
     traffic.
     """
 
+    #: Engine RNG stream of the spike draws.
+    rng_stream = "delay-spike"
+
     def __init__(
         self,
         engine: Engine,
         sink: Optional[PacketSink] = None,
         spike_probability: float = 0.001,
         spike_delay_s: float = 0.05,
-        rng_stream: str = "delay-spike",
     ):
         if not 0.0 <= spike_probability <= 1.0:
             raise ValueError("spike probability must be in [0, 1]")
@@ -159,7 +163,6 @@ class DelaySpikeElement:
         self._sink = sink
         self.spike_probability = spike_probability
         self.spike_delay_s = spike_delay_s
-        self.rng_stream = rng_stream
         self._last_release = 0.0
         self.spikes = 0
 
@@ -201,9 +204,12 @@ class LinkOutageElement:
         outage can be placed anywhere relative to stream start.
     random_outages:
         When True, each phase duration is drawn from an exponential
-        distribution with the configured mean, from the named engine
-        RNG stream (deterministic per seed).
+        distribution with the configured mean, from the engine RNG
+        stream :attr:`rng_stream` (deterministic per seed).
     """
+
+    #: Engine RNG stream of the random phase durations.
+    rng_stream = "link-outage"
 
     def __init__(
         self,
@@ -213,7 +219,6 @@ class LinkOutageElement:
         down_s: float = 1.0,
         start_up_s: Optional[float] = None,
         random_outages: bool = False,
-        rng_stream: str = "link-outage",
     ):
         if up_s <= 0 or down_s <= 0:
             raise ValueError("up_s and down_s must be positive")
@@ -224,7 +229,6 @@ class LinkOutageElement:
         self.up_s = up_s
         self.down_s = down_s
         self.random_outages = random_outages
-        self.rng_stream = rng_stream
         self._down = False
         # Time at which the current phase ends. The state machine is
         # lazy: it only advances when a packet arrives, so an idle
