@@ -326,7 +326,10 @@ class FrontEndMemo:
     mean and cap. Both are pure functions of their keys, so a hit
     returns the very lists the first call built. Callers only read
     them. A miss calls :func:`compute_schedule` or
-    :func:`jitter_releases` through this module's globals.
+    :func:`jitter_releases` through this module's globals. There is no
+    lock: the scheduler runs every in-process unit on its event-loop
+    thread, and two threads missing one key at once would only both
+    compute the same value.
     """
 
     def __init__(self) -> None:
@@ -335,7 +338,9 @@ class FrontEndMemo:
         self._releases: dict = {}
 
     @staticmethod
-    def _schedule_key(encoded: EncodedClip, cfg: QBoneTestbedConfig, start: float):
+    def _schedule_key(
+        encoded: EncodedClip, cfg: QBoneTestbedConfig, start: float
+    ) -> tuple:
         return (
             encoded.clip_name,
             encoded.codec,
