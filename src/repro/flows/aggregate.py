@@ -53,6 +53,7 @@ from repro.diffserv.policer import Policer, PolicerStats
 from repro.diffserv.scheduler import PriorityScheduler
 from repro.server.videocharger import VideoChargerServer, message_schedule
 from repro.sim.engine import Engine
+from repro.sim.fastpath import front_end_scope
 from repro.sim.link import Link
 from repro.sim.node import Host, Router
 from repro.sim.tracer import FlowTracer
@@ -432,6 +433,7 @@ class _PerFlowPolicerStats:
             stats.remarked_packets += 1
 
 
+@front_end_scope()
 def run_engine_aggregate(agg: AggregateSpec) -> AggregateSummary:
     """Discrete-event lane: the bit-checked oracle for aggregates.
 
@@ -442,7 +444,9 @@ def run_engine_aggregate(agg: AggregateSpec) -> AggregateSummary:
     shared policer; in ``per-flow`` mode each flow passes its own
     policer (same profile) at a per-flow edge router first. Past the
     border, flows share the Abilene chain and are demultiplexed by
-    flow id to per-flow client stacks.
+    flow id to per-flow client stacks. One front-end scope spans the
+    flows' assessments, so flows that show the same window calibrate
+    it once, as on the interleaved lane.
     """
     cfg = aggregate_config(agg)
     engine = Engine(seed=agg.seed)

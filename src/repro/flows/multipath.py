@@ -78,8 +78,9 @@ class _MergedStream:
     """Per-flow schedules merged into one time-sorted arrival stream.
 
     Flows of one clip version and start offset share one schedule from
-    the request's front-end memo. A bare aggregate opens a scope of its
-    own, so its zero-offset flows still share one. Each flow's jitter
+    the request's front-end memo. :func:`run_multipath` holds a scope
+    of its own, so a bare aggregate's zero-offset flows still share
+    one; :func:`merged_arrival_arrays` opens one here. Each flow's jitter
     vector is drawn afresh: at about 0.1 ms a flow it is not worth
     keeping.
     """
@@ -135,12 +136,15 @@ class _MergedStream:
         self.local_idx = self.local_idx[order]
 
 
+@front_end_scope()
 def run_multipath(agg: AggregateSpec) -> AggregateSummary:
     """Run one aggregate through the interleaved array lane.
 
     Returns the same :class:`AggregateSummary` (per-flow summaries and
     rollup, field for field) as
-    :func:`~repro.flows.aggregate.run_engine_aggregate`.
+    :func:`~repro.flows.aggregate.run_engine_aggregate`. One front-end
+    scope spans the flows' schedules and their assessments, so flows
+    that show the same window calibrate it once.
     """
     cfg = aggregate_config(agg)
     n = agg.n_flows

@@ -37,7 +37,10 @@ seed — not on the policing profile. This module exploits that:
    same offline stages as the scalar path. VQM's temporal calibration
    is the vectorized lag search every lane runs
    (:func:`repro.vqm.calibration.calibrate_segment`), so this module
-   has no assessment code of its own.
+   has no assessment code of its own. A group holds the request's
+   front-end scope across its outcomes, so outcomes whose received
+   windows match (a segment before the first policer drop, say)
+   calibrate that segment once.
 
 The contract matches :mod:`repro.sim.fastpath`: every
 :class:`~repro.core.runner.ResultSummary` field (except the wall-clock
@@ -117,8 +120,14 @@ def _lane_scan(
     return conform
 
 
+@front_end_scope()
 def _run_group(specs: list) -> list:
-    """One (clip, encoding, …) group: shared front end, per-lane scan."""
+    """One (clip, encoding, …) group: shared front end, per-lane scan.
+
+    The scope spans the group's assessments too, so its unique
+    outcomes share segment calibrations
+    (:class:`~repro.sim.fastpath.FrontEndMemo`).
+    """
     from repro.core.fastlane import result_from_session
     from repro.core.runner import ResultSummary
 

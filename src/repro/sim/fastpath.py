@@ -112,7 +112,9 @@ class FastPathSession:
         arithmetic the record-based implementation performs: per-packet
         transit is the same float subtraction (vectorized elementwise —
         bit-equal), the RFC 3550 EWMA stays a sequential loop, and loss
-        runs come from the delivered mask in send order.
+        runs come from the delivered mask in send order. Both
+        percentiles come from one ``np.percentile`` pass, which equals
+        one call per percentile bit for bit.
         """
         sent_n = len(self.send_times)
         transits = self.recv_times - self.send_times[self.recv_ids]
@@ -121,8 +123,7 @@ class FastPathSession:
             for d in np.abs(np.diff(transits)).tolist():
                 jitter += (d - jitter) / 16.0
             delay_mean = float(transits.mean())
-            delay_p95 = float(np.percentile(transits, 95))
-            delay_p99 = float(np.percentile(transits, 99))
+            delay_p95, delay_p99 = np.percentile(transits, [95, 99]).tolist()
             delay_max = float(transits.max())
         else:
             jitter = delay_mean = delay_p95 = delay_p99 = delay_max = 0.0
@@ -318,7 +319,8 @@ def compute_schedule(
 
 
 class FrontEndMemo:
-    """The schedules and jitter replays computed so far in one request.
+    """The schedules, jitter replays and segment calibrations computed
+    so far in one request.
 
     A schedule is keyed by the clip version (clip, codec, encoding
     rate), the campus-LAN rate and the start offset; a jitter replay by
@@ -326,16 +328,25 @@ class FrontEndMemo:
     mean and cap. Both are pure functions of their keys, so a hit
     returns the very lists the first call built. Callers only read
     them. A miss calls :func:`compute_schedule` or
-    :func:`jitter_releases` through this module's globals. There is no
-    lock: the scheduler runs every in-process unit on its event-loop
-    thread, and two threads missing one key at once would only both
-    compute the same value.
+    :func:`jitter_releases` through this module's globals.
+
+    ``calibrations`` maps :func:`repro.vqm.calibration.calibration_key`
+    (every input of a segment's temporal calibration, by value) to its
+    frozen :class:`~repro.vqm.calibration.CalibrationResult`;
+    :meth:`repro.vqm.tool.VqmTool._calibrate` fills and reads it. The
+    flows of a homogeneous aggregate, or a grid's outcomes up to their
+    first loss, show the same windows and calibrate them once.
+
+    There is no lock: the scheduler runs every in-process unit on its
+    event-loop thread, and two threads missing one key at once would
+    only both compute the same value.
     """
 
     def __init__(self) -> None:
         self.pid = os.getpid()
         self._schedules: dict = {}
         self._releases: dict = {}
+        self.calibrations: dict = {}
 
     @staticmethod
     def _schedule_key(
@@ -382,20 +393,34 @@ _front_end: ContextVar[Optional[FrontEndMemo]] = ContextVar(
 )
 
 
-@contextmanager
-def front_end_scope() -> Iterator[FrontEndMemo]:
-    """Share schedules and jitter replays across the calls of one request.
+def active_front_end() -> Optional[FrontEndMemo]:
+    """The memo of the request in progress, or None outside any scope.
 
-    Yields the active :class:`FrontEndMemo`, opening one when none is
-    active. A nested scope reuses the outer memo, and the outermost
-    one drops it on exit, so nothing outlives its request. The memo
-    lives in a context variable, which ``asyncio.run`` and
-    ``asyncio.to_thread`` carry into the scheduler's task and threads.
-    A forked worker process inherits the variable but not the scope: a
-    memo opened by another process counts as none.
+    A forked worker process inherits the context variable but not the
+    scope: a memo opened by another process counts as none.
     """
     memo = _front_end.get()
     if memo is not None and memo.pid == os.getpid():
+        return memo
+    return None
+
+
+@contextmanager
+def front_end_scope() -> Iterator[FrontEndMemo]:
+    """Share front ends and segment calibrations across one request.
+
+    Yields the active :class:`FrontEndMemo`, opening one when none is
+    active (:func:`active_front_end`). A nested scope reuses the outer
+    memo, and the outermost one drops it on exit, so nothing outlives
+    its request. The memo lives in a context variable, which
+    ``asyncio.run`` and ``asyncio.to_thread`` carry into the
+    scheduler's task and threads. Calls that assess many sessions
+    (``batchpath._run_group``, ``run_multipath``,
+    ``run_engine_aggregate``) hold a scope across their assessments,
+    so their sessions share calibrations even outside a request.
+    """
+    memo = active_front_end()
+    if memo is not None:
         yield memo
         return
     memo = FrontEndMemo()

@@ -64,6 +64,47 @@ def _window_correlations(
     return out
 
 
+def _search_range(ns: int, win: int, uncertainty: int, n_rcv: int) -> tuple:
+    """First and last received window start the lag search scores."""
+    return max(0, ns - uncertainty), min(ns + uncertainty, n_rcv - win)
+
+
+def calibration_key(
+    ref_profile: np.ndarray,
+    ref_ti: np.ndarray,
+    rcv_profile: np.ndarray,
+    rcv_ti: np.ndarray,
+    nominal_start: int,
+    length: int,
+    uncertainty: int = DEFAULT_UNCERTAINTY,
+    min_correlation: float = DEFAULT_MIN_CORRELATION,
+) -> tuple:
+    """Everything :func:`calibrate_segment` reads, by value.
+
+    Takes the same arguments. The key holds the scalars, the received
+    stream's length, and the dtype and bytes of the four windows the
+    search touches: the reference segment of each stream and the
+    received streams over ``[lo, hi + win)``. Two calls with equal
+    keys return equal results, so a request can calibrate each
+    distinct key once. Bytes, not ``id()``: a per-session array's id
+    can be reused by a later session's different array.
+    """
+    ns = nominal_start
+    ref_window = ref_profile[ns : ns + length]
+    win = len(ref_window)
+    lo, hi = _search_range(ns, win, uncertainty, len(rcv_profile))
+    windows = (
+        ref_window,
+        ref_ti[ns : ns + length],
+        rcv_profile[lo : hi + win],
+        rcv_ti[lo : hi + win],
+    )
+    key = [ns, length, len(rcv_profile), uncertainty, min_correlation]
+    for window in windows:
+        key += (window.dtype.str, window.tobytes())
+    return tuple(key)
+
+
 def calibrate_segment(
     ref_profile: np.ndarray,
     ref_ti: np.ndarray,
@@ -98,8 +139,7 @@ def calibrate_segment(
     ns = nominal_start
     ref_win_profile = ref_profile[ns : ns + length]
     win = len(ref_win_profile)
-    lo = max(0, ns - uncertainty)  # first received window start
-    hi = min(ns + uncertainty, len(rcv_profile) - win)  # last one
+    lo, hi = _search_range(ns, win, uncertainty, len(rcv_profile))
     if hi < lo:
         return CalibrationResult(
             lag=0, correlation=0.0, succeeded=False, gain=1.0, level_offset=0.0

@@ -20,11 +20,13 @@ from typing import Optional
 import numpy as np
 
 from repro.client.renderer import DisplayTrace
+from repro.sim.fastpath import active_front_end
 from repro.video.frames import FrameFeatures
 from repro.vqm.calibration import (
     DEFAULT_MIN_CORRELATION,
     DEFAULT_UNCERTAINTY,
     calibrate_segment,
+    calibration_key,
 )
 from repro.vqm.model import QualityParameters, VqmModel, WORST_SCORE
 from repro.vqm.segments import SCORING_FRAMES, Segment, segment_plan
@@ -172,18 +174,32 @@ class VqmTool:
 
         The per-segment method perfbench wraps: its traced pass times
         calibration here and counts one call per segment
-        (``vqm.segments``), so every lane calibrates through it.
+        (``vqm.segments``, and ``vqm.calibration_failed`` from its
+        result), so every lane calibrates through it, once per segment.
+        Inside a request (:func:`~repro.sim.fastpath.front_end_scope`)
+        it looks the segment up in the request memo by
+        :func:`~repro.vqm.calibration.calibration_key` and calls
+        :func:`~repro.vqm.calibration.calibrate_segment` only on a
+        miss; outside one it builds no key.
         """
-        return calibrate_segment(
-            ref_profile=ref["y_mean"],
-            ref_ti=ref["ti"],
-            rcv_profile=rcv["y_mean"],
-            rcv_ti=rcv["ti"],
-            nominal_start=segment.start,
-            length=segment.length,
-            uncertainty=self.alignment_uncertainty,
-            min_correlation=self.min_correlation,
+        args = (
+            ref["y_mean"],
+            ref["ti"],
+            rcv["y_mean"],
+            rcv["ti"],
+            segment.start,
+            segment.length,
+            self.alignment_uncertainty,
+            self.min_correlation,
         )
+        memo = active_front_end()
+        if memo is None:
+            return calibrate_segment(*args)
+        key = calibration_key(*args)
+        result = memo.calibrations.get(key)
+        if result is None:
+            result = memo.calibrations[key] = calibrate_segment(*args)
+        return result
 
     def _score_segment(
         self,

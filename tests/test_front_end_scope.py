@@ -9,14 +9,22 @@ windows, so without sharing every call would compute the same front
 end again. The counters below wrap every binding of
 ``compute_schedule`` and ``jitter_releases``, so each count is a real
 computation, and the outputs are checked against solo runs.
+
+The same memo holds segment calibrations, keyed by the values
+``calibrate_segment`` reads: the flows of a no-drop aggregate show
+one window and calibrate it once, while ``VqmTool._calibrate`` still
+runs for every segment of every session.
 """
 
 import copy
+import dataclasses
+import inspect
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.client.renderer import DisplayTrace
 from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.runner import (
@@ -27,9 +35,13 @@ from repro.core.runner import (
 )
 from repro.core.sweep import token_rate_sweep
 from repro.detect.recommend import recommend_provisioning
-from repro.flows import AggregateSpec, admission_frontier, multipath
+from repro.flows import AggregateSpec, admission_frontier, multipath, run_aggregate
 from repro.sim import batchpath, fastpath
 from repro.units import mbps
+from repro.video.frames import FrameFeatures
+from repro.vqm import tool as vqm_tool
+from repro.vqm.segments import segment_plan
+from repro.vqm.tool import VqmTool
 
 BASE = ExperimentSpec(
     clip="test-150", codec="mpeg1", encoding_rate_bps=mbps(1.7), seed=4
@@ -172,3 +184,221 @@ class TestOutputsUnchanged:
         assert calls.made
         for value, snapshot in calls.made:
             assert _same(value, snapshot)
+
+
+class CalibrationCalls:
+    """Counts ``VqmTool._calibrate`` and ``calibrate_segment`` calls,
+    and keeps the arguments of each ``calibrate_segment`` call."""
+
+    def __init__(self):
+        self.counts = Counter()
+        self.args = []
+
+
+@pytest.fixture
+def calibrations(monkeypatch):
+    monkeypatch.delenv(fastlane.FASTPATH_ENV, raising=False)
+    calls = CalibrationCalls()
+    segment_fn = vqm_tool.calibrate_segment
+    signature = inspect.signature(segment_fn)
+    method = VqmTool._calibrate
+
+    def calibrate_segment(*args, **kwargs):
+        calls.counts["calibrate_segment"] += 1
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.args.append(bound.args)
+        return segment_fn(*args, **kwargs)
+
+    def _calibrate(self, *args):
+        calls.counts["_calibrate"] += 1
+        return method(self, *args)
+
+    monkeypatch.setattr(vqm_tool, "calibrate_segment", calibrate_segment)
+    monkeypatch.setattr(VqmTool, "_calibrate", _calibrate)
+    return calls
+
+
+def _no_drop_aggregate(n_flows: int) -> AggregateSpec:
+    return AggregateSpec.homogeneous(
+        BASE, n_flows, token_rate_bps=mbps(20.0), bucket_depth_bytes=150000.0
+    )
+
+
+@pytest.mark.perf_smoke
+class TestOneCalibrationPerWindow:
+    """test-150 has one segment, so each session calibrates once."""
+
+    def test_aggregate_through_the_runner(self, calibrations):
+        [summary] = make_runner(jobs=1).run_batch([_no_drop_aggregate(6)])
+        assert summary.packet_drop_fraction == 0.0
+        assert calibrations.counts == {"_calibrate": 6, "calibrate_segment": 1}
+
+    @pytest.mark.parametrize("lane", ["auto", "0"])
+    def test_bare_aggregate_on_either_lane(self, calibrations, monkeypatch, lane):
+        monkeypatch.setenv(fastlane.FASTPATH_ENV, lane)
+        summary = run_aggregate(_no_drop_aggregate(6))
+        assert summary.packet_drop_fraction == 0.0
+        assert calibrations.counts == {"_calibrate": 6, "calibrate_segment": 1}
+
+    def test_bare_batch_grid_across_seeds(self, calibrations):
+        # Two seeds give two all-conform outcomes with equal displays.
+        grid = [
+            dataclasses.replace(BASE, seed=seed).with_token_bucket(
+                mbps(rate), 9000.0
+            )
+            for seed in (4, 5)
+            for rate in (2.5, 3.0)
+        ]
+        summaries = fastlane.run_batchpath(grid)
+        assert {s.packet_drop_fraction for s in summaries} == {0.0}
+        assert calibrations.counts == {"_calibrate": 2, "calibrate_segment": 1}
+
+    def test_each_request_calibrates_again(self, calibrations):
+        agg = _no_drop_aggregate(2)
+        run_aggregate(agg)
+        run_aggregate(agg)
+        assert calibrations.counts == {"_calibrate": 4, "calibrate_segment": 2}
+
+
+N_FRAMES = 520  # two overlapping segments
+
+
+def _features(rng) -> FrameFeatures:
+    """A random clip version with smooth luma and scene cuts."""
+    n = N_FRAMES
+    luma = np.cumsum(rng.normal(0.0, 0.01, n)) + rng.uniform(0.3, 0.6)
+    scene_ids = np.cumsum(rng.random(n) < 0.01)
+    luma += 0.1 * (scene_ids % 3)
+
+    def f32(values):
+        return np.asarray(values, dtype=np.float32)
+
+    return FrameFeatures(
+        clip_name="random",
+        y_mean=f32(luma),
+        y_std=f32(rng.uniform(0.1, 0.2, n)),
+        si=f32(rng.uniform(0.0, 1.0, n)),
+        hv=f32(rng.uniform(0.0, 1.0, n)),
+        ti=f32(rng.uniform(0.005, 0.05, n)),
+        u_mean=f32(rng.uniform(0.4, 0.6, n)),
+        v_mean=f32(rng.uniform(0.4, 0.6, n)),
+        scene_ids=scene_ids.astype(np.int64),
+    )
+
+
+def _nudged(features: FrameFeatures, name: str, k: int) -> FrameFeatures:
+    """A copy one float32 ulp up in element ``k`` of stream ``name``."""
+    stream = getattr(features, name).copy()
+    stream[k] = np.nextafter(stream[k], np.float32(np.inf))
+    return dataclasses.replace(features, **{name: stream})
+
+
+def _randomly_nudged(features: FrameFeatures, rng) -> FrameFeatures:
+    name = ("y_mean", "ti")[int(rng.integers(2))]
+    return _nudged(features, name, int(rng.integers(N_FRAMES)))
+
+
+def _trace(rng) -> DisplayTrace:
+    """A display with a random dark start, freeze and skip."""
+    n = N_FRAMES
+    dark = int(rng.integers(0, 4))
+    at = int(rng.integers(50, n - 50))
+    hold = int(rng.integers(0, 30))
+    skip = int(rng.integers(0, 10))
+    display = np.concatenate([
+        np.full(dark, -1),
+        np.arange(at),
+        np.full(hold, at - 1),
+        np.arange(at + skip, n),
+    ]).astype(np.int64)
+    return DisplayTrace(
+        display=display,
+        fps=30.0,
+        n_source_frames=n,
+        total_stall_s=hold / 30.0,
+        rebuffer_events=int(hold > 0),
+    )
+
+
+def _reads(ref_y, ref_ti, rcv_y, rcv_ti, ns, length, uncertainty, min_corr):
+    """The values one calibration can read: the reference segment and
+    the received streams over every lag the search may score."""
+    ref_window = ref_y[ns : ns + length]
+    lo = max(0, ns - uncertainty)
+    stop = min(ns + uncertainty + len(ref_window), len(rcv_y))
+    return (
+        ns, length, uncertainty, min_corr, len(rcv_y),
+        ref_window.tobytes(), ref_ti[ns : ns + length].tobytes(),
+        rcv_y[lo:stop].tobytes(), rcv_ti[lo:stop].tobytes(),
+    )
+
+
+def _score(tool, cases, shared: bool) -> list:
+    """``repr`` of each result (exact for floats, NaN included)."""
+    if shared:
+        with fastpath.front_end_scope():
+            return [repr(tool.assess(*case)) for case in cases]
+    out = []
+    for case in cases:
+        with fastpath.front_end_scope():
+            out.append(repr(tool.assess(*case)))
+    return out
+
+
+class TestCalibrationMemo:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_scope_equals_fresh_scopes(self, calibrations, seed):
+        rng = np.random.default_rng(seed)
+        refs = [_features(rng) for _ in range(2)]
+        encodings = [_features(rng) for _ in range(2)]
+        traces = [_trace(rng) for _ in range(3)]
+        cases = []
+        for _ in range(24):
+            ref = refs[int(rng.integers(len(refs)))]
+            enc = encodings[int(rng.integers(len(encodings)))]
+            trace = traces[int(rng.integers(len(traces)))]
+            roll = rng.random()
+            if roll < 0.2:
+                ref = _randomly_nudged(ref, rng)
+            elif roll < 0.4:
+                enc = _randomly_nudged(enc, rng)
+            cases.append((ref, enc, trace))
+        ref, enc, trace = cases[0]
+        cases.append((ref, enc, trace))  # an exact repeat
+        # Past the first segment's windows: a hit there, a miss after.
+        cases.append((ref, _nudged(enc, "y_mean", N_FRAMES - 1), trace))
+        tool = VqmTool()
+
+        fresh = _score(tool, cases, shared=False)
+        reads = {_reads(*args) for args in calibrations.args}
+        n_segments = len(cases) * len(segment_plan(N_FRAMES))
+        assert calibrations.counts == {
+            "_calibrate": n_segments,
+            "calibrate_segment": n_segments,
+        }
+        assert 1 < len(reads) < n_segments
+
+        calibrations.counts.clear()
+        assert _score(tool, cases, shared=True) == fresh
+        assert calibrations.counts == {
+            "_calibrate": n_segments,
+            "calibrate_segment": len(reads),
+        }
+
+    def test_tools_with_other_settings_never_share(self, calibrations):
+        rng = np.random.default_rng(7)
+        case = (_features(rng), _features(rng), _trace(rng))
+        tools = [
+            VqmTool(),
+            VqmTool(alignment_uncertainty=60),
+            VqmTool(min_correlation=0.9),
+        ]
+        fresh = [_score(t, [case], shared=False) for t in tools]
+        calibrations.counts.clear()
+        n_segments = len(segment_plan(N_FRAMES))
+        with fastpath.front_end_scope() as memo:
+            shared = [_score(t, [case], shared=True) for t in tools]
+            assert len(memo.calibrations) == len(tools) * n_segments
+        assert shared == fresh
+        assert calibrations.counts["calibrate_segment"] == len(tools) * n_segments

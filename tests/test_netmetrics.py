@@ -1,9 +1,13 @@
 """Tests for the network-metrics analyzer."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.netmetrics import delay_stats, loss_run_stats, summarize_path
+from repro.diffserv.policer import PolicerStats
+from repro.sim.fastpath import FastPathSession
 from repro.sim.tracer import TraceRecord
 from repro.units import mbps
 
@@ -51,6 +55,60 @@ class TestDelayStats:
         stats = delay_stats(sent, [])
         assert stats.count == 0
         assert stats.mean == 0.0
+
+
+# Transit times drawn from a few values as well as freely, so that
+# ties and constant arrays are common.
+TRANSITS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 0.0125, 0.05, 0.05000000000000001, 1.5]),
+        st.floats(min_value=0.0, max_value=2.0, allow_subnormal=False),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestOnePercentilePass:
+    """Both summaries take their delay percentiles from one
+    ``np.percentile`` pass; each must equal a call per percentile bit
+    for bit, on both the record-based and the fast-path summary."""
+
+    @staticmethod
+    def _separate(transits, q):
+        return float(np.percentile(np.asarray(transits), q)).hex()
+
+    @given(transits=TRANSITS)
+    @example(transits=[0.05])
+    @example(transits=[0.05, 0.0125])
+    @example(transits=[0.0125, 1.5, 0.05])
+    @example(transits=[0.05] * 3)
+    @example(transits=[0.05] * 40)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_call_per_percentile(self, transits):
+        n = len(transits)
+        stats = delay_stats(
+            [record(0.0, i) for i in range(n)],
+            [record(t, i) for i, t in enumerate(transits)],
+        )
+        for q, got in ((50, stats.p50), (95, stats.p95), (99, stats.p99)):
+            assert got.hex() == self._separate(transits, q)
+
+        session = FastPathSession(
+            send_times=np.zeros(n),
+            recv_ids=np.arange(n, dtype=np.int64),
+            recv_times=np.asarray(transits, dtype=np.float64),
+            policer_stats=PolicerStats(),
+            server_packets=n,
+            received_packets=n,
+            received_bytes=np.zeros(0, dtype=np.int64),
+            completion=np.zeros(0),
+            first_arrival=transits[0],
+        )
+        summary = session.network_summary()
+        for q in (95, 99):
+            got = summary[f"delay_p{q}_s"]
+            assert got.hex() == self._separate(transits, q)
 
 
 class TestLossRunStats:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.flows import AggregateSpec, multipath, run_aggregate
 from repro.units import mbps
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -88,3 +89,19 @@ class TestTracedSpans:
         names = {span[0] for span in tracer.spans}
         assert "engine.run_s" in names
         assert not [n for n in names if n.startswith(("fastpath.", "batchpath."))]
+
+    def test_aggregate_calibrates_every_flow_segment(self, tracer):
+        # The memo shares one calibration across the 4 flows, but the
+        # traced pass pins vqm.segments and vqm.calibration_failed per
+        # session, so every flow segment must still record its span.
+        agg = AggregateSpec.homogeneous(
+            self._spec(), 4, token_rate_bps=mbps(20.0), bucket_depth_bytes=150000.0
+        )
+        summary = run_aggregate(agg)
+        assert summary.packet_drop_fraction == 0.0
+        aggregate = [s[5] for s in tracer.spans if s[0] == "vqm.calibrate_s"]
+        del tracer.spans[:]
+        multipath.run_flows_loop(agg)  # four solo runs
+        solo = [s[5] for s in tracer.spans if s[0] == "vqm.calibrate_s"]
+        assert len(solo) == 4
+        assert aggregate == solo

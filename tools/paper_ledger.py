@@ -9,11 +9,16 @@ A pytest plugin for the paper-figure set under ``benchmarks/``
 
 Each bench is timed over its whole test protocol (set-up, call and
 tear-down, so class- and module-scoped fixtures are charged to the
-bench that first needs them). At session end the plugin writes
-``BENCH_paper.json`` in the pytest root directory with the run's
-provenance, each bench's wall seconds and outcome, their sum and the
-session's wall time. A run with failures still writes the file; its
-per-bench outcomes say which ones failed.
+bench that first needs them). The benchmark's span tracer
+(``perfbench/tracing.py``, read from its file and never written)
+wraps the layer boundaries for the whole session, and each span's
+request is named after the bench that ran it. At session end the
+plugin writes ``BENCH_paper.json`` in the pytest root directory with
+the run's provenance, each bench's wall seconds, outcome and self
+seconds per layer, their sums and the session's wall time. Layer
+times cover this process only: with ``REPRO_BENCH_JOBS`` above 1 the
+pool workers' spans are not seen. A run with failures still writes
+the file; its per-bench outcomes say which ones failed.
 """
 
 from __future__ import annotations
@@ -24,10 +29,22 @@ import os
 import platform
 import subprocess
 import time
+import types
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 LEDGER_NAME = "BENCH_paper.json"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing() -> types.ModuleType:
+    """The benchmark's tracer module, executed from its file."""
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
 
 
 def _commit(root) -> str:
@@ -62,23 +79,38 @@ def provenance(root) -> dict:
 
 
 class PaperLedger:
-    """Collects per-bench wall times for one pytest session."""
+    """Collects per-bench wall times and layer self times for one
+    pytest session."""
 
     def __init__(self, root):
         self.root = root
         self.started = time.perf_counter()
         self.benches: dict = {}
+        self.tracer = load_tracing().Tracer()
 
     def _entry(self, nodeid: str) -> dict:
-        return self.benches.setdefault(nodeid, {"wall_s": 0.0, "outcome": "passed"})
+        return self.benches.setdefault(
+            nodeid, {"wall_s": 0.0, "outcome": "passed", "layers": Counter()}
+        )
+
+    def pytest_sessionstart(self, session):
+        self.tracer.install()
 
     @pytest.hookimpl(wrapper=True)
     def pytest_runtest_protocol(self, item, nextitem):
+        tracer = self.tracer
+        del tracer.spans[:]  # spans from outside any bench
+        tracer.request = item.nodeid
         start = time.perf_counter()
         try:
             return (yield)
         finally:
-            self._entry(item.nodeid)["wall_s"] = time.perf_counter() - start
+            entry = self._entry(item.nodeid)
+            entry["wall_s"] = time.perf_counter() - start
+            for span, self_s in zip(tracer.spans, tracer.self_times()):
+                entry["layers"][span[0]] += self_s
+            del tracer.spans[:]
+            tracer.request = "setup"
 
     def pytest_runtest_logreport(self, report):
         entry = self._entry(report.nodeid)
@@ -88,17 +120,24 @@ class PaperLedger:
             entry["outcome"] = "skipped"
 
     def pytest_sessionfinish(self, session, exitstatus):
+        self.tracer.uninstall()
         if not self.benches:
             return
         benches = {
-            nodeid: {"wall_s": round(b["wall_s"], 3), "outcome": b["outcome"]}
+            nodeid: {
+                "wall_s": round(b["wall_s"], 3),
+                "outcome": b["outcome"],
+                "layers_self_s": _rounded(b["layers"]),
+            }
             for nodeid, b in sorted(self.benches.items())
         }
         outcomes = [b["outcome"] for b in benches.values()]
+        layers = sum((b["layers"] for b in self.benches.values()), Counter())
         ledger = {
             "provenance": provenance(self.root),
             "benches": benches,
             "bench_sum_s": round(sum(b["wall_s"] for b in benches.values()), 3),
+            "layer_sum_self_s": _rounded(layers),
             "session_wall_s": round(time.perf_counter() - self.started, 3),
             "passed": outcomes.count("passed"),
             "failed": outcomes.count("failed"),
@@ -106,6 +145,11 @@ class PaperLedger:
         with open(os.path.join(self.root, LEDGER_NAME), "w") as fh:
             json.dump(ledger, fh, indent=2)
             fh.write("\n")
+
+
+def _rounded(layers: Counter) -> dict:
+    """Layer self seconds by layer name, rounded to the millisecond."""
+    return {name: round(seconds, 3) for name, seconds in sorted(layers.items())}
 
 
 def pytest_configure(config):
