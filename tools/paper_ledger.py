@@ -109,8 +109,6 @@ class PaperLedger:
             entry["wall_s"] = time.perf_counter() - start
             for span, self_s in zip(tracer.spans, tracer.self_times()):
                 entry["layers"][span[0]] += self_s
-            del tracer.spans[:]
-            tracer.request = "setup"
 
     def pytest_runtest_logreport(self, report):
         entry = self._entry(report.nodeid)
