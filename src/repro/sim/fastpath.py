@@ -40,7 +40,8 @@ over a merged multi-flow stream.
 Before the policer, every lane takes its server schedule and jitter
 replay from :func:`front_end_scope`'s memo, so all the lane calls of
 one request (a recommend's probe rounds, a sweep's scheduler windows)
-compute each once.
+compute each once. The same memo holds the request's VQM segment
+calibrations, one per distinct received window.
 
 See DESIGN.md §8 for the qualification rules and the equivalence test
 contract (``tests/test_fastpath_equivalence.py``).
