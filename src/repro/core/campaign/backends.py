@@ -80,14 +80,13 @@ class WorkerBackend:
         raise NotImplementedError
 
     async def execute_batch(
-        self,
-        specs: Sequence[ExperimentSpec],
-        timeout_s: Optional[float] = None,
+        self, specs: Sequence[ExperimentSpec]
     ) -> list["BatchOutcome"]:
         """Run a coalesced grid of qualifying specs as one program.
 
         Returns one outcome per spec in input order. Called only when
-        :attr:`batch_capable` is true.
+        :attr:`batch_capable` is true and no retry policy is attached,
+        so it takes no deadline.
         """
         raise NotImplementedError
 
@@ -113,12 +112,9 @@ class SerialBackend(WorkerBackend):
             return _summarize_run(spec)
 
     async def execute_batch(
-        self,
-        specs: Sequence[ExperimentSpec],
-        timeout_s: Optional[float] = None,
+        self, specs: Sequence[ExperimentSpec]
     ) -> list["BatchOutcome"]:
-        with deadline(timeout_s):
-            return _batch_run(list(specs))
+        return _batch_run(list(specs))
 
 
 class ProcessPoolBackend(WorkerBackend):
@@ -134,7 +130,8 @@ class ProcessPoolBackend(WorkerBackend):
     deadline and a dead one detected by exit code. Failures surface as
     exceptions (:class:`SpecTimeout`, :class:`WorkerCrash`,
     :class:`RemoteWorkerError`) for the scheduler's attempt loop to
-    classify.
+    classify. The scheduler coalesces no grid under a retry policy, so
+    supervised attempts are always single units.
 
     Single-spec batches and ``jobs=1`` run in-process, which keeps
     them usable in environments without working multiprocessing. An
@@ -142,6 +139,8 @@ class ProcessPoolBackend(WorkerBackend):
     ``SIGALRM`` deadline as :class:`SerialBackend`, so a retry policy's
     ``spec_timeout_s`` holds there too.
     """
+
+    batch_capable = True
 
     #: Seconds between supervision polls of a worker's pipe/liveness.
     POLL_S = 0.02
@@ -179,7 +178,7 @@ class ProcessPoolBackend(WorkerBackend):
             or (self._total_hint is not None and self._total_hint <= 1)
         )
 
-    async def _run(self, entry, work, timeout_s: Optional[float]):
+    async def _run(self, entry, work, timeout_s: Optional[float] = None):
         """``entry(work)`` in the pool, or in-process when there is none.
 
         ``entry`` is one of the runner's worker entry points. In-process
@@ -213,19 +212,10 @@ class ProcessPoolBackend(WorkerBackend):
                 return outcome
         return await self._run(_summarize_run, spec, timeout_s)
 
-    @property
-    def batch_capable(self) -> bool:  # type: ignore[override]
-        # Supervised mode runs one attempt per process under per-unit
-        # hang/crash containment; coalescing would break that unit of
-        # supervision, so batching stays off there.
-        return not self.supervised
-
     async def execute_batch(
-        self,
-        specs: Sequence[ExperimentSpec],
-        timeout_s: Optional[float] = None,
+        self, specs: Sequence[ExperimentSpec]
     ) -> list["BatchOutcome"]:
-        return await self._run(_batch_run, list(specs), timeout_s)
+        return await self._run(_batch_run, list(specs))
 
     def _ensure_pool(self):
         if self._pool is None:

@@ -43,12 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec
-from repro.core.faults import (
-    FailureRecord,
-    PoisonResult,
-    RetryPolicy,
-    classify_failure,
-)
+from repro.core.faults import FailureRecord, RetryPolicy, classify_failure
 from repro.core.runner import (
     ResultSummary,
     RunnerStats,
@@ -247,15 +242,21 @@ class CampaignScheduler:
 
         Called with ``self._cond`` held, immediately after ``unit`` was
         taken. Returns ``None`` when coalescing does not apply
-        (``REPRO_FASTPATH=0``, incapable backend, non-qualifying spec,
-        or no mate in the queue); otherwise the non-empty list of mates.
+        (``REPRO_FASTPATH=0``, a retry policy, incapable backend,
+        non-qualifying spec, or no mate in the queue); otherwise the
+        non-empty list of mates. A retry policy's deadline, retries and
+        quarantine hold per unit, so it keeps every unit on its own.
 
         Queued units that share the unit's :func:`~repro.core.fastlane.
         batch_key` are removed from the queue (relative order of the
         survivors is preserved) and move to in-flight accounting; the
         feeder's window sees no change in queued+inflight totals.
         """
-        if fastlane.fastpath_mode() == "0" or not self.backend.batch_capable:
+        if (
+            self.retry is not None
+            or fastlane.fastpath_mode() == "0"
+            or not self.backend.batch_capable
+        ):
             return None
         if not fastlane.qualifies_for_batch(unit.spec):
             return None
@@ -285,11 +286,10 @@ class CampaignScheduler:
         re-simulate, fresh results are published under single-flight
         leases, and each member emits exactly once with the same
         ``source`` labels as the per-unit path. Members that cannot be
-        served by the batch call — lease held by another process,
-        validation failure under a retry policy, or a batch execution
-        error — are re-routed through :meth:`_process`, which owns
-        waiting, retries, and quarantine. Each batch call that returns
-        counts one batch group.
+        served by the batch call — lease held by another process, or a
+        batch execution error — are re-routed through :meth:`_process`,
+        the per-unit path. Each batch call that returns counts one
+        batch group.
         """
         store = self.store
         pending = list(units)
@@ -328,20 +328,13 @@ class CampaignScheduler:
                 except Exception:
                     # The batch call itself failed (not any one spec).
                     # Fall back to per-unit execution, where a genuine
-                    # per-spec failure still surfaces with the usual
-                    # retry/quarantine semantics.
+                    # per-spec failure still surfaces.
                     outcomes = None
             if outcomes is None:
                 rerouted.extend(pending)
             else:
                 self.stats.batch_groups += 1
                 for unit, outcome in zip(pending, outcomes):
-                    if self.retry is not None:
-                        try:
-                            validate_summary(outcome)
-                        except PoisonResult:
-                            rerouted.append(unit)
-                            continue
                     self._count_fresh(unit, outcome, batched=True)
                     lease = leases.pop(unit.index, None)
                     if store is not None and not isinstance(

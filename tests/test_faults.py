@@ -205,6 +205,25 @@ class TestSerialFaultTolerance:
         assert outcome.attempts == 2
         assert runner.stats.quarantined == 1
 
+    def test_batchable_grid_member_honours_spec_timeout(self, tmp_path):
+        """A retry policy runs a batchable grid unit by unit, so each
+        member keeps its own deadline."""
+        hanger, healthy = fast_spec(token_rate_bps=mbps(2.0)), fast_spec()
+        clean = SerialRunner().run_batch([healthy])
+        plan = chaos.ChaosPlan(tmp_path).add(
+            spec_fingerprint(hanger), chaos.ChaosRule("hang", hang_s=3.0)
+        )
+        started = time.monotonic()
+        with plan.installed():
+            runner = SerialRunner(
+                retry=RetryPolicy(max_retries=0, spec_timeout_s=0.5)
+            )
+            outcomes = runner.run_batch([hanger, healthy])
+        assert time.monotonic() - started < 2.5
+        assert isinstance(outcomes[0], FailureRecord)
+        assert outcomes[0].kind == "timeout"
+        assert outcomes[1:] == clean
+
     def test_garbage_quarantined_as_poison(self, tmp_path):
         spec = fast_spec()
         plan = chaos.ChaosPlan(tmp_path).add(
