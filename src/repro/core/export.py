@@ -13,7 +13,6 @@ import json
 from typing import Optional
 
 from repro.core.experiment import ExperimentResult
-from repro.core.runner import ResultSummary
 from repro.core.sweep import SweepResult
 from repro.units import to_mbps
 
@@ -104,21 +103,6 @@ def result_to_dict(result: ExperimentResult) -> dict:
 def result_to_json(result: ExperimentResult, indent: Optional[int] = 2) -> str:
     """JSON document for one experiment result."""
     return json.dumps(result_to_dict(result), indent=indent)
-
-
-def summary_to_dict(summary: ResultSummary) -> dict:
-    """Flatten a compact runner summary (the cache/IPC record)."""
-    return summary.to_dict()
-
-
-def summary_to_json(summary: ResultSummary, indent: Optional[int] = 2) -> str:
-    """JSON document for one runner summary."""
-    return json.dumps(summary_to_dict(summary), indent=indent)
-
-
-def summary_from_dict(data: dict) -> ResultSummary:
-    """Rebuild a summary from :func:`summary_to_dict` output."""
-    return ResultSummary.from_dict(data)
 
 
 #: Column order of the sweep CSV.

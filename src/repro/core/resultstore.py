@@ -153,10 +153,6 @@ class ResultStore:
             self._discard(path)
             return None
 
-    #: Alias: ``load`` reads an entry with the same miss-and-discard
-    #: semantics as :meth:`get`.
-    load = get
-
     @staticmethod
     def _discard(path: Path) -> None:
         """Remove a corrupted entry; losing a race to do so is fine."""

@@ -9,7 +9,6 @@ import pytest
 
 import repro.core.runner as runner_mod
 from repro.core.experiment import ExperimentSpec
-from repro.core.export import summary_from_dict, summary_to_json
 from repro.core.resultstore import ResultStore, default_cache_dir
 from repro.core.runner import (
     ProcessPoolRunner,
@@ -124,7 +123,8 @@ def make_summary(**overrides):
 class TestResultSummary:
     def test_round_trips_through_json(self):
         summary = make_summary()
-        assert summary_from_dict(json.loads(summary_to_json(summary))) == summary
+        data = json.loads(json.dumps(summary.to_dict()))
+        assert ResultSummary.from_dict(data) == summary
 
     def test_elapsed_excluded_from_equality(self):
         assert make_summary(elapsed_s=1.0) == make_summary(elapsed_s=9.0)
@@ -245,12 +245,6 @@ class TestResultStore:
         )
         assert store.get("odd") is None
         assert not (tmp_path / "odd.json").exists()
-
-    def test_load_is_get(self, tmp_path):
-        store = ResultStore(tmp_path)
-        summary = make_summary()
-        store.put("abc", fast_spec(), summary)
-        assert store.load("abc") == summary
 
     def test_corrupted_entry_resimulated_and_healed(self, tmp_path):
         """End to end: corruption costs one re-simulation, not a crash."""
