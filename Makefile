@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TIMEOUT ?= 300
 TIMEOUT_OPTS = --timeout=$(TIMEOUT)
 
-.PHONY: check check-fast test test-fast test-recovery test-detect test-flows perf-smoke lint compile bench bench-paper bench-figures perfbench-check
+.PHONY: check check-fast test test-fast test-recovery test-detect test-flows perf-smoke lint compile bench perfbench-check
 
 # `test` already runs every suite under tests/ (recovery, detect,
 # flows included); the per-marker targets below are for targeted
@@ -58,29 +58,17 @@ lint:
 compile:
 	$(PYTHON) -m compileall -q src
 
-# Perf-regression bench: times the event engine against the vectorized
-# fast path on a paper sweep (cache disabled so both sides simulate,
-# BENCH_sweep.json) and the campaign scheduler / adaptive sampler
-# (points/sec, warm-hit rate, sampling ratio; BENCH_campaign.json).
+# Every bench under benchmarks/, the paper's figures and tables and the
+# perf gates under benchmarks/perf/, run cold (result cache off, a fresh
+# temporary cache dir, pytest-benchmark's timing off). The ledger plugin
+# tools/paper_ledger.py writes each bench's wall seconds, layer times
+# and recorded values to BENCH_paper.json.
 bench:
-	REPRO_BENCH_CACHE=0 \
-	REPRO_BENCH_COMMIT="$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-	REPRO_BENCH_TIMESTAMP="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-	$(PYTHON) -m pytest -q -s benchmarks/perf $(TIMEOUT_OPTS)
-
-# Paper-set ledger: every figure/table bench under benchmarks/ run cold
-# (result cache off, a fresh temporary cache dir, pytest-benchmark's
-# timing off) with its wall seconds written to BENCH_paper.json by
-# tools/paper_ledger.py.
-bench-paper:
 	@cache="$$(mktemp -d)"; \
 	REPRO_BENCH_CACHE=0 REPRO_CACHE_DIR="$$cache" \
 	$(PYTHON) -m pytest -q -p tools.paper_ledger benchmarks \
-		--ignore=benchmarks/perf --benchmark-disable $(TIMEOUT_OPTS); \
+		--benchmark-disable $(TIMEOUT_OPTS); \
 	status=$$?; rm -rf "$$cache"; exit $$status
-
-bench-figures:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 # The benchmark's correctness gate: perfbench's traced pass for every
 # workload at each seed (output digests, pinned counts, span rules).

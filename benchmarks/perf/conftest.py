@@ -2,16 +2,14 @@
 
 The perf benches time real workloads, so they are excluded from the
 fast check loop (``make check-fast`` runs ``-m "not slow and not
-perf"``) and run through ``make bench`` with the result cache disabled.
+perf"``). ``make bench`` runs them with the paper set, result cache
+disabled, and the bench ledger writes the values they record into
+``BENCH_paper.json``.
 """
 
 from __future__ import annotations
 
-import datetime
-import os
 import pathlib
-import platform
-import subprocess
 
 import pytest
 
@@ -22,38 +20,3 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if pathlib.Path(str(item.fspath)).is_relative_to(PERF_DIR):
             item.add_marker(pytest.mark.perf)
-
-
-def bench_provenance() -> dict:
-    """Provenance stamp shared by every ``BENCH_*.json`` payload.
-
-    ``make bench`` passes the commit and timestamp through
-    ``REPRO_BENCH_COMMIT`` / ``REPRO_BENCH_TIMESTAMP``; direct pytest
-    invocations fall back to asking git and the clock, so a bench
-    number can always be traced back to the tree that produced it.
-    """
-    commit = os.environ.get("REPRO_BENCH_COMMIT", "").strip()
-    if not commit:
-        try:
-            commit = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                capture_output=True,
-                text=True,
-                cwd=PERF_DIR,
-                timeout=10,
-            ).stdout.strip() or "unknown"
-        except Exception:  # noqa: BLE001 - provenance is best effort
-            commit = "unknown"
-    timestamp = os.environ.get("REPRO_BENCH_TIMESTAMP", "").strip()
-    if not timestamp:
-        timestamp = datetime.datetime.now(datetime.timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        )
-    import numpy
-
-    return {
-        "commit": commit,
-        "timestamp": timestamp,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-    }

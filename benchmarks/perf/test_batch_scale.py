@@ -1,7 +1,8 @@
 """Batched-execution bench: a whole sweep grid as one array program.
 
-``make bench`` runs this with the result cache disabled and writes
-``BENCH_batch.json`` at the repo root. One 64-point paper grid —
+``make bench`` runs this with the result cache disabled, and the bench
+ledger (``tools/paper_ledger.py``) writes what it records into
+``BENCH_paper.json``. One 64-point paper grid —
 16 token rates x 2 bucket depths x 2 seeds on the 1.7 Mbps "lost"
 encoding — is timed three ways:
 
@@ -21,8 +22,6 @@ scalar fast path (which the equivalence suite pins to the engine).
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
 import statistics
 import time
 
@@ -30,9 +29,6 @@ from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.runner import ResultSummary
 from repro.units import mbps
-
-REPO_ROOT = pathlib.Path(__file__).parents[2]
-OUT_PATH = REPO_ROOT / "BENCH_batch.json"
 
 N_RATES = 16
 RATES_MBPS = [1.0 + 2.0 * i / (N_RATES - 1) for i in range(N_RATES)]
@@ -59,7 +55,7 @@ def _grid() -> list[ExperimentSpec]:
     ]
 
 
-def test_batch_scale(monkeypatch):
+def test_batch_scale(monkeypatch, record_property):
     grid = _grid()
     n_points = len(grid)
     assert n_points == 64
@@ -109,48 +105,9 @@ def test_batch_scale(monkeypatch):
     speedup_engine = engine_s_per_point / batch_s_per_point
     speedup_scalar = scalar_s_per_point / batch_s_per_point
 
-    from conftest import bench_provenance
-
-    payload = {
-        "provenance": bench_provenance(),
-        "workload": {
-            "clip": "lost",
-            "encoding_mbps": 1.7,
-            "rates_mbps": RATES_MBPS,
-            "depths_bytes": list(DEPTHS_BYTES),
-            "seeds": list(SEEDS),
-            "grid_points": n_points,
-            "policer_action": "drop",
-            "cache": "disabled (REPRO_BENCH_CACHE=0)",
-        },
-        "batch": {
-            "total_s": batch_s,
-            "s_per_point": batch_s_per_point,
-            "points_per_sec": points_per_sec,
-            "repeats": BATCH_REPEATS,
-        },
-        "fastpath_scalar": {
-            "total_s": scalar_s,
-            "s_per_point": scalar_s_per_point,
-        },
-        "engine": {
-            "s_per_point": engine_s_per_point,
-            "sampled_points": len(engine_sample),
-            "stride": ENGINE_STRIDE,
-        },
-        "speedup_vs_engine": speedup_engine,
-        "speedup_vs_scalar_fastpath": speedup_scalar,
-        "bit_identical_points": n_points,
-    }
-    OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(
-        f"\nbatch {points_per_sec:.1f} pts/s "
-        f"({batch_s_per_point * 1000:.1f} ms/pt); "
-        f"scalar {scalar_s_per_point * 1000:.1f} ms/pt, "
-        f"engine {engine_s_per_point * 1000:.0f} ms/pt; "
-        f"speedup {speedup_engine:.1f}x vs engine, "
-        f"{speedup_scalar:.1f}x vs scalar fast path"
-    )
+    record_property("points_per_s", points_per_sec)
+    record_property("speedup_vs_engine", speedup_engine)
+    record_property("speedup_vs_scalar", speedup_scalar)
 
     # Regression floors: the acceptance targets are 50x/5x on an idle
     # machine; lower floors here keep the bench meaningful without

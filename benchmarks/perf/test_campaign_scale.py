@@ -1,7 +1,8 @@
 """Campaign-scale bench: scheduler throughput + adaptive sampling budget.
 
-``make bench`` runs this module and writes ``BENCH_campaign.json`` at
-the repo root:
+``make bench`` runs this module, and the bench ledger
+(``tools/paper_ledger.py``) writes what it records into
+``BENCH_paper.json``:
 
 * scheduler throughput (grid points/second) for a real uniform sweep
   over the paper's Figure-7 axis, cold store and then warm store (the
@@ -19,8 +20,6 @@ frontier with at most half the measurements of the uniform grid.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 
 from repro.core.campaign import adaptive_token_rate_sweep
@@ -29,9 +28,6 @@ from repro.core.resultstore import ResultStore
 from repro.core.runner import SerialRunner
 from repro.core.sweep import token_rate_sweep
 from repro.units import mbps
-
-REPO_ROOT = pathlib.Path(__file__).parents[2]
-OUT_PATH = REPO_ROOT / "BENCH_campaign.json"
 
 #: Real-simulation axis for the throughput bench (kept small; each
 #: point is a full simulated run on the synthetic clip).
@@ -79,7 +75,7 @@ def _timed_sweep(store: ResultStore) -> tuple[float, object, SerialRunner]:
     return time.perf_counter() - started, sweep, runner
 
 
-def test_campaign_scale(tmp_path):
+def test_campaign_scale(tmp_path, record_property):
     store = ResultStore(tmp_path / "store")
     n_points = len(THROUGHPUT_RATES) * len(THROUGHPUT_DEPTHS)
 
@@ -91,63 +87,23 @@ def test_campaign_scale(tmp_path):
     # Adaptive budget: uniform dense sweep vs the cliff-seeking sampler,
     # both against fresh stores so every evaluation is a real run.
     uniform_runner = SerialRunner(store=ResultStore(tmp_path / "uniform"))
-    uniform_started = time.perf_counter()
     uniform = token_rate_sweep(
         _base_spec(), DENSE_RATES, THROUGHPUT_DEPTHS, runner=uniform_runner
     )
-    uniform_s = time.perf_counter() - uniform_started
 
     adaptive_runner = SerialRunner(store=ResultStore(tmp_path / "adaptive"))
-    adaptive_started = time.perf_counter()
     adaptive = adaptive_token_rate_sweep(
         _base_spec(), list(DENSE_RATES), THROUGHPUT_DEPTHS,
         runner=adaptive_runner,
     )
-    adaptive_s = time.perf_counter() - adaptive_started
 
-    sampling = adaptive.sampling
-    ratio = sampling["ratio"]
+    ratio = adaptive.sampling["ratio"]
     frontier_matches = _frontier(adaptive) == _frontier(uniform)
 
-    from conftest import bench_provenance
-
-    payload = {
-        "provenance": bench_provenance(),
-        "workload": {
-            "clip": "test-300",
-            "encoding_mbps": 1.7,
-            "throughput_rates_mbps": [r / 1e6 for r in THROUGHPUT_RATES],
-            "dense_grid_points": sampling["grid_points"],
-            "depths_bytes": list(THROUGHPUT_DEPTHS),
-        },
-        "scheduler": {
-            "grid_points": n_points,
-            "cold_s": cold_s,
-            "cold_points_per_sec": n_points / cold_s,
-            "warm_s": warm_s,
-            "warm_points_per_sec": n_points / warm_s,
-            "warm_hit_rate": warm_hit_rate,
-            "cold_simulated": cold_runner.stats.simulated,
-        },
-        "adaptive": {
-            "grid_points": sampling["grid_points"],
-            "evaluated": sampling["evaluated"],
-            "ratio": ratio,
-            "rounds": sampling["rounds"],
-            "uniform_s": uniform_s,
-            "adaptive_s": adaptive_s,
-            "frontier_matches_uniform": frontier_matches,
-        },
-    }
-    OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(
-        f"\nscheduler: cold {n_points / cold_s:.2f} pts/s, "
-        f"warm {n_points / warm_s:.0f} pts/s, "
-        f"warm hit rate {warm_hit_rate:.0%}; "
-        f"adaptive: {sampling['evaluated']}/{sampling['grid_points']} "
-        f"points ({ratio:.0%}) in {sampling['rounds']} rounds, "
-        f"frontier match: {frontier_matches}"
-    )
+    record_property("cold_points_per_s", n_points / cold_s)
+    record_property("warm_points_per_s", n_points / warm_s)
+    record_property("warm_hit_rate", warm_hit_rate)
+    record_property("adaptive_ratio", ratio)
 
     assert cold_runner.stats.simulated == n_points
     assert warm_runner.stats.simulated == 0

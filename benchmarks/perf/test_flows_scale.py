@@ -1,7 +1,8 @@
 """Multi-flow scale bench: 100 flows through one interleaved scan.
 
-``make bench`` runs this with the result cache disabled and writes
-``BENCH_flows.json`` at the repo root. One 100-flow homogeneous
+``make bench`` runs this with the result cache disabled, and the bench
+ledger (``tools/paper_ledger.py``) writes what it records into
+``BENCH_paper.json``. One 100-flow homogeneous
 aggregate (all flows starting together, worst-case interleaving for
 the shared bucket) is timed against the two ways the question could
 be answered before ``repro.flows`` existed:
@@ -16,7 +17,7 @@ be answered before ``repro.flows`` existed:
   extrapolates to N. The stand-in is also *wrong*: its cross traffic
   competes for link capacity but never for the EF token bucket, so it
   reports zero policer drops while the real shared bucket is deep in
-  violation — both numbers land in the payload.
+  violation — both numbers are recorded.
 * **the uncontended fast-path loop**
   (:func:`repro.flows.multipath.run_flows_loop`), as a secondary
   reference: N private full-rate buckets and no link contention at
@@ -30,8 +31,6 @@ lane bit-identical to the event-engine fan-in oracle.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import statistics
 import time
 
@@ -40,9 +39,6 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.flows.aggregate import AggregateSpec, contended_flow_specs
 from repro.flows.multipath import run_flows_loop, run_multipath
 from repro.units import mbps
-
-REPO_ROOT = pathlib.Path(__file__).parents[2]
-OUT_PATH = REPO_ROOT / "BENCH_flows.json"
 
 N_FLOWS = 100
 INTERLEAVED_REPEATS = 3
@@ -66,7 +62,7 @@ def _aggregate() -> AggregateSpec:
     )
 
 
-def test_flows_scale():
+def test_flows_scale(record_property):
     agg = _aggregate()
 
     # Warm the encode/schedule/feature caches out of all timings.
@@ -106,58 +102,11 @@ def test_flows_scale():
     speedup = loop_s / interleaved_s
     aggregate_drops = summary.dropped_packets
 
-    from conftest import bench_provenance
-
-    payload = {
-        "provenance": bench_provenance(),
-        "workload": {
-            "clip": "test-300",
-            "encoding_mbps": 1.7,
-            "n_flows": N_FLOWS,
-            "policing": agg.policing,
-            "policer_action": agg.policer_action,
-            "token_rate_mbps": agg.token_rate_bps / 1e6,
-            "bucket_depth_bytes": agg.bucket_depth_bytes,
-            "start_offsets": "all zero (worst-case interleaving)",
-            "cache": "disabled (REPRO_BENCH_CACHE=0)",
-        },
-        "interleaved": {
-            "total_s": interleaved_s,
-            "s_per_flow": interleaved_s / N_FLOWS,
-            "flows_per_sec": flows_per_sec,
-            "repeats": INTERLEAVED_REPEATS,
-            "packets": summary.server_packets,
-            "dropped_packets": aggregate_drops,
-        },
-        "per_flow_loop": {
-            "baseline": "one engine run per flow, other flows as cross traffic",
-            "sampled_flows": ENGINE_SAMPLES,
-            "s_per_flow": engine_s_per_flow,
-            "total_s_extrapolated": loop_s,
-            "sample_dropped_packets": sample_drops,
-            "approximation_note": (
-                "stand-in cross traffic shares the links but not the EF "
-                "token bucket, so the loop sees none of the aggregate's "
-                "policer drops"
-            ),
-        },
-        "uncontended_fastpath_loop": {
-            "baseline": "private full-rate buckets, no contention modeled",
-            "total_s": uncontended_s,
-            "s_per_flow": uncontended_s / N_FLOWS,
-        },
-        "speedup_vs_per_flow_loop": speedup,
-        "speedup_vs_uncontended_loop": uncontended_s / interleaved_s,
-    }
-    OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(
-        f"\nflows {flows_per_sec:.1f} flows/s interleaved "
-        f"({interleaved_s * 1000 / N_FLOWS:.2f} ms/flow); "
-        f"per-flow engine loop {engine_s_per_flow:.1f} s/flow "
-        f"(speedup {speedup:.0f}x); uncontended fast-path loop "
-        f"{uncontended_s * 1000 / N_FLOWS:.2f} ms/flow "
-        f"({uncontended_s / interleaved_s:.1f}x) at N={N_FLOWS}"
-    )
+    record_property("flows_per_s", flows_per_sec)
+    record_property("speedup_vs_per_flow_loop", speedup)
+    record_property("speedup_vs_uncontended_loop", uncontended_s / interleaved_s)
+    record_property("aggregate_dropped_packets", aggregate_drops)
+    record_property("stand_in_dropped_packets", sample_drops)
 
     # Acceptance floor: the interleaved lane must beat the per-flow
     # loop by >=10x at N=100. (It wins by orders of magnitude; the

@@ -1,8 +1,9 @@
 """Perf-regression harness: event-loop microbench + fast-path sweep.
 
 ``make bench`` runs this module with the result cache disabled
-(``REPRO_BENCH_CACHE=0``) and writes ``BENCH_sweep.json`` at the repo
-root:
+(``REPRO_BENCH_CACHE=0``) and the bench ledger
+(``tools/paper_ledger.py``) writes what it records into
+``BENCH_paper.json``:
 
 * a microbenchmark of the event engine (events/second on a synthetic
   self-rescheduling workload, including a cancel-heavy phase that
@@ -19,8 +20,6 @@ so the speedup is a pure implementation delta, not a model change.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import statistics
 import time
 
@@ -29,9 +28,6 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.runner import ResultSummary
 from repro.sim.engine import Engine
 from repro.units import mbps
-
-REPO_ROOT = pathlib.Path(__file__).parents[2]
-OUT_PATH = REPO_ROOT / "BENCH_sweep.json"
 
 #: The paper's Figure-7 shape: 1.7 Mbps encoding over its sweep rates.
 RATES_MBPS = (1.65, 1.75, 1.9, 2.0)
@@ -72,11 +68,7 @@ def _microbench(n_events: int = 200_000, chains: int = 64) -> dict:
     cancel_elapsed = time.perf_counter() - cancel_started
 
     return {
-        "events": fired,
-        "elapsed_s": elapsed,
         "events_per_sec": fired / elapsed,
-        "cancel_events": n_cancel,
-        "cancel_elapsed_s": cancel_elapsed,
         "cancel_events_per_sec": n_cancel / cancel_elapsed,
     }
 
@@ -117,7 +109,7 @@ def _time_grid(monkeypatch, mode: str) -> tuple[dict, dict]:
     return timings, summaries
 
 
-def test_perf_sweep(monkeypatch):
+def test_perf_sweep(monkeypatch, record_property):
     micro = _microbench()
 
     engine_times, engine_summaries = _time_grid(monkeypatch, "0")
@@ -133,40 +125,12 @@ def test_perf_sweep(monkeypatch):
     fast_median = statistics.median(fast_times.values())
     speedup = engine_median / fast_median
 
-    from conftest import bench_provenance
-
-    payload = {
-        "provenance": bench_provenance(),
-        "workload": {
-            "clip": "lost",
-            "encoding_mbps": 1.7,
-            "rates_mbps": list(RATES_MBPS),
-            "depths_bytes": list(DEPTHS_BYTES),
-            "repeats_per_point": REPEATS,
-            "policer_action": "drop",
-            "cache": "disabled (REPRO_BENCH_CACHE=0)",
-        },
-        "engine": {
-            "median_s_per_point": engine_median,
-            "per_point_s": engine_times,
-        },
-        "fastpath": {
-            "median_s_per_point": fast_median,
-            "per_point_s": fast_times,
-            "hit_rate": hit_rate,
-        },
-        "speedup_median": speedup,
-        "bit_identical_points": len(engine_summaries),
-        "microbench": micro,
-    }
-    OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(
-        f"\nengine median {engine_median:.3f}s/point, "
-        f"fast median {fast_median:.3f}s/point, "
-        f"speedup {speedup:.2f}x, hit rate {hit_rate:.0%}, "
-        f"microbench {micro['events_per_sec']:.0f} ev/s "
-        f"(cancel-heavy {micro['cancel_events_per_sec']:.0f} ev/s)"
-    )
+    record_property("engine_s_per_point", engine_median)
+    record_property("fastpath_s_per_point", fast_median)
+    record_property("speedup", speedup)
+    record_property("hit_rate", hit_rate)
+    record_property("events_per_s", micro["events_per_sec"])
+    record_property("cancel_events_per_s", micro["cancel_events_per_sec"])
 
     assert hit_rate == 1.0
     # Regression floor: the acceptance target is 5x on an idle machine;

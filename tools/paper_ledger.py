@@ -1,11 +1,12 @@
-"""Paper-set ledger: cold wall time per bench, written to ``BENCH_paper.json``.
+"""Bench ledger: cold wall time per bench, written to ``BENCH_paper.json``.
 
-A pytest plugin for the paper-figure set under ``benchmarks/``
-(``make bench-paper``)::
+A pytest plugin for every bench under ``benchmarks/``, the paper's
+figures and tables and the perf gates under ``benchmarks/perf/``
+(``make bench``)::
 
     REPRO_BENCH_CACHE=0 REPRO_CACHE_DIR="$(mktemp -d)" \\
         python -m pytest -q -p tools.paper_ledger benchmarks \\
-        --ignore=benchmarks/perf --benchmark-disable
+        --benchmark-disable
 
 Each bench is timed over its whole test protocol (set-up, call and
 tear-down, so class- and module-scoped fixtures are charged to the
@@ -15,10 +16,13 @@ wraps the layer boundaries for the whole session, and each span's
 request is named after the bench that ran it. At session end the
 plugin writes ``BENCH_paper.json`` in the pytest root directory with
 the run's provenance, each bench's wall seconds, outcome and self
-seconds per layer, their sums and the session's wall time. Layer
-times cover this process only: with ``REPRO_BENCH_JOBS`` above 1 the
-pool workers' spans are not seen. A run with failures still writes
-the file; its per-bench outcomes say which ones failed.
+seconds per layer, their sums and the session's wall time. A bench
+that calls pytest's ``record_property`` (the perf gates record the
+quantities they assert on) also gets those name/value pairs as its
+``values``. Layer times cover this process only: with
+``REPRO_BENCH_JOBS`` above 1 the pool workers' spans are not seen. A
+run with failures still writes the file; its per-bench outcomes say
+which ones failed.
 """
 
 from __future__ import annotations
@@ -47,19 +51,27 @@ def load_tracing() -> types.ModuleType:
     return module
 
 
+def _git(root, *args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        ["git", *args], capture_output=True, text=True, cwd=root, timeout=10
+    )
+
+
 def _commit(root) -> str:
-    """Short commit of the tree, marked ``-dirty`` when it has edits."""
+    """Short commit of the tree, marked ``-dirty`` when it has edits.
+
+    The ledger file itself is left out of the check, so a rerun on a
+    clean commit still reads clean after the previous run rewrote it.
+    """
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            cwd=root,
-            timeout=10,
-        ).stdout.strip()
+        commit = _git(root, "rev-parse", "--short", "HEAD").stdout.strip()
+        if commit and _git(
+            root, "diff", "--quiet", "HEAD", "--", ".", f":!{LEDGER_NAME}"
+        ).returncode:
+            commit += "-dirty"
     except (OSError, subprocess.SubprocessError):
-        out = ""
-    return out or "unknown"
+        commit = ""
+    return commit or "unknown"
 
 
 def provenance(root) -> dict:
@@ -79,8 +91,8 @@ def provenance(root) -> dict:
 
 
 class PaperLedger:
-    """Collects per-bench wall times and layer self times for one
-    pytest session."""
+    """Collects per-bench wall times, layer self times and recorded
+    values for one pytest session."""
 
     def __init__(self, root):
         self.root = root
@@ -107,6 +119,8 @@ class PaperLedger:
         finally:
             entry = self._entry(item.nodeid)
             entry["wall_s"] = time.perf_counter() - start
+            if item.user_properties:
+                entry["values"] = dict(item.user_properties)
             for span, self_s in zip(tracer.spans, tracer.self_times()):
                 entry["layers"][span[0]] += self_s
 
@@ -126,6 +140,7 @@ class PaperLedger:
                 "wall_s": round(b["wall_s"], 3),
                 "outcome": b["outcome"],
                 "layers_self_s": _rounded(b["layers"]),
+                **({"values": b["values"]} if "values" in b else {}),
             }
             for nodeid, b in sorted(self.benches.items())
         }
