@@ -3,8 +3,8 @@
 Each benchmark regenerates one table or figure of the paper: it runs
 the relevant workload once (``benchmark.pedantic(..., rounds=1)``), and
 writes the paper-style rows/series to ``benchmarks/results/<id>.txt``
-so the output survives pytest's capture. Timing numbers from
-pytest-benchmark tell you what each reproduction costs to run.
+so the output survives pytest's capture. ``make bench`` times each
+one cold into ``BENCH_paper.json`` (``tools/paper_ledger.py``).
 """
 
 from __future__ import annotations
