@@ -160,7 +160,11 @@ class PlayoutClient:
     # feedback channel
     # ------------------------------------------------------------------
     def set_feedback(self, callback) -> None:
-        """Register ``callback(loss_fraction, mean_delay_s)`` reports."""
+        """Register ``callback(loss_fraction, mean_delay_s)`` reports.
+
+        The interval counts start here: register before the session
+        starts for the first report to cover its first interval.
+        """
         self._feedback = callback
         self.engine.schedule(self.loss_report_interval, self._report)
 
@@ -171,10 +175,12 @@ class PlayoutClient:
         record (the client only counts it; the richer fields serve the
         detection and journal layers). Loss is otherwise invisible to a
         UDP client until sequence gaps; counting at the drop point
-        keeps the model simple.
+        keeps the model simple. Only a feedback consumer reads the
+        interval counts, so without one nothing is counted.
         """
-        self._interval_lost_packets += 1
-        self._interval_expected_packets += 1
+        if self._feedback is not None:
+            self._interval_lost_packets += 1
+            self._interval_expected_packets += 1
 
     def _report(self) -> None:
         if self._feedback is not None:
@@ -196,8 +202,9 @@ class PlayoutClient:
     def receive(self, packet: Packet) -> None:
         """UDP data path (PacketSink interface)."""
         self.received_packets += 1
-        self._interval_expected_packets += 1
-        self._interval_delays.append(self.engine.now - packet.created_at)
+        if self._feedback is not None:
+            self._interval_expected_packets += 1
+            self._interval_delays.append(self.engine.now - packet.created_at)
         if packet.frame_id is None:
             return
         if "datagram_bytes" in packet.annotations:

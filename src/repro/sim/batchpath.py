@@ -14,25 +14,37 @@ seed — not on the policing profile. This module exploits that:
    :class:`~repro.sim.fastpath.FrontEndMemo`, so a recommend's probe
    rounds and a sweep's scheduler windows share them.
 2. **Conformance scan by width.** Lanes that share one policer-input
-   stream are scanned together. A stream of
-   :data:`LANE_SCAN_MIN_LANES` lanes or more runs the token-bucket
-   recurrence over a *lane axis* (:func:`_lane_scan`): one 2-D scan
-   updates every (rate, depth) lane's token level per packet, with
-   the exact IEEE-754 operations of the scalar scan (a zero-elapsed
-   refill adds ``0.0`` and re-clips at the depth, both bitwise no-ops
-   under the invariant ``tokens <= depth``). A narrower stream, which
-   is what the campaign scheduler's windows and ``recommend`` submit,
-   scans each lane with :func:`~repro.sim.fastpath.bucket_fill` on
-   the stream's lists, converted once. Both give the verdict
+   stream are scanned together, and the stream itself (a seed's
+   jitter releases, or one shaper profile's output) is a
+   :class:`~repro.sim.fastpath.PolicerStream` held in the request's
+   memo, so every batch call of the request scans the same record. A
+   stream of :data:`LANE_SCAN_MIN_LANES` lanes or more runs the
+   token-bucket recurrence over a *lane axis* (:func:`_lane_scan`):
+   one 2-D scan updates every (rate, depth) lane's token level per
+   packet, with the exact IEEE-754 operations of the scalar scan (a
+   zero-elapsed refill adds ``0.0`` and re-clips at the depth, both
+   bitwise no-ops under the invariant ``tokens <= depth``). A narrower
+   stream, which is what the campaign scheduler's windows and
+   ``recommend`` submit, scans lane by lane with
+   :func:`~repro.sim.fastpath.bucket_fill` in ascending (depth, rate)
+   order, and a lane at or above one seen to forward every packet, in
+   this call or an earlier one, gets the all-True mask unscanned
+   (:meth:`~repro.sim.fastpath.PolicerStream.verdicts`: the scan is
+   monotone in rate and depth). All give the verdict
    ``fill >= sizes``, so the choice never moves a bit.
 3. **Outcome dedup.** Downstream of the scan, everything — policer
    accounting, the backbone traversal, playout, renderer, VQM — is a
    pure function of the conformance mask and the policer-input stream,
    whose times, ids, sizes and frame ids are gathered once per stream.
    :func:`repro.sim.fastpath.build_session` runs that tail once per
-   unique mask. Above the policing cliff every lane produces the same
-   all-conform mask, so a 64-point grid typically collapses to a
-   handful of unique outcomes per seed.
+   unique mask in each call. Above the policing cliff every lane
+   produces the same all-conform mask, so a 64-point grid typically
+   collapses to a handful of unique outcomes per seed. The backbone
+   part is one all-forwarded three-hop run per stream per request
+   (:class:`~repro.sim.fastpath.ForwardedRun`): the all-conform
+   outcome's arrivals are that run's, and a drop outcome copies it and
+   re-runs the hops only from each packet after a drop until their
+   finish times are back in step with it.
 4. **Shared assessment.** Each unique outcome is scored once, by the
    same offline stages as the scalar path. VQM's temporal calibration
    is the vectorized lag search every lane runs
@@ -57,13 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sim.fastpath import (
-    bucket_fill,
-    build_session,
-    front_end_scope,
-    qbone_config,
-    shaper_releases,
-)
+from repro.sim.fastpath import build_session, front_end_scope, qbone_config
 from repro.video.clips import encode_clip
 
 #: Fewest lanes on one policer-input stream that the 2-D
@@ -142,72 +148,70 @@ def _run_group(specs: list) -> list:
 
     with front_end_scope() as front:
         sched = front.schedule(encoded, cfg)
-        releases_by_seed = {
-            seed: front.releases(encoded, cfg, seed) for seed in by_seed
-        }
-    for seed, members in by_seed.items():
-        releases = releases_by_seed[seed]
-        # Lanes sharing one policer-input packet stream. Unshaped lanes
-        # all see the jitter releases; shaped lanes see their shaper
-        # profile's output, which lanes with equal profiles share.
-        if spec0.use_shaper:
+        streams: list = []
+        for seed, members in by_seed.items():
+            # Lanes sharing one policer-input packet stream. Unshaped
+            # lanes all see the seed's jitter releases; shaped lanes see
+            # their shaper profile's output, which equal profiles share.
             profiles: dict = {}
             for i in members:
                 spec = specs[i]
-                prof = (
-                    spec.shaper_rate_bps or spec.token_rate_bps,
-                    cfg.shaper_depth_bytes,
-                )
+                prof = None
+                if spec0.use_shaper:
+                    prof = (
+                        spec.shaper_rate_bps or spec.token_rate_bps,
+                        cfg.shaper_depth_bytes,
+                    )
                 profiles.setdefault(prof, []).append(i)
-            streams = []
-            for (srate, sdepth), lanes in profiles.items():
-                pol_times, pol_ids = shaper_releases(
-                    releases, sched.sizes, srate, sdepth
-                )
-                streams.append(((srate, sdepth), pol_times, pol_ids, lanes))
-        else:
-            streams = [(None, releases, np.arange(sched.n_packets), members)]
+            for prof, lanes in profiles.items():
+                streams.append((front.stream(encoded, cfg, seed, prof), lanes))
 
+    for stream, lanes in streams:
+        if len(lanes) < LANE_SCAN_MIN_LANES:
+            # In ascending (depth, rate) order, so that no lane an
+            # all-forwarding lane dominates is scanned.
+            ascending = sorted(
+                lanes,
+                key=lambda i: (specs[i].bucket_depth_bytes, specs[i].token_rate_bps),
+            )
+            verdicts = {
+                i: stream.verdicts(
+                    specs[i].token_rate_bps, specs[i].bucket_depth_bytes
+                )
+                for i in ascending
+            }
+            masks = [verdicts[i] for i in lanes]
+        else:
+            rate_bytes = np.array(
+                [specs[i].token_rate_bps / 8.0 for i in lanes],
+                dtype=np.float64,
+            )
+            depths = np.array(
+                [float(specs[i].bucket_depth_bytes) for i in lanes],
+                dtype=np.float64,
+            )
+            conform = _lane_scan(stream.times, stream.size_list, rate_bytes, depths)
+            masks = np.ascontiguousarray(conform.T)  # one row per lane
         outcome_cache: dict = {}
-        for marker, pol_times, pol_ids, lanes in streams:
-            times = np.asarray(pol_times, dtype=np.float64)
-            ids = np.asarray(pol_ids, dtype=np.int64)
-            sizes = sched.sizes_arr[ids]
-            fids = sched.fids_arr[ids]
-            size_list = sizes.tolist()
-            if len(lanes) < LANE_SCAN_MIN_LANES:
-                masks = [
-                    bucket_fill(
-                        pol_times,
-                        size_list,
-                        specs[i].token_rate_bps,
-                        specs[i].bucket_depth_bytes,
-                    )
-                    >= sizes
-                    for i in lanes
-                ]
-            else:
-                rate_bytes = np.array(
-                    [specs[i].token_rate_bps / 8.0 for i in lanes],
-                    dtype=np.float64,
+        for i, mask in zip(lanes, masks):
+            key = mask.tobytes()
+            summary = outcome_cache.get(key)
+            if summary is None:
+                session = build_session(
+                    cfg,
+                    encoded,
+                    sched,
+                    stream.times,
+                    stream.ids,
+                    stream.sizes,
+                    stream.fids,
+                    mask,
+                    forwarded=stream.forwarded,
                 )
-                depths = np.array(
-                    [float(specs[i].bucket_depth_bytes) for i in lanes],
-                    dtype=np.float64,
-                )
-                conform = _lane_scan(times, size_list, rate_bytes, depths)
-                masks = np.ascontiguousarray(conform.T)  # one row per lane
-            for i, mask in zip(lanes, masks):
-                key = (marker, mask.tobytes())
-                summary = outcome_cache.get(key)
-                if summary is None:
-                    session = build_session(
-                        cfg, encoded, sched, times, ids, sizes, fids, mask
-                    )
-                    result = result_from_session(specs[i], encoded, session)
-                    summary = ResultSummary.from_result(result, elapsed_s=0.0)
-                    outcome_cache[key] = summary
-                summaries[i] = summary
+                result = result_from_session(specs[i], encoded, session)
+                summary = ResultSummary.from_result(result, elapsed_s=0.0)
+                outcome_cache[key] = summary
+            summaries[i] = summary
     return summaries
 
 

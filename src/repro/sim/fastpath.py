@@ -34,8 +34,10 @@ one class, the strict-priority replay for a mixed one) and
 :func:`flow_session` (one flow's tap arrays and playout bookkeeping).
 :func:`build_session` composes them for one single-flow verdict mask;
 the scalar path calls it once per run and the batch lane once per
-unique mask. :func:`repro.flows.multipath.run_multipath` composes them
-over a merged multi-flow stream.
+unique mask, handing it the stream's all-forwarded backbone run
+(:class:`ForwardedRun`), which a drop outcome replays only past its
+drops. :func:`repro.flows.multipath.run_multipath` composes them over a
+merged multi-flow stream.
 
 Before the policer, every lane takes its server schedule and jitter
 replay from :func:`front_end_scope`'s memo, so all the lane calls of
@@ -55,7 +57,7 @@ from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -320,8 +322,8 @@ def compute_schedule(
 
 
 class FrontEndMemo:
-    """The schedules, jitter replays and segment calibrations computed
-    so far in one request.
+    """The schedules, jitter replays, policer-input streams and segment
+    calibrations computed so far in one request.
 
     A schedule is keyed by the clip version (clip, codec, encoding
     rate), the campus-LAN rate and the start offset; a jitter replay by
@@ -330,6 +332,16 @@ class FrontEndMemo:
     returns the very lists the first call built. Callers only read
     them. A miss calls :func:`compute_schedule` or
     :func:`jitter_releases` through this module's globals.
+
+    A policer-input stream (:meth:`stream`, a :class:`PolicerStream`)
+    is keyed by its jitter replay's key, the shaper profile and the
+    backbone's parameters. The batch lane's calls in the request
+    record in it the lanes seen to forward every packet, which later
+    lanes they dominate skip scanning, and the stream's all-forwarded
+    backbone run, which every drop outcome replays. A record takes
+    about 4.0 MB on a 20,328-packet ``dark`` stream (2.8 MB of it the
+    run's per-packet lists; 2.3 MB on ``lost``), freed with the
+    request.
 
     ``calibrations`` maps :func:`repro.vqm.calibration.calibration_key`
     (every input of a segment's temporal calibration, by value) to its
@@ -347,6 +359,7 @@ class FrontEndMemo:
         self.pid = os.getpid()
         self._schedules: dict = {}
         self._releases: dict = {}
+        self._streams: dict = {}
         self.calibrations: dict = {}
 
     @staticmethod
@@ -359,6 +372,17 @@ class FrontEndMemo:
             encoded.target_rate_bps,
             cfg.campus_lan_rate_bps,
             start,
+        )
+
+    @classmethod
+    def _release_key(
+        cls, encoded: EncodedClip, cfg: QBoneTestbedConfig, seed: int
+    ) -> tuple:
+        return (
+            cls._schedule_key(encoded, cfg, 0.0),
+            seed,
+            cfg.jitter_mean_s,
+            cfg.jitter_max_s,
         )
 
     def schedule(
@@ -375,18 +399,46 @@ class FrontEndMemo:
         self, encoded: EncodedClip, cfg: QBoneTestbedConfig, seed: int
     ) -> list[float]:
         """:func:`jitter_releases` over the zero-offset schedule, once per key."""
-        key = (
-            self._schedule_key(encoded, cfg, 0.0),
-            seed,
-            cfg.jitter_mean_s,
-            cfg.jitter_max_s,
-        )
+        key = self._release_key(encoded, cfg, seed)
         releases = self._releases.get(key)
         if releases is None:
             campus_departs = self.schedule(encoded, cfg).campus_departs
             releases = jitter_releases(campus_departs, seed, cfg)
             self._releases[key] = releases
         return releases
+
+    def stream(
+        self,
+        encoded: EncodedClip,
+        cfg: QBoneTestbedConfig,
+        seed: int,
+        shaper: Optional[tuple[float, float]] = None,
+    ) -> PolicerStream:
+        """The policer-input stream of one seed, once per key.
+
+        ``shaper`` is the edge shaper's ``(rate_bps, depth_bytes)``
+        profile, or ``None`` for the jitter releases themselves. The
+        key adds the profile and the backbone's rate, hop count and
+        hop delay to the jitter replay's key: every input of the
+        stream's packets and of its all-forwarded run.
+        """
+        key = (
+            self._release_key(encoded, cfg, seed),
+            shaper,
+            cfg.backbone_rate_bps,
+            cfg.backbone_hops,
+            cfg.backbone_hop_delay_s,
+        )
+        stream = self._streams.get(key)
+        if stream is None:
+            sched = self.schedule(encoded, cfg)
+            releases = self.releases(encoded, cfg, seed)
+            if shaper is None:
+                times, ids = releases, np.arange(sched.n_packets)
+            else:
+                times, ids = shaper_releases(releases, sched.sizes, *shaper)
+            stream = self._streams[key] = PolicerStream(cfg, sched, times, ids)
+        return stream
 
 
 _front_end: ContextVar[Optional[FrontEndMemo]] = ContextVar(
@@ -686,6 +738,164 @@ def backbone(
     return np.asarray(arr, dtype=np.float64), np.asarray(order, dtype=np.int64)
 
 
+@dataclass
+class ForwardedRun:
+    """A policer-input stream's FIFO backbone run with every packet
+    forwarded: each hop's finish time per packet, and the client
+    arrivals, which are :func:`backbone`'s answer for that stream.
+
+    A drop outcome forwards a subset of the stream. Up to its first
+    drop the subset's hops see what this run's hops saw, and after a
+    drop they differ only until all three finish times meet this run's
+    again: from there the hops hold this run's state, so every packet
+    up to the next drop finishes as here. :meth:`arrivals` re-runs the
+    recurrence over just those stretches.
+    """
+
+    times: Sequence[float]  # policer-exit instant per packet
+    tx: list[float]  # per-hop transmission time per packet
+    hop1: list[float]  # finish time at each hop, per packet
+    hop2: list[float]
+    hop3: list[float]
+    client: np.ndarray  # client arrival instant per packet
+    prop: float  # per-hop propagation delay
+
+    def arrivals(self, keep: np.ndarray) -> np.ndarray:
+        """Client arrivals of the packets ``keep`` (a mask) forwards.
+
+        Bitwise equal to ``backbone(cfg, times[keep], tx[keep])[0]``:
+        every re-run float comes from the same operations on the same
+        values, and a stretch stops only where the three hop states
+        equal this run's.
+        """
+        times, tx, prop = self.times, self.tx, self.prop
+        hop1, hop2, hop3 = self.hop1, self.hop2, self.hop3
+        client = self.client.copy()
+        drops = np.flatnonzero(~keep).tolist()
+        n, n_drops = len(tx), len(drops)
+        d = 0
+        while d < n_drops:
+            j = drops[d]
+            d += 1
+            if j:  # packet j-1 finished as recorded
+                free1, free2, free3 = hop1[j - 1], hop2[j - 1], hop3[j - 1]
+            else:
+                free1 = free2 = free3 = float("-inf")
+            for k in range(j + 1, n):
+                if d < n_drops and drops[d] == k:
+                    d += 1
+                    continue
+                t = tx[k]
+                a = times[k]
+                free1 = (a if a > free1 else free1) + t
+                a = free1 + prop
+                free2 = (a if a > free2 else free2) + t
+                a = free2 + prop
+                free3 = (a if a > free3 else free3) + t
+                if free3 == hop3[k] and free2 == hop2[k] and free1 == hop1[k]:
+                    break  # back in step: the recorded run from here
+                client[k] = free3 + prop
+        return client[keep]
+
+
+def forwarded_run(
+    cfg: QBoneTestbedConfig, times: Sequence[float], tx: list[float]
+) -> ForwardedRun:
+    """:func:`backbone`'s one-pass FIFO loop over a whole policer-input
+    stream, recording every hop's finish time per packet."""
+    if cfg.backbone_hops != 3:
+        raise ValueError(
+            f"the Abilene path has 3 backbone hops, not {cfg.backbone_hops}"
+        )
+    prop = cfg.backbone_hop_delay_s
+    hop1: list[float] = []
+    hop2: list[float] = []
+    hop3: list[float] = []
+    out: list[float] = []
+    free1 = free2 = free3 = float("-inf")
+    for a, t in zip(times, tx):
+        free1 = (a if a > free1 else free1) + t
+        a = free1 + prop
+        free2 = (a if a > free2 else free2) + t
+        a = free2 + prop
+        free3 = (a if a > free3 else free3) + t
+        hop1.append(free1)
+        hop2.append(free2)
+        hop3.append(free3)
+        out.append(free3 + prop)
+    return ForwardedRun(
+        times=times,
+        tx=tx,
+        hop1=hop1,
+        hop2=hop2,
+        hop3=hop3,
+        client=np.asarray(out, dtype=np.float64),
+        prop=prop,
+    )
+
+
+class PolicerStream:
+    """One packet stream reaching the policer, as the batch lane sees it
+    across the calls of one request (:meth:`FrontEndMemo.stream`).
+
+    The stream is a seed's jitter releases or one shaper profile's
+    output; ``times`` and ``ids`` hold its policer-input instants and
+    packet ids, ``sizes`` and ``fids`` each packet's wire bytes and
+    frame id. Two exact shortcuts live here:
+
+    - :meth:`verdicts` skips the scan of a lane dominated by one seen to
+      forward every packet;
+    - :meth:`forwarded` holds the stream's all-forwarded backbone run,
+      built on first use, which every FIFO-served outcome reuses.
+    """
+
+    def __init__(
+        self,
+        cfg: QBoneTestbedConfig,
+        sched: ScheduleBundle,
+        times: Sequence[float],
+        ids: Sequence[int],
+    ) -> None:
+        self.cfg = cfg
+        self.times = times
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.sizes = sched.sizes_arr[self.ids]
+        self.fids = sched.fids_arr[self.ids]
+        self.size_list = self.sizes.tolist()
+        self._forwarding: list[tuple[float, float]] = []  # (rate, depth)
+        self._run: Optional[ForwardedRun] = None
+
+    def verdicts(self, rate_bps: float, depth_bytes: float) -> np.ndarray:
+        """``bucket_fill(...) >= sizes`` for one (rate, depth) lane.
+
+        A lane whose rate and depth are at least those of a lane that
+        forwarded every packet forwards every packet too, so it gets
+        the all-True mask unscanned. This is exact: ``bucket_fill``'s
+        refill, clip and consume are each monotone in the token level,
+        the rate and the depth under IEEE-754 rounding, and its last
+        refill instant depends only on the times, so the dominating
+        lane holds at least as many tokens at every packet. Scanning a
+        stream's lanes in ascending (depth, rate) order wastes no scan:
+        each scanned lane then drops a packet or is its depth's first
+        lane to forward all.
+        """
+        for rate, depth in self._forwarding:
+            if rate <= rate_bps and depth <= depth_bytes:
+                return np.ones(len(self.size_list), dtype=bool)
+        fill = bucket_fill(self.times, self.size_list, rate_bps, depth_bytes)
+        mask = fill >= self.sizes
+        if mask.all():
+            self._forwarding.append((rate_bps, depth_bytes))
+        return mask
+
+    def forwarded(self) -> ForwardedRun:
+        """The stream's all-forwarded backbone run, built once."""
+        if self._run is None:
+            tx = ((self.sizes * 8) / self.cfg.backbone_rate_bps).tolist()
+            self._run = forwarded_run(self.cfg, self.times, tx)
+        return self._run
+
+
 def flow_session(
     encoded: EncodedClip,
     sched: ScheduleBundle,
@@ -818,6 +1028,7 @@ def build_session(
     fids: np.ndarray,
     mask: np.ndarray,
     pol_cols: Optional[dict] = None,
+    forwarded: Optional[Callable[[], ForwardedRun]] = None,
 ) -> FastPathSession:
     """Policer accounting, backbone and client side for one verdict mask.
 
@@ -827,16 +1038,25 @@ def build_session(
     function of these, so the batch lane calls this once per *unique*
     mask rather than per grid point. ``pol_cols`` are a detection
     trace's policer columns; the receiver columns are added here.
+    ``forwarded`` (the batch lane's :meth:`PolicerStream.forwarded`)
+    gives the stream's all-forwarded run: a drop outcome replays it
+    past its drops, and a remark outcome of one class is that run, in
+    place of a :func:`backbone` pass.
     """
     [stats], keep = policer_outcome(mask, cfg.policer_action, sizes, fids)
-    fwd = slice(None) if keep is None else keep
-    recv_times, order = backbone(
-        cfg,
-        np.asarray(pol_times)[fwd].tolist(),
-        ((sizes[fwd] * 8) / cfg.backbone_rate_bps).tolist(),
-        mask.tolist() if keep is None else None,
-    )
-    pos = order if keep is None else keep[order]  # policer-input positions
+    if forwarded is not None and keep is not None:
+        recv_times, pos = forwarded().arrivals(mask), keep
+    elif forwarded is not None and (mask.all() or not mask.any()):
+        recv_times, pos = forwarded().client.copy(), np.arange(len(mask))
+    else:
+        fwd = slice(None) if keep is None else keep
+        recv_times, order = backbone(
+            cfg,
+            np.asarray(pol_times)[fwd].tolist(),
+            ((sizes[fwd] * 8) / cfg.backbone_rate_bps).tolist(),
+            mask.tolist() if keep is None else None,
+        )
+        pos = order if keep is None else keep[order]  # policer-input positions
     recv_ids = pol_ids[pos]
 
     trace_payload = None

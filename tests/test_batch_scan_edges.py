@@ -14,6 +14,7 @@ of the vectorized axis.
 """
 
 import dataclasses
+import random
 from itertools import accumulate
 
 import numpy as np
@@ -26,7 +27,8 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.runner import ResultSummary
 from repro.diffserv.token_bucket import TokenBucket
 from repro.sim.batchpath import _lane_scan
-from repro.sim.fastpath import bucket_fill
+from repro.sim.fastpath import PolicerStream, ScheduleBundle, bucket_fill
+from repro.testbeds.qbone import QBoneTestbedConfig
 from repro.units import mbps
 
 
@@ -90,6 +92,104 @@ def test_bucket_fill_matches_token_bucket(stream):
         assert (fill >= np.asarray(sizes, dtype=np.int64)).tolist() == verdicts
     rates, depths = zip(*lanes)
     _assert_scan_matches(times, sizes, rates, depths)
+
+
+def _first_forwarding_rate(times, sizes, depth) -> float:
+    """The least rate in [1, 1e12] bps at which ``bucket_fill`` forwards
+    every packet at ``depth``, by bisection over the ordered bit
+    patterns of positive floats; NaN when even 1e12 drops one."""
+    sizes_arr = np.asarray(sizes, dtype=np.int64)
+
+    def forwards(bits):
+        rate = float(np.int64(bits).view(np.float64))
+        return bool((bucket_fill(times, sizes, rate, depth) >= sizes_arr).all())
+
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (1.0, 1e12))
+    if not forwards(hi):
+        return float("nan")
+    if forwards(lo):
+        return 1.0
+    while hi - lo > 1:  # forwards(hi) and not forwards(lo)
+        mid = (lo + hi) // 2
+        if forwards(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+# A step from a value to one at or above it: equal, one ulp up, or
+# scaled by a factor in [1, 4].
+_up = st.one_of(
+    st.just(("same", 1.0)),
+    st.just(("ulp", 1.0)),
+    st.tuples(st.just("scale"), st.floats(1.0, 4.0)),
+)
+
+
+def _step_up(value: float, step) -> float:
+    kind, factor = step
+    if kind == "ulp":
+        return float(np.nextafter(value, np.inf))
+    return value * factor
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    _stream(),
+    st.lists(st.tuples(_up, _up), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+@example(  # the least rate refills exactly one packet per gap
+    ([0.0, 1.0, 2.0, 3.0], [1000] * 4, [(8000.0, 1000.0)]),
+    [(("ulp", 1.0), ("same", 1.0)), (("same", 1.0), ("ulp", 1.0))],
+    random.Random(0),
+)
+def test_lanes_dominating_a_forwarding_lane_forward_all(stream, steps, order):
+    # Random streams with tied times and packets up to twice the
+    # deepest bucket. At each drawn depth, the least all-forwarding
+    # rate is found exactly; every lane at or above it in both rate and
+    # depth forwards all, and a PolicerStream visiting the lanes in any
+    # order returns each lane's scanned mask, shortcut or not.
+    times, sizes, lanes = stream
+    sizes_arr = np.asarray(sizes, dtype=np.int64)
+    # Some rate forwards every packet once the depth holds each burst
+    # of tied packets (the bucket starts full); drawn depths are mostly
+    # below some packet.
+    bursts: dict = {}
+    for now, size in zip(times, sizes):
+        bursts[now] = bursts.get(now, 0) + size
+    need = float(max(bursts.values(), default=1))
+    depths = [depth for _rate, depth in lanes]
+    depths += [need, float(np.nextafter(need, np.inf)), 1.5 * need]
+    probes = list(lanes)
+    for depth in depths:
+        rate0 = _first_forwarding_rate(times, sizes, depth)
+        if rate0 != rate0:  # NaN: a packet never fits this depth
+            continue
+        if rate0 > 1.0:
+            below = float(np.nextafter(rate0, 0.0))
+            assert not (bucket_fill(times, sizes, below, depth) >= sizes_arr).all()
+        for rate_step, depth_step in steps:
+            rate = _step_up(rate0, rate_step)
+            deeper = _step_up(depth, depth_step)
+            assert (bucket_fill(times, sizes, rate, deeper) >= sizes_arr).all()
+            probes.append((rate, deeper))
+    order.shuffle(probes)
+    sched = ScheduleBundle(
+        fids_arr=np.zeros(len(sizes), dtype=np.int64),
+        lens_arr=sizes_arr,
+        sizes_arr=sizes_arr,
+        sizes=list(sizes),
+        emit_times=list(times),
+        campus_departs=list(times),
+    )
+    policer_stream = PolicerStream(
+        QBoneTestbedConfig(), sched, list(times), range(len(sizes))
+    )
+    for rate, depth in probes:
+        scanned = bucket_fill(times, sizes, rate, depth) >= sizes_arr
+        assert policer_stream.verdicts(rate, depth).tolist() == scanned.tolist()
 
 
 class TestLaneScanEdges:

@@ -12,11 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.client.playout import ClientRecord, PlayoutClient
 from repro.client.reassembly import DatagramReassembler
+from repro.core import experiment
+from repro.core.experiment import ExperimentSpec
 from repro.client.renderer import RendererEmulation
 from repro.diffserv.policer import DROP_REASON_TOKENS, PolicerDrop
 from repro.sim.node import Host
 from repro.sim.packet import Packet
-from repro.units import UDP_IP_HEADER
+from repro.units import UDP_IP_HEADER, mbps
 from repro.video.gop import decodable_mask
 
 
@@ -190,6 +192,35 @@ class TestPlayoutClient:
         )
         engine.run(until=1.5)
         assert reports and reports[0] == pytest.approx(0.5)
+
+    def test_no_interval_counts_without_feedback(self, monkeypatch):
+        # Only a feedback consumer reads the interval counts. With cross
+        # traffic the client host takes thousands of best-effort packets
+        # besides the policed video; none may pile up in the client.
+        clients = []
+
+        class Recorded(PlayoutClient):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clients.append(self)
+
+        monkeypatch.setattr(experiment, "PlayoutClient", Recorded)
+        spec = ExperimentSpec(
+            clip="test-150",
+            codec="mpeg1",
+            encoding_rate_bps=mbps(1.7),
+            token_rate_bps=mbps(1.6),
+            bucket_depth_bytes=3000.0,
+            cross_traffic_bps=mbps(1.0),
+            seed=3,
+        )
+        result = experiment.run_experiment(spec)
+        [client] = clients
+        assert result.policer_stats.dropped_packets > 0
+        assert client.received_packets > result.extras["server_packets"]
+        assert client._interval_delays == []
+        assert client._interval_expected_packets == 0
+        assert client._interval_lost_packets == 0
 
     def test_invalid_decode_mode(self, engine, small_clip_mpeg):
         with pytest.raises(ValueError):

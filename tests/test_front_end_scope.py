@@ -13,7 +13,10 @@ computation, and the outputs are checked against solo runs.
 The same memo holds segment calibrations, keyed by the values
 ``calibrate_segment`` reads: the flows of a no-drop aggregate show
 one window and calibrate it once, while ``VqmTool._calibrate`` still
-runs for every segment of every session.
+runs for every segment of every session. It also holds one record per
+policer-input stream, which every batch call of the request scans:
+a lane at or above an all-forwarding lane is not scanned, and one
+all-forwarded backbone run serves the stream's outcomes.
 """
 
 import copy
@@ -151,6 +154,107 @@ class TestOneFrontEndPerRequest:
         run_experiment(spec)
         run_experiment(spec)
         assert calls.counts == {name: 2 * n + 2 for name, n in first.items()}
+
+
+LOST = ExperimentSpec(
+    clip="lost", codec="mpeg1", encoding_rate_bps=mbps(1.7), seed=3
+)
+LOST_RATES = [mbps(r) for r in (1.65, 1.7, 1.75, 1.8, 1.9, 2.0, 2.1, 2.2)]
+
+
+class StreamCalls:
+    """Every lane scan, all-forwarded backbone run and stream lookup."""
+
+    def __init__(self):
+        self.scans = []  # (rate_bps, depth_bytes) per bucket_fill call
+        self.runs = 0
+        self.streams = []  # the PolicerStream each lookup returned
+
+
+@pytest.fixture
+def stream_calls(monkeypatch):
+    monkeypatch.delenv(fastlane.FASTPATH_ENV, raising=False)
+    calls = StreamCalls()
+    scan, run, lookup = (
+        fastpath.bucket_fill,
+        fastpath.forwarded_run,
+        fastpath.FrontEndMemo.stream,
+    )
+
+    def bucket_fill(times, sizes, rate_bps, depth_bytes):
+        calls.scans.append((rate_bps, depth_bytes))
+        return scan(times, sizes, rate_bps, depth_bytes)
+
+    def forwarded_run(*args):
+        calls.runs += 1
+        return run(*args)
+
+    def stream(self, *args):
+        calls.streams.append(lookup(self, *args))
+        return calls.streams[-1]
+
+    for module in (fastpath, batchpath):
+        if getattr(module, "bucket_fill", None) is scan:
+            monkeypatch.setattr(module, "bucket_fill", bucket_fill)
+    monkeypatch.setattr(fastpath, "forwarded_run", forwarded_run)
+    monkeypatch.setattr(fastpath.FrontEndMemo, "stream", stream)
+    return calls
+
+
+class TestOneStreamRecordPerRequest:
+    """The batch lane's policer-input stream record, per request: lanes
+    an all-forwarding lane dominates go unscanned, and one all-forwarded
+    backbone run serves every outcome of the stream. The ``lost`` sweep
+    pays the clip's encode, so it stays out of ``perf_smoke``."""
+
+    def test_sweep_scans_up_to_each_depths_first_forwarding_lane(
+        self, stream_calls
+    ):
+        sweep = token_rate_sweep(
+            LOST, LOST_RATES, (3000.0, 4500.0), runner=make_runner(jobs=1)
+        )
+        assert len(sweep.points) == 16
+        wanted = []
+        for depth in (3000.0, 4500.0):
+            for rate in LOST_RATES:
+                wanted.append((rate, depth))
+                [point] = [
+                    p for p in sweep.points
+                    if (p.token_rate_bps, p.bucket_depth_bytes) == (rate, depth)
+                ]
+                if point.result.dropped_packets == 0:
+                    break
+            else:
+                pytest.fail(f"no lane forwards every packet at {depth} B")
+        assert len(wanted) < 16
+        assert stream_calls.scans == wanted
+        assert stream_calls.runs == 1
+        assert len(set(map(id, stream_calls.streams))) == 1
+        for point in sweep.points:
+            spec = LOST.with_token_bucket(
+                point.token_rate_bps, point.bucket_depth_bytes
+            )
+            assert point.result == ResultSummary.from_result(run_experiment(spec))
+
+    @pytest.mark.perf_smoke
+    def test_recommend_rounds_share_one_stream(self, stream_calls):
+        runner = RecordingRunner()
+        recommend_provisioning(BASE, runner=runner)
+        assert len(runner.calls) > 1
+        assert len(stream_calls.streams) == len(runner.calls)
+        assert len(set(map(id, stream_calls.streams))) == 1
+        assert stream_calls.runs == 1
+        # Some round's 4500 B lane sits at or above an all-forwarding
+        # 3000 B lane, of its own round or an earlier one.
+        assert len(stream_calls.scans) < 2 * len(runner.calls)
+
+    @pytest.mark.perf_smoke
+    def test_the_next_request_builds_again(self, stream_calls):
+        rates = [mbps(r) for r in (1.8, 2.4)]
+        for _ in range(2):
+            token_rate_sweep(BASE, rates, (4500.0,), runner=make_runner(jobs=1))
+        assert stream_calls.runs == 2
+        assert len(set(map(id, stream_calls.streams))) == 2
 
 
 class TestOutputsUnchanged:

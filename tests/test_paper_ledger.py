@@ -4,6 +4,8 @@
 commit stamp must read clean on a clean tree even after an earlier
 run rewrote the tracked ledger file, and each bench's entry carries
 the values it recorded with ``record_property``, or no ``values`` key.
+The ledger times the benchmark's host-speed kernel at both ends of the
+session, reading ``perfbench/`` and never writing it.
 """
 
 import json
@@ -45,6 +47,15 @@ class TestCommit:
         assert paper_ledger._commit(tmp_path) == f"{head}-dirty"
 
 
+def _perfbench_files() -> dict:
+    """Every file under ``perfbench/`` but bytecode, with its bytes."""
+    return {
+        path: path.read_bytes()
+        for path in sorted((REPO_ROOT / "perfbench").rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+    }
+
+
 def test_entries_carry_outcomes_and_recorded_values(tmp_path):
     (tmp_path / "test_benches.py").write_text(
         "def test_records(record_property):\n"
@@ -58,12 +69,14 @@ def test_entries_carry_outcomes_and_recorded_values(tmp_path):
         os.environ,
         PYTHONPATH=os.pathsep.join([str(REPO_ROOT), str(REPO_ROOT / "src")]),
     )
+    perfbench = _perfbench_files()
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "tools.paper_ledger",
          "-p", "no:cacheprovider", str(tmp_path)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 1, run.stdout + run.stderr
+    assert _perfbench_files() == perfbench
 
     ledger = json.loads((tmp_path / paper_ledger.LEDGER_NAME).read_text())
     benches = ledger["benches"]
@@ -74,3 +87,7 @@ def test_entries_carry_outcomes_and_recorded_values(tmp_path):
     assert failed["outcome"] == "failed"
     assert "values" not in failed
     assert (ledger["passed"], ledger["failed"]) == (1, 1)
+    reference = ledger["drift_reference"]
+    bench = paper_ledger.load_perfbench("run")
+    assert reference["reference_host_s"] == bench.REFERENCE_KERNEL_S
+    assert reference["start_s"] > 0 and reference["end_s"] > 0

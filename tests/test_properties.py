@@ -6,7 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.diffserv.token_bucket import TokenBucket
 from repro.sim.engine import Engine
-from repro.sim.fastpath import _fifo_departs, _priority_link, backbone
+from repro.sim.fastpath import (
+    _fifo_departs,
+    _priority_link,
+    backbone,
+    forwarded_run,
+)
 from repro.sim.queues import DropTailQueue, PriorityQueueSet
 from repro.sim.packet import Packet
 from repro.video.gop import GopStructure, decodable_frames
@@ -306,7 +311,63 @@ def test_backbone_one_pass_equals_three_fifo_hops(stream, ef):
     assert order.tolist() == list(range(len(arrivals)))
 
 
+@st.composite
+def forwarded_subsets(draw):
+    """A one-class stream and which of its packets the policer keeps:
+    none or all dropped, runs of drops, or any pattern, with the first
+    or last packet dropped half the time each."""
+    arrivals, tx = draw(one_class_stream())
+    n = len(arrivals)
+    kind = draw(st.sampled_from(["any", "runs", "none", "all"]))
+    if kind == "none":
+        keep = [True] * n
+    elif kind == "all":
+        keep = [False] * n
+    elif kind == "runs":
+        keep = []
+        while len(keep) < n:
+            keep += [draw(st.booleans())] * draw(st.integers(1, 6))
+        keep = keep[:n]
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        keep[0] = False
+    if n and draw(st.booleans()):
+        keep[-1] = False
+    return arrivals, tx, keep
+
+
+@given(stream=forwarded_subsets())
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(stream=([], [], []))
+@example(stream=([0.0, 0.001, 0.001], [0.001, 0.0, 0.002], [False, True, True]))
+@example(  # hop 3 back in step at packet 3 while hops 1 and 2 are not
+    stream=(
+        [0.0105, 0.0106, 0.0107, 0.0127, 0.012799999999999999,
+         0.012799999999999999, 0.012899999999999998],
+        [0.0002, 0.001, 0.001, 0.0002, 0.0002, 0.001, 0.003],
+        [True, True, False, True, True, True, True],
+    )
+)
+def test_replayed_drops_equal_a_backbone_pass(stream):
+    # A drop outcome copies the all-forwarded run and re-runs the hops
+    # only after each drop, until they are back in step; it must give
+    # the floats of a backbone pass over the kept packets.
+    arrivals, tx, keep = stream
+    cfg = QBoneTestbedConfig()
+    run = forwarded_run(cfg, arrivals, tx)
+    assert run.client.tolist() == backbone(cfg, arrivals, tx)[0].tolist()
+    kept = [i for i, k in enumerate(keep) if k]
+    expected, _order = backbone(
+        cfg, [arrivals[i] for i in kept], [tx[i] for i in kept]
+    )
+    got = run.arrivals(np.array(keep, dtype=bool))
+    assert got.tolist() == expected.tolist()
+
+
 def test_backbone_rejects_other_hop_counts():
     cfg = QBoneTestbedConfig(backbone_hops=2)
     with pytest.raises(ValueError, match="3 backbone hops"):
         backbone(cfg, [0.0], [0.001])
+    with pytest.raises(ValueError, match="3 backbone hops"):
+        forwarded_run(cfg, [0.0], [0.001])

@@ -23,6 +23,14 @@ quantities they assert on) also gets those name/value pairs as its
 ``REPRO_BENCH_JOBS`` above 1 the pool workers' spans are not seen. A
 run with failures still writes the file; its per-bench outcomes say
 which ones failed.
+
+The host's speed drifts by tens of percent between sessions, so the
+ledger also times one fixed reference workload at the start and at the
+end of the session: the benchmark's host-speed kernel
+(``kernel_seconds`` in ``perfbench/run.py``, read from its file and
+never written), which runs no ``repro`` code. Its median seconds at
+both ends go into ``drift_reference``, beside the seconds it takes on
+the benchmark's reference host.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import datetime
 import json
 import os
 import platform
+import statistics
 import subprocess
 import time
 import types
@@ -40,15 +49,28 @@ from pathlib import Path
 import pytest
 
 LEDGER_NAME = "BENCH_paper.json"
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: Runs of the reference kernel at each end of a session; the ledger
+#: keeps their median.
+REFERENCE_SAMPLES = 9
 
 
-def load_tracing() -> types.ModuleType:
-    """The benchmark's tracer module, executed from its file."""
-    module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def load_perfbench(name: str) -> types.ModuleType:
+    """A module of the benchmark (``tracing``, ``run``), executed from
+    its file. Its ``__main__`` block does not run."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+def reference_seconds(bench: types.ModuleType) -> float:
+    """Median seconds of the benchmark's host-speed kernel."""
+    return statistics.median(
+        bench.kernel_seconds() for _ in range(REFERENCE_SAMPLES)
+    )
 
 
 def _git(root, *args) -> subprocess.CompletedProcess:
@@ -98,7 +120,9 @@ class PaperLedger:
         self.root = root
         self.started = time.perf_counter()
         self.benches: dict = {}
-        self.tracer = load_tracing().Tracer()
+        self.tracer = load_perfbench("tracing").Tracer()
+        self.bench = load_perfbench("run")
+        self.reference_start_s = 0.0
 
     def _entry(self, nodeid: str) -> dict:
         return self.benches.setdefault(
@@ -106,6 +130,7 @@ class PaperLedger:
         )
 
     def pytest_sessionstart(self, session):
+        self.reference_start_s = reference_seconds(self.bench)
         self.tracer.install()
 
     @pytest.hookimpl(wrapper=True)
@@ -154,6 +179,13 @@ class PaperLedger:
             "session_wall_s": round(time.perf_counter() - self.started, 3),
             "passed": outcomes.count("passed"),
             "failed": outcomes.count("failed"),
+            "drift_reference": {
+                "workload": "perfbench/run.py kernel_seconds, "
+                f"median of {REFERENCE_SAMPLES}",
+                "reference_host_s": self.bench.REFERENCE_KERNEL_S,
+                "start_s": round(self.reference_start_s, 6),
+                "end_s": round(reference_seconds(self.bench), 6),
+            },
         }
         with open(os.path.join(self.root, LEDGER_NAME), "w") as fh:
             json.dump(ledger, fh, indent=2)
