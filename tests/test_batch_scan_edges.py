@@ -170,6 +170,7 @@ def test_lanes_dominating_a_forwarding_lane_forward_all(stream, steps, order):
         if rate0 > 1.0:
             below = float(np.nextafter(rate0, 0.0))
             assert not (bucket_fill(times, sizes, below, depth) >= sizes_arr).all()
+            probes.append((below, depth))
         for rate_step, depth_step in steps:
             rate = _step_up(rate0, rate_step)
             deeper = _step_up(depth, depth_step)
