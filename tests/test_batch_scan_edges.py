@@ -10,7 +10,9 @@ column by column against the stream kernel, at the boundaries where a
 vectorization typically diverges: fractional token accrual across
 shared-schedule gaps, bucket depths below one MTU (nothing ever
 conforms), and exact token==size equality at the first and last lane
-of the vectorized axis.
+of the vectorized axis. Another property test pins the monotonicity
+in rate and depth that lets the batch lane skip a lane dominated by an
+all-forwarding one (:meth:`repro.sim.fastpath.PolicerStream.verdicts`).
 """
 
 import dataclasses
