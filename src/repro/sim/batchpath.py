@@ -76,9 +76,15 @@ from repro.video.clips import encode_clip
 #: :func:`_lane_scan` serves; narrower streams scan lane by lane with
 #: :func:`~repro.sim.fastpath.bucket_fill`. On the 11,506-packet
 #: ``lost`` stream, on 2-vCPU hosts, ``_lane_scan`` takes 40-108 ms at
-#: any width from 1 to 32 lanes and ``bucket_fill`` 3-7 ms per lane:
-#: per-lane scans win 5-11x at 2 lanes and 1.3-2.4x at 8, break even
-#: at 12-19 lanes depending on the host, and lose 1.5-3.4x at 32.
+#: any width from 1 to 32 lanes and ``bucket_fill`` 2.3-7 ms per lane.
+#: Scanning every lane, per-lane scans broke even at 12-19 lanes. With
+#: dominated lanes skipped they take, on the 64-point batch gate's grid
+#: (16 rates from 1.0 to 3.0 Mbps, 3000 and 4500 B), 0.28-0.36 of
+#: ``_lane_scan``'s time at 8-12 lanes, 0.47-0.50 at 16 and 0.77-0.82
+#: at 32 (17 of the 32 lanes scanned). Where every lane drops (rates
+#: from 0.5 to 1.5 Mbps) nothing is skipped, and they take 0.73-0.74
+#: at 16 lanes, 0.90-0.94 at 20 and 1.10-1.51 at 24-32. Whether the
+#: 2-D kernel should stay for such streams is ROADMAP item 10.
 LANE_SCAN_MIN_LANES = 16
 
 
@@ -101,10 +107,10 @@ def _lane_scan(
 
     This is the one grid kernel. Its numpy calls cost about the same
     per packet at any width, while per-lane ``bucket_fill`` scans cost
-    one Python step per packet per lane, so it wins only on wide
-    streams: :func:`_run_group` calls it from
-    :data:`LANE_SCAN_MIN_LANES` lanes up (the 64-point batch gate's
-    32 lanes per seed) and scans narrower streams lane by lane.
+    one Python step per packet per scanned lane. :func:`_run_group`
+    calls it from :data:`LANE_SCAN_MIN_LANES` lanes up (the 64-point
+    batch gate's 32 lanes per seed) and scans narrower streams lane by
+    lane; the constant's comment gives the measurements.
     """
     t = np.asarray(times, dtype=np.float64)
     n = len(t)

@@ -35,9 +35,9 @@ one class, the strict-priority replay for a mixed one) and
 :func:`build_session` composes them for one single-flow verdict mask;
 the scalar path calls it once per run and the batch lane once per
 unique mask, handing it the stream's all-forwarded backbone run
-(:class:`ForwardedRun`), which a drop outcome replays only past its
-drops. :func:`repro.flows.multipath.run_multipath` composes them over a
-merged multi-flow stream.
+(:class:`ForwardedRun`), which a drop outcome with few drops replays
+only past them. :func:`repro.flows.multipath.run_multipath` composes
+them over a merged multi-flow stream.
 
 Before the policer, every lane takes its server schedule and jitter
 replay from :func:`front_end_scope`'s memo, so all the lane calls of
@@ -338,9 +338,9 @@ class FrontEndMemo:
     backbone's parameters. The batch lane's calls in the request
     record in it the lanes seen to forward every packet, which later
     lanes they dominate skip scanning, and the stream's all-forwarded
-    backbone run, which every drop outcome replays. A record takes
-    about 4.0 MB on a 20,328-packet ``dark`` stream (2.8 MB of it the
-    run's per-packet lists; 2.3 MB on ``lost``), freed with the
+    backbone run, which drop outcomes with few drops replay. A record
+    takes about 4.0 MB on a 20,328-packet ``dark`` stream (2.8 MB of it
+    the run's per-packet lists; 2.3 MB on ``lost``), freed with the
     request.
 
     ``calibrations`` maps :func:`repro.vqm.calibration.calibration_key`
@@ -709,6 +709,11 @@ def backbone(
     FIFO hops keep the packet order, so the pass runs each hop's
     recurrence on the same values, in the same order, as three
     ``_fifo_departs`` passes would, in about half their time.
+    :func:`forwarded_run` is the same pass recording every hop's finish
+    time. This one keeps only the arrivals: the recording takes about
+    1.5 times as long and three more per-packet lists, which the scalar
+    lane and the multi-flow lane's merged streams (up to 161,400
+    packets) would pay for nothing.
     """
     if cfg.backbone_hops != 3:
         raise ValueError(
@@ -736,6 +741,16 @@ def backbone(
         is_ef = [is_ef[k] for k in served]
         order = [order[k] for k in served]
     return np.asarray(arr, dtype=np.float64), np.asarray(order, dtype=np.int64)
+
+
+#: Largest share of a stream's packets a drop outcome may drop and
+#: still replay the stream's :class:`ForwardedRun` rather than take a
+#: :func:`backbone` pass. The hops are back in step about one packet
+#: after each drop, so a replay costs 0.5-1 us per drop and a pass
+#: 0.23-0.4 us per forwarded packet: on the ``lost`` and ``dark``
+#: streams at 3000 and 4500 B, on 2-vCPU hosts, they break even at
+#: about 30% drops, and at a quarter the replay is 12% cheaper or more.
+REPLAY_MAX_DROP_SHARE = 0.25
 
 
 @dataclass
@@ -812,6 +827,8 @@ def forwarded_run(
     hop2: list[float] = []
     hop3: list[float] = []
     out: list[float] = []
+    append1, append2, append3 = hop1.append, hop2.append, hop3.append
+    append = out.append
     free1 = free2 = free3 = float("-inf")
     for a, t in zip(times, tx):
         free1 = (a if a > free1 else free1) + t
@@ -819,10 +836,10 @@ def forwarded_run(
         free2 = (a if a > free2 else free2) + t
         a = free2 + prop
         free3 = (a if a > free3 else free3) + t
-        hop1.append(free1)
-        hop2.append(free2)
-        hop3.append(free3)
-        out.append(free3 + prop)
+        append1(free1)
+        append2(free2)
+        append3(free3)
+        append(free3 + prop)
     return ForwardedRun(
         times=times,
         tx=tx,
@@ -846,7 +863,8 @@ class PolicerStream:
     - :meth:`verdicts` skips the scan of a lane dominated by one seen to
       forward every packet;
     - :meth:`forwarded` holds the stream's all-forwarded backbone run,
-      built on first use, which every FIFO-served outcome reuses.
+      built on first use, which drop outcomes replay past their drops
+      (:data:`REPLAY_MAX_DROP_SHARE`).
     """
 
     def __init__(
@@ -1039,15 +1057,17 @@ def build_session(
     mask rather than per grid point. ``pol_cols`` are a detection
     trace's policer columns; the receiver columns are added here.
     ``forwarded`` (the batch lane's :meth:`PolicerStream.forwarded`)
-    gives the stream's all-forwarded run: a drop outcome replays it
-    past its drops, and a remark outcome of one class is that run, in
-    place of a :func:`backbone` pass.
+    gives the stream's all-forwarded run, which a drop outcome dropping
+    at most :data:`REPLAY_MAX_DROP_SHARE` of the stream replays past
+    its drops in place of a :func:`backbone` pass.
     """
     [stats], keep = policer_outcome(mask, cfg.policer_action, sizes, fids)
-    if forwarded is not None and keep is not None:
+    if (
+        forwarded is not None
+        and keep is not None
+        and len(mask) - len(keep) <= REPLAY_MAX_DROP_SHARE * len(mask)
+    ):
         recv_times, pos = forwarded().arrivals(mask), keep
-    elif forwarded is not None and (mask.all() or not mask.any()):
-        recv_times, pos = forwarded().client.copy(), np.arange(len(mask))
     else:
         fwd = slice(None) if keep is None else keep
         recv_times, order = backbone(

@@ -163,11 +163,14 @@ LOST_RATES = [mbps(r) for r in (1.65, 1.7, 1.75, 1.8, 1.9, 2.0, 2.1, 2.2)]
 
 
 class StreamCalls:
-    """Every lane scan, all-forwarded backbone run and stream lookup."""
+    """Every lane scan, all-forwarded backbone run, replay of one,
+    backbone pass and stream lookup."""
 
     def __init__(self):
         self.scans = []  # (rate_bps, depth_bytes) per bucket_fill call
         self.runs = 0
+        self.replays = []  # drops per ForwardedRun.arrivals call
+        self.passes = 0  # backbone calls
         self.streams = []  # the PolicerStream each lookup returned
 
 
@@ -175,9 +178,11 @@ class StreamCalls:
 def stream_calls(monkeypatch):
     monkeypatch.delenv(fastlane.FASTPATH_ENV, raising=False)
     calls = StreamCalls()
-    scan, run, lookup = (
+    scan, run, replay, plain, lookup = (
         fastpath.bucket_fill,
         fastpath.forwarded_run,
+        fastpath.ForwardedRun.arrivals,
+        fastpath.backbone,
         fastpath.FrontEndMemo.stream,
     )
 
@@ -189,6 +194,14 @@ def stream_calls(monkeypatch):
         calls.runs += 1
         return run(*args)
 
+    def arrivals(self, keep):
+        calls.replays.append(int((~keep).sum()))
+        return replay(self, keep)
+
+    def backbone(*args):
+        calls.passes += 1
+        return plain(*args)
+
     def stream(self, *args):
         calls.streams.append(lookup(self, *args))
         return calls.streams[-1]
@@ -197,6 +210,8 @@ def stream_calls(monkeypatch):
         if getattr(module, "bucket_fill", None) is scan:
             monkeypatch.setattr(module, "bucket_fill", bucket_fill)
     monkeypatch.setattr(fastpath, "forwarded_run", forwarded_run)
+    monkeypatch.setattr(fastpath.ForwardedRun, "arrivals", arrivals)
+    monkeypatch.setattr(fastpath, "backbone", backbone)
     monkeypatch.setattr(fastpath.FrontEndMemo, "stream", stream)
     return calls
 
@@ -247,6 +262,27 @@ class TestOneStreamRecordPerRequest:
         # Some round's 4500 B lane sits at or above an all-forwarding
         # 3000 B lane, of its own round or an earlier one.
         assert len(stream_calls.scans) < 2 * len(runner.calls)
+
+    @pytest.mark.perf_smoke
+    def test_outcomes_dropping_over_the_share_take_a_backbone_pass(
+        self, stream_calls
+    ):
+        # Past REPLAY_MAX_DROP_SHARE a replay costs more than a plain
+        # pass, so that outcome runs backbone.
+        rates = [mbps(r) for r in (0.8, 1.6, 2.4)]
+        sweep = token_rate_sweep(BASE, rates, (4500.0,), runner=make_runner(jobs=1))
+        [stream] = set(stream_calls.streams)
+        drops = [p.result.dropped_packets for p in sweep.points]
+        n = len(stream.size_list)
+        assert drops[0] > fastpath.REPLAY_MAX_DROP_SHARE * n > drops[1] > 0
+        assert drops[2] == 0
+        assert sorted(stream_calls.replays) == [0, drops[1]]
+        assert (stream_calls.runs, stream_calls.passes) == (1, 1)
+        for point in sweep.points:
+            spec = BASE.with_token_bucket(
+                point.token_rate_bps, point.bucket_depth_bytes
+            )
+            assert point.result == ResultSummary.from_result(run_experiment(spec))
 
     @pytest.mark.perf_smoke
     def test_the_next_request_builds_again(self, stream_calls):
