@@ -13,25 +13,18 @@ seed — not on the policing profile. This module exploits that:
    or per batch call: every lane of a request reads them from one
    :class:`~repro.sim.fastpath.FrontEndMemo`, so a recommend's probe
    rounds and a sweep's scheduler windows share them.
-2. **Conformance scan by width.** Lanes that share one policer-input
-   stream are scanned together, and the stream itself (a seed's
-   jitter releases, or one shaper profile's output) is a
+2. **Conformance scan, lane by lane.** Lanes that share one
+   policer-input stream are scanned against it, and the stream itself
+   (a seed's jitter releases, or one shaper profile's output) is a
    :class:`~repro.sim.fastpath.PolicerStream` held in the request's
-   memo, so every batch call of the request scans the same record. A
-   stream of :data:`LANE_SCAN_MIN_LANES` lanes or more runs the
-   token-bucket recurrence over a *lane axis* (:func:`_lane_scan`):
-   one 2-D scan updates every (rate, depth) lane's token level per
-   packet, with the exact IEEE-754 operations of the scalar scan (a
-   zero-elapsed refill adds ``0.0`` and re-clips at the depth, both
-   bitwise no-ops under the invariant ``tokens <= depth``). A narrower
-   stream, which is what the campaign scheduler's windows and
-   ``recommend`` submit, scans lane by lane with
-   :func:`~repro.sim.fastpath.bucket_fill` in ascending (depth, rate)
-   order, and a lane at or above one seen to forward every packet, in
-   this call or an earlier one, gets the all-True mask unscanned
+   memo, so every batch call of the request scans the same record.
+   Each lane is one :func:`~repro.sim.fastpath.bucket_fill` scan, in
+   ascending (depth, rate) order, and a lane at or above one seen to
+   forward every packet, in this call or an earlier one, gets the
+   all-True mask unscanned
    (:meth:`~repro.sim.fastpath.PolicerStream.verdicts`: the scan is
-   monotone in rate and depth). All give the verdict
-   ``fill >= sizes``, so the choice never moves a bit.
+   monotone in rate and depth). Either way the verdict is
+   ``fill >= sizes``, so skipping a lane never moves a bit.
 3. **Outcome dedup.** Downstream of the scan, everything — policer
    accounting, the backbone traversal, playout, renderer, VQM — is a
    pure function of the conformance mask and the policer-input stream,
@@ -47,7 +40,7 @@ seed — not on the policing profile. This module exploits that:
    finish times are back in step with it.
 4. **Shared assessment.** Each unique outcome is scored once, by the
    same offline stages as the scalar path. VQM's temporal calibration
-   is the vectorized lag search every lane runs
+   is the screened lag search every lane runs
    (:func:`repro.vqm.calibration.calibrate_segment`), so this module
    has no assessment code of its own. A group holds the request's
    front-end scope across its outcomes, so outcomes whose received
@@ -67,69 +60,8 @@ import time
 from dataclasses import replace
 from typing import Sequence
 
-import numpy as np
-
 from repro.sim.fastpath import build_session, front_end_scope, qbone_config
 from repro.video.clips import encode_clip
-
-#: Fewest lanes on one policer-input stream that the 2-D
-#: :func:`_lane_scan` serves; narrower streams scan lane by lane with
-#: :func:`~repro.sim.fastpath.bucket_fill`. On the 11,506-packet
-#: ``lost`` stream, on 2-vCPU hosts, ``_lane_scan`` takes 40-108 ms at
-#: any width from 1 to 32 lanes and ``bucket_fill`` 2.3-7 ms per lane.
-#: Scanning every lane, per-lane scans broke even at 12-19 lanes. With
-#: dominated lanes skipped they take, on the 64-point batch gate's grid
-#: (16 rates from 1.0 to 3.0 Mbps, 3000 and 4500 B), 0.28-0.36 of
-#: ``_lane_scan``'s time at 8-12 lanes, 0.47-0.50 at 16 and 0.77-0.82
-#: at 32 (17 of the 32 lanes scanned). Where every lane drops (rates
-#: from 0.5 to 1.5 Mbps) nothing is skipped, and they take 0.73-0.74
-#: at 16 lanes, 0.90-0.94 at 20 and 1.10-1.51 at 24-32. Whether the
-#: 2-D kernel should stay for such streams is ROADMAP item 10.
-LANE_SCAN_MIN_LANES = 16
-
-
-def _lane_scan(
-    times: Sequence[float],
-    sizes: Sequence[int],
-    rate_bytes: np.ndarray,
-    depths: np.ndarray,
-) -> np.ndarray:
-    """Token-bucket conformance over a lane axis: one 2-D scan.
-
-    Returns a ``(n_packets, n_lanes)`` boolean matrix whose column
-    ``j`` is bitwise equal to
-    ``repro.sim.fastpath.bucket_fill(...) >= sizes`` for lane ``j``.
-    The scalar kernel skips the refill when no time has elapsed; here
-    the refill adds ``elapsed * rate == 0.0`` and re-clips at the
-    depth — both exact no-ops (``x + 0.0 == x``; ``min(depth, x) == x``
-    under the invariant ``x <= depth`` that consumption preserves) — so
-    the unconditional update is bit-identical.
-
-    This is the one grid kernel. Its numpy calls cost about the same
-    per packet at any width, while per-lane ``bucket_fill`` scans cost
-    one Python step per packet per scanned lane. :func:`_run_group`
-    calls it from :data:`LANE_SCAN_MIN_LANES` lanes up (the 64-point
-    batch gate's 32 lanes per seed) and scans narrower streams lane by
-    lane; the constant's comment gives the measurements.
-    """
-    t = np.asarray(times, dtype=np.float64)
-    n = len(t)
-    lanes = len(rate_bytes)
-    conform = np.empty((n, lanes), dtype=bool)
-    if n == 0:
-        return conform
-    gaps = np.diff(t, prepend=0.0)
-    refill = np.outer(gaps, rate_bytes)
-    tokens = depths.astype(np.float64).copy()
-    add, minimum = np.add, np.minimum
-    greater_equal, subtract = np.greater_equal, np.subtract
-    for i in range(n):
-        add(tokens, refill[i], out=tokens)
-        minimum(tokens, depths, out=tokens)
-        row = conform[i]
-        greater_equal(tokens, sizes[i], out=row)
-        subtract(tokens, sizes[i], out=tokens, where=row)
-    return conform
 
 
 @front_end_scope()
@@ -173,31 +105,17 @@ def _run_group(specs: list) -> list:
                 streams.append((front.stream(encoded, cfg, seed, prof), lanes))
 
     for stream, lanes in streams:
-        if len(lanes) < LANE_SCAN_MIN_LANES:
-            # In ascending (depth, rate) order, so that no lane an
-            # all-forwarding lane dominates is scanned.
-            ascending = sorted(
-                lanes,
-                key=lambda i: (specs[i].bucket_depth_bytes, specs[i].token_rate_bps),
-            )
-            verdicts = {
-                i: stream.verdicts(
-                    specs[i].token_rate_bps, specs[i].bucket_depth_bytes
-                )
-                for i in ascending
-            }
-            masks = [verdicts[i] for i in lanes]
-        else:
-            rate_bytes = np.array(
-                [specs[i].token_rate_bps / 8.0 for i in lanes],
-                dtype=np.float64,
-            )
-            depths = np.array(
-                [float(specs[i].bucket_depth_bytes) for i in lanes],
-                dtype=np.float64,
-            )
-            conform = _lane_scan(stream.times, stream.size_list, rate_bytes, depths)
-            masks = np.ascontiguousarray(conform.T)  # one row per lane
+        # In ascending (depth, rate) order, so that no lane an
+        # all-forwarding lane dominates is scanned.
+        ascending = sorted(
+            lanes,
+            key=lambda i: (specs[i].bucket_depth_bytes, specs[i].token_rate_bps),
+        )
+        verdicts = {
+            i: stream.verdicts(specs[i].token_rate_bps, specs[i].bucket_depth_bytes)
+            for i in ascending
+        }
+        masks = [verdicts[i] for i in lanes]
         outcome_cache: dict = {}
         for i, mask in zip(lanes, masks):
             key = mask.tobytes()

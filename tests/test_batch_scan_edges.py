@@ -1,16 +1,14 @@
-"""Edge cases of the token-bucket conformance kernels.
+"""Edge cases of the token-bucket conformance kernel.
 
-Two kernels replay :class:`~repro.diffserv.token_bucket.TokenBucket`:
-the stream kernel every single-stream lane uses
-(:func:`repro.sim.fastpath.bucket_fill`) and the batch lane's 2-D scan
-over a rate x depth lane axis (:func:`repro.sim.batchpath._lane_scan`).
-A differential property test pits the stream kernel against the real
-bucket on random streams, and every lane-scan case below is checked
-column by column against the stream kernel, at the boundaries where a
-vectorization typically diverges: fractional token accrual across
-shared-schedule gaps, bucket depths below one MTU (nothing ever
-conforms), and exact token==size equality at the first and last lane
-of the vectorized axis. Another property test pins the monotonicity
+Every fast lane replays :class:`~repro.diffserv.token_bucket.TokenBucket`
+with one stream kernel, :func:`repro.sim.fastpath.bucket_fill`, whose
+verdict is ``fill >= sizes``; the batch lane runs it once per lane. A
+differential property test pits it against the real bucket on random
+streams, and every case below is checked lane by lane against the
+bucket, at the boundaries where a replay typically diverges: fractional
+token accrual across shared-schedule gaps, bucket depths below one MTU
+(nothing ever conforms), and exact token==size equality at the first
+and last lane of a sweep. Another property test pins the monotonicity
 in rate and depth that lets the batch lane skip a lane dominated by an
 all-forwarding one (:meth:`repro.sim.fastpath.PolicerStream.verdicts`).
 """
@@ -28,22 +26,28 @@ from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.runner import ResultSummary
 from repro.diffserv.token_bucket import TokenBucket
-from repro.sim.batchpath import _lane_scan
 from repro.sim.fastpath import PolicerStream, ScheduleBundle, bucket_fill
 from repro.testbeds.qbone import QBoneTestbedConfig
 from repro.units import mbps
 
 
-def _assert_scan_matches(times, sizes, rates_bps, depths):
-    rates_bps = np.asarray(rates_bps, dtype=np.float64)
-    depths = np.asarray(depths, dtype=np.float64)
-    conform = _lane_scan(times, sizes, rates_bps / 8.0, depths)
-    assert conform.shape == (len(times), len(rates_bps))
+def _verdicts(times, sizes, rates_bps, depths) -> np.ndarray:
+    """``(n_packets, n_lanes)``: each lane's ``bucket_fill`` verdict,
+    checked against the real bucket's levels and verdicts."""
     sizes_arr = np.asarray(sizes, dtype=np.int64)
+    conform = np.empty((len(times), len(rates_bps)), dtype=bool)
     for lane, (rate, depth) in enumerate(zip(rates_bps, depths)):
-        fill = bucket_fill(list(times), list(sizes), float(rate), float(depth))
-        expected = (fill >= sizes_arr).tolist()
-        assert conform[:, lane].tolist() == expected, f"lane {lane}"
+        rate, depth = float(rate), float(depth)
+        bucket = TokenBucket(rate, depth)
+        levels, verdicts = [], []
+        for now, size in zip(times, sizes):
+            levels.append(bucket.tokens_at(float(now)))
+            verdicts.append(bucket.try_consume(int(size), float(now)))
+        fill = bucket_fill(list(times), list(sizes), rate, depth)
+        assert fill.tolist() == levels, f"lane {lane}"
+        conform[:, lane] = fill >= sizes_arr
+        assert conform[:, lane].tolist() == verdicts, f"lane {lane}"
+    return conform
 
 
 # Gaps: zero (equal timestamps), whole seconds (exact tokens == size
@@ -92,8 +96,6 @@ def test_bucket_fill_matches_token_bucket(stream):
         fill = bucket_fill(times, sizes, rate_bps, depth)
         assert fill.tolist() == levels
         assert (fill >= np.asarray(sizes, dtype=np.int64)).tolist() == verdicts
-    rates, depths = zip(*lanes)
-    _assert_scan_matches(times, sizes, rates, depths)
 
 
 def _first_forwarding_rate(times, sizes, depth) -> float:
@@ -196,12 +198,14 @@ def test_lanes_dominating_a_forwarding_lane_forward_all(stream, steps, order):
 
 
 class TestLaneScanEdges:
+    """Per-lane ``bucket_fill`` verdicts against the real bucket."""
+
     def test_fractional_accrual_across_schedule_gaps(self):
         # A rate that is not a multiple of 8 makes every refill a
         # fraction of a byte per microsecond; irregular gaps (the
         # shared message schedule's shape) accumulate those fractions
-        # across hundreds of packets. Any divergence from the scalar
-        # recurrence's rounding shows up as a flipped conformance bit.
+        # across hundreds of packets. Any divergence from the bucket's
+        # rounding shows up as a flipped conformance bit.
         rng = np.random.default_rng(42)
         gaps = rng.exponential(0.004, 400)
         gaps[rng.random(400) < 0.25] = 0.0  # frame bursts share an instant
@@ -209,46 +213,38 @@ class TestLaneScanEdges:
         sizes = rng.choice([52, 576, 1024, 1472, 1500], size=400)
         rates = [1_234_567.0, 987_654.3, 1_999_999.9, 2_000_000.0]
         depths = [3000.0, 3000.0, 4500.0, 1500.1]
-        _assert_scan_matches(times, sizes, rates, depths)
+        conform = _verdicts(times, sizes, rates, depths)
+        assert conform.any() and not conform.all()
 
     def test_depth_below_mtu_never_conforms(self):
-        # depth < packet size: the scalar bucket can never satisfy
+        # depth < packet size: the bucket can never satisfy
         # tokens >= size (tokens <= depth), so every slot is False.
         times = np.arange(50) * 10.0  # generous gaps: bucket always full
         sizes = [1500] * 50
         rates = [2_000_000.0, 8_000_000.0]
         depths = [600.0, 1499.999]
-        conform = _lane_scan(
-            times, sizes, np.asarray(rates) / 8.0, np.asarray(depths)
-        )
-        assert not conform.any()
-        _assert_scan_matches(times, sizes, rates, depths)
+        assert not _verdicts(times, sizes, rates, depths).any()
 
     def test_exact_boundary_at_first_and_last_lane(self):
         # Engineer tokens == size exactly: rate 8000 bps = 1000 bytes/s,
         # gap 1.0 s, size 1000. After the first packet drains the
         # bucket to 0, every subsequent refill lands on exactly 1000.0
         # tokens — conformance decided by >= at exact float equality,
-        # at both ends of the lane axis (middle lanes differ).
+        # at both ends of the sweep (middle lanes differ).
         times = np.arange(12, dtype=np.float64)
         sizes = [1000] * 12
         boundary_rate = 8000.0  # exactly 1000 bytes per 1.0 s gap
         rates = [boundary_rate, 7999.0, 8001.0, boundary_rate]
         depths = [1000.0, 1000.0, 1000.0, 1000.0]
-        conform = _lane_scan(
-            times, sizes, np.asarray(rates) / 8.0, np.asarray(depths)
-        )
+        conform = _verdicts(times, sizes, rates, depths)
         # Exact-boundary lanes conform on every packet; the slightly
         # slower lane starves after the bucket first drains.
         assert conform[:, 0].all() and conform[:, 3].all()
         assert not conform[1:, 1].all()
-        _assert_scan_matches(times, sizes, rates, depths)
 
     def test_empty_schedule(self):
-        conform = _lane_scan(
-            [], [], np.asarray([1000.0]), np.asarray([3000.0])
-        )
-        assert conform.shape == (0, 1)
+        assert bucket_fill([], [], 8000.0, 3000.0).shape == (0,)
+        assert _verdicts([], [], [8000.0], [3000.0]).shape == (0, 1)
 
     def test_randomized_lane_sweep(self):
         rng = np.random.default_rng(7)
@@ -259,7 +255,7 @@ class TestLaneScanEdges:
             lanes = int(rng.integers(1, 9))
             rates = rng.uniform(0.5e6, 3e6, lanes)
             depths = rng.choice([1500.0, 3000.0, 4500.0, 9000.0], lanes)
-            _assert_scan_matches(times, sizes, rates, depths)
+            _verdicts(times, sizes, rates, depths)
 
 
 class TestBatchBoundarySpecs:

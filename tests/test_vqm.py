@@ -9,8 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.client.renderer import DisplayTrace
+from repro.core.experiment import ExperimentSpec
+from repro.core.runner import make_runner
+from repro.core.sweep import token_rate_sweep
 from repro.video.clips import clip_features
 from repro.units import mbps
+from repro.vqm import calibration, tool as vqm_tool
 from repro.vqm.calibration import (
     DEFAULT_MIN_CORRELATION,
     DEFAULT_UNCERTAINTY,
@@ -335,6 +339,219 @@ class TestCalibrationOracle:
         second = reference(0.5)
         want = VqmTool().assess(second, base, trace)
         assert tool.assess(second, base, trace) == want
+
+
+def _piece(kind, size, level, rng):
+    """``size`` float32 frames of one kind of feature stream."""
+    if kind == "free":
+        return rng.random(size).astype(np.float32)
+    if kind == "dark":
+        return np.zeros(size, np.float32)
+    if kind == "constant":
+        return np.full(size, level, np.float32)
+    if kind == "broken":  # a constant run broken by single frames
+        out = np.full(size, level, np.float32)
+        spots = rng.integers(0, size, 1 + size // 60)
+        out[spots] = rng.random(len(spots))
+        return out
+    if kind == "flat":
+        return _flat(size, level, int(rng.integers(4)))
+    if kind == "periodic":  # windows a period apart tie exactly
+        pattern = rng.random(int(rng.integers(1, 7))).astype(np.float32)
+        return np.resize(pattern, size)
+    # "offset": far from zero with tiny variance, where the sliding
+    # sums cancel: one-ulp steps, noise scaled by the level, or a
+    # periodic pattern of it (exact ties the sums cannot order).
+    base = np.float32(1000.0 + 9000.0 * level)
+    variant = rng.integers(3)
+    if variant == 0:
+        steps = rng.integers(0, 3, size).astype(np.int32)
+        return (np.full(size, base).view(np.int32) + steps).view(np.float32)
+    noise = rng.normal(0.0, 2e-2 * level, int(rng.integers(2, 7)))
+    if variant == 1:
+        noise = rng.normal(0.0, 2e-2 * level, size)
+    return (base + np.resize(noise, size)).astype(np.float32)
+
+
+_KINDS = ["free", "dark", "constant", "broken", "flat", "periodic", "offset"]
+
+
+@st.composite
+def _long_stream(draw, n):
+    """``n`` float32 frames: a drawn list of pieces, cycled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pieces = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_KINDS), st.integers(1, 720), _VALUES),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    out, total = [], 0
+    while total < n:
+        for kind, size, level in pieces:
+            out.append(_piece(kind, size, level, rng))
+            total += size
+    return np.concatenate(out)[:n]
+
+
+@st.composite
+def _full_size_case(draw):
+    """A 300-frame segment searched over 100 frames each way in a
+    640-720-frame received stream: the sizes the screen runs at."""
+    n_rcv = draw(st.integers(640, 720))
+    rcv_profile, rcv_ti = draw(_long_stream(n_rcv)), draw(_long_stream(n_rcv))
+    if draw(st.booleans()):  # the received streams, shifted: near-ties
+        shift = draw(st.integers(-100, 100))
+        ref_profile, ref_ti = np.roll(rcv_profile, shift), np.roll(rcv_ti, shift)
+    else:
+        n_ref = draw(st.integers(300, 720))
+        ref_profile, ref_ti = draw(_long_stream(n_ref)), draw(_long_stream(n_ref))
+    return dict(
+        ref_profile=ref_profile,
+        ref_ti=ref_ti,
+        rcv_profile=rcv_profile,
+        rcv_ti=rcv_ti,
+        nominal_start=draw(st.integers(0, len(ref_profile) - 300)),
+        length=SEGMENT_FRAMES,
+        uncertainty=DEFAULT_UNCERTAINTY,
+        min_correlation=draw(st.sampled_from([DEFAULT_MIN_CORRELATION, 0.0])),
+    )
+
+
+def _offset_periodic(n, period, base, seed):
+    pattern = np.random.default_rng(seed).normal(0.0, 2e-2, period)
+    return (np.float32(base) + np.resize(pattern, n)).astype(np.float32)
+
+
+def _offset_stream(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        [_piece("offset", 100, level, rng) for level in (0.0, 0.5, 0.1) * 3]
+    )[:n]
+
+
+class TestFullSizeOracle:
+    """The screened search against the per-lag loop at full size."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(case=_full_size_case())
+    @example(  # period 4 everywhere: lags 4 apart tie, the first wins
+        case=dict(
+            ref_profile=_ramp(700, 4), ref_ti=_ramp(700, 4),
+            rcv_profile=_ramp(700, 4), rcv_ti=_ramp(700, 4),
+            nominal_start=200, length=300, uncertainty=100,
+            min_correlation=DEFAULT_MIN_CORRELATION,
+        )
+    )
+    @example(  # far from zero with tiny variance: the sums cancel
+        case=dict(
+            ref_profile=np.roll(_offset_stream(700, 1), 7),
+            ref_ti=np.roll(_offset_stream(700, 2), 7),
+            rcv_profile=_offset_stream(700, 1), rcv_ti=_offset_stream(700, 2),
+            nominal_start=200, length=300, uncertainty=100,
+            min_correlation=DEFAULT_MIN_CORRELATION,
+        )
+    )
+    @example(  # ...and periodic: ties whose sliding sums differ
+        case=dict(
+            ref_profile=_offset_periodic(700, 2, 5000.0, 0),
+            ref_ti=_offset_periodic(700, 2, 5000.0 / 3, 100),
+            rcv_profile=_offset_periodic(700, 2, 5000.0, 0),
+            rcv_ti=_offset_periodic(700, 2, 5000.0 / 3, 100),
+            nominal_start=200, length=300, uncertainty=100,
+            min_correlation=DEFAULT_MIN_CORRELATION,
+        )
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_per_lag_loop(self, case):
+        assert_same_calibration(
+            calibrate_segment(**case), per_lag_calibration(**case)
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(case=_full_size_case())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_lag_loop_long(self, case):
+        assert_same_calibration(
+            calibrate_segment(**case), per_lag_calibration(**case)
+        )
+
+
+LOST = ExperimentSpec(
+    clip="lost", codec="mpeg1", encoding_rate_bps=mbps(1.7), seed=3
+)
+LOST_RATES = [mbps(r) for r in (1.65, 1.7, 1.75, 1.8, 1.9, 2.0, 2.1, 2.2)]
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every ``calibrate_segment`` call of the VQM tool: its arguments
+    and its result."""
+    calls = []
+    search = vqm_tool.calibrate_segment
+
+    def recorded(*args):
+        calls.append((args, search(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(vqm_tool, "calibrate_segment", recorded)
+    return calls
+
+
+def _lag_windows(args) -> int:
+    """Received windows the full search scores: lags times streams."""
+    ref_profile, _, rcv_profile, _, ns, length, uncertainty, _ = args
+    win = len(ref_profile[ns : ns + length])
+    lo, hi = calibration._search_range(ns, win, uncertainty, len(rcv_profile))
+    return 2 * (hi - lo + 1)
+
+
+class TestSessionCorpus:
+    """Every search of a sweep's sessions against the per-lag loop."""
+
+    def _assert_oracle(self, searches):
+        assert searches
+        assert {result.succeeded for _, result in searches} == {True, False}
+        assert {result.lag for _, result in searches} != {0}
+        for args, result in searches:
+            assert_same_calibration(result, per_lag_calibration(*args))
+
+    def test_test600_sweep(self, searches):
+        base = ExperimentSpec(
+            clip="test-600", codec="mpeg1", encoding_rate_bps=mbps(1.7), seed=3
+        )
+        rates = [mbps(r) for r in (1.2, 1.5, 1.65, 2.2)]
+        sweep = token_rate_sweep(
+            base, rates, (3000.0, 4500.0), runner=make_runner(jobs=1)
+        )
+        assert len(sweep.points) == 8
+        self._assert_oracle(searches)
+
+    @pytest.mark.slow
+    def test_lost_sweep(self, searches):
+        sweep = token_rate_sweep(
+            LOST, LOST_RATES, (3000.0, 4500.0), runner=make_runner(jobs=1)
+        )
+        assert len(sweep.points) == 16
+        self._assert_oracle(searches)
+
+    def test_lost_sweep_rescores_few_windows(self, monkeypatch, searches):
+        # The screen hands the exact row scorer only the lags that can
+        # win and one window per constant run.
+        rows = []
+        score_rows = calibration._score_rows
+
+        def counted(windows, da, da_sq_sum):
+            rows.append(windows.size // windows.shape[-1])
+            return score_rows(windows, da, da_sq_sum)
+
+        monkeypatch.setattr(calibration, "_score_rows", counted)
+        token_rate_sweep(LOST, LOST_RATES, (3000.0,), runner=make_runner(jobs=1))
+        windows = sum(_lag_windows(args) for args, _ in searches)
+        assert windows > 10_000
+        assert sum(rows) < 0.05 * windows
 
 
 class TestModel:
