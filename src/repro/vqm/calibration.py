@@ -216,7 +216,7 @@ def _screen(rcv, da, da_sq_sum, x_max, offsets) -> tuple:
 
 
 def _error_bounds(x_max, da_sq_sum, d_sum, win: int, m: int) -> tuple:
-    """Per-stream error bounds of :func:`_screened_search`.
+    """Per-stream error bounds of :func:`_screen`.
 
     For windows of ``win`` values at most ``x_max`` in magnitude, read
     from prefix sums over ``m`` values, with ``A = da_sq_sum``, returns
