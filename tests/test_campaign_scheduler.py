@@ -256,6 +256,153 @@ class TestBatchGrouping:
         assert runner.stats.batch_points == 16
 
 
+class GridBackend(WorkerBackend):
+    """Fake batch-capable backend: records each call's token rates."""
+
+    batch_capable = True
+
+    def __init__(self, fail_batch=False):
+        self.fail_batch = fail_batch
+        self.batches: list[list[float]] = []
+        self.executed: list[float] = []
+
+    async def execute(self, spec, timeout_s=None):
+        self.executed.append(spec.token_rate_bps)
+        return dummy_summary(tag=spec.token_rate_bps)
+
+    async def execute_batch(self, specs):
+        self.batches.append([spec.token_rate_bps for spec in specs])
+        if self.fail_batch:
+            raise RuntimeError("batch call failed")
+        return [dummy_summary(tag=spec.token_rate_bps) for spec in specs]
+
+
+class ReleasingStore(ResultStore):
+    """Frees a lease the test holds from inside ``acquire_lease``.
+
+    On the first failed acquire after ``ready()`` holds, it publishes
+    ``publish`` (a ``(fingerprint, spec, summary)``) when given, then
+    releases ``held``; that acquire still fails. Releasing from the
+    contender's own call, not on a timer, keeps the order fixed.
+    """
+
+    def __init__(self, cache_dir, ready, publish=None):
+        super().__init__(cache_dir)
+        self.ready = ready
+        self.publish = publish
+        self.held = None
+
+    def acquire_lease(self, fingerprint):
+        lease = super().acquire_lease(fingerprint)
+        if lease is None and self.held is not None and self.ready():
+            if self.publish is not None:
+                self.put(*self.publish)
+            self.held.release()
+            self.held = None
+        return lease
+
+
+class TestGroupResolution:
+    """A coalesced grid's members against a store: each emits once,
+    whatever the store, another lease holder or the batch call does."""
+
+    @pytest.fixture(autouse=True)
+    def _auto_lane(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+
+    @staticmethod
+    def units():
+        specs = [fast_spec(token_rate_bps=r) for r in grid_rates(3)]
+        return [
+            WorkUnit(index=i, spec=s, fingerprint=spec_fingerprint(s))
+            for i, s in enumerate(specs)
+        ]
+
+    @staticmethod
+    def resolve(scheduler, units, seen=None):
+        """``{index: (outcome, source)}``, checking that each unit
+        emits once; ``seen`` collects the indices as they emit."""
+        results = {}
+        seen = set() if seen is None else seen
+
+        def emit(unit, outcome, source):
+            assert unit.index not in seen
+            seen.add(unit.index)
+            results[unit.index] = (outcome, source)
+
+        asyncio.run(scheduler.run(iter(units), emit))
+        assert sorted(results) == [0, 1, 2]
+        return results
+
+    @pytest.mark.parametrize("published", [True, False], ids=["published", "abandoned"])
+    def test_member_leased_elsewhere_waits_after_the_rest(
+        self, tmp_path, published
+    ):
+        units = self.units()
+        middle = units[1]
+        emitted = set()
+        mark = dummy_summary(tag=-1.0)
+        store = ReleasingStore(
+            tmp_path / "cache",
+            ready=lambda: {0, 2} <= emitted,
+            publish=(middle.fingerprint, middle.spec, mark) if published else None,
+        )
+        store.held = store.acquire_lease(middle.fingerprint)
+        assert store.held is not None
+        backend = GridBackend()
+        scheduler = CampaignScheduler(backend, store=store)
+        results = self.resolve(scheduler, units, seen=emitted)
+        rates = [unit.spec.token_rate_bps for unit in units]
+        assert backend.batches == [[rates[0], rates[2]]]
+        if published:
+            assert results[1] == (mark, "single-flight")
+            assert backend.executed == []
+        else:
+            assert results[1] == (dummy_summary(tag=rates[1]), "fresh")
+            assert backend.executed == [rates[1]]
+            assert store.get(middle.fingerprint) == results[1][0]
+        assert results[0][1] == results[2][1] == "fresh"
+        stats = scheduler.stats
+        assert stats.single_flight_waits == 1
+        assert (stats.batch_groups, stats.batch_points) == (1, 2)
+        assert stats.fastpath_hits == (0 if published else 1)
+        assert list((tmp_path / "cache").glob("*.lock")) == []
+
+    def test_failed_batch_call_runs_each_member_alone(self, tmp_path):
+        units = self.units()
+        store = ResultStore(tmp_path / "cache")
+        backend = GridBackend(fail_batch=True)
+        scheduler = CampaignScheduler(backend, store=store)
+        results = self.resolve(scheduler, units)
+        rates = [unit.spec.token_rate_bps for unit in units]
+        assert len(backend.batches) == 1
+        assert sorted(backend.executed) == sorted(rates)
+        for unit in units:
+            outcome, source = results[unit.index]
+            assert source == "fresh"
+            assert store.get(unit.fingerprint) == outcome
+        stats = scheduler.stats
+        assert stats.fastpath_hits == 3
+        assert (stats.batch_groups, stats.batch_points) == (0, 0)
+        assert list((tmp_path / "cache").glob("*.lock")) == []
+
+    def test_lone_cold_member_of_a_warm_grid_runs_as_a_batch(self, tmp_path):
+        units = self.units()
+        store = ResultStore(tmp_path / "cache")
+        for unit in (units[0], units[2]):
+            store.put(unit.fingerprint, unit.spec, dummy_summary(tag=-1.0))
+        backend = GridBackend()
+        scheduler = CampaignScheduler(backend, store=store)
+        results = self.resolve(scheduler, units)
+        assert [results[i][1] for i in range(3)] == ["cache", "fresh", "cache"]
+        assert backend.batches == [[units[1].spec.token_rate_bps]]
+        assert backend.executed == []
+        stats = scheduler.stats
+        assert stats.cache_hits == 2
+        assert (stats.batch_groups, stats.batch_points) == (1, 1)
+        assert stats.fastpath_hits == 0
+
+
 class TestAggregator:
     def test_out_of_order_adds_finalize_in_submission_order(self):
         base = fast_spec()

@@ -13,6 +13,7 @@ import pytest
 from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import RetryPolicy
+from repro.core.resultstore import ResultStore
 from repro.core.runner import ProcessPoolRunner, SerialRunner
 from repro.units import mbps
 
@@ -71,3 +72,15 @@ def test_pooled_lane_counts_equal_serial(monkeypatch, mode, expected):
         assert _lane_counts(runner.stats) == expected, name
     assert outcomes["serial"] == outcomes["pool"] == outcomes["supervised-pool"]
     assert len(outcomes["serial"]) == len(specs)
+
+
+def test_serial_lane_counts_with_a_store(monkeypatch, tmp_path):
+    monkeypatch.setenv(fastlane.FASTPATH_ENV, "auto")
+    store = ResultStore(tmp_path / "store")
+    cold = SerialRunner(store=store)
+    outcomes = cold.run_batch(_specs())
+    assert _lane_counts(cold.stats) == (2, 1, 0, 0, 3)
+    warm = SerialRunner(store=store)
+    assert warm.run_batch(_specs()) == outcomes
+    assert _lane_counts(warm.stats) == (0, 0, 0, 0, 0)
+    assert warm.stats.cache_hits == 3
