@@ -12,8 +12,8 @@ shape:
   deduplicates concurrent campaigns through the result store's
   cross-process single-flight leases;
 * :mod:`~repro.core.campaign.backends` — the worker backend API
-  (in-process serial and process-pool; a backend only needs
-  ``slots`` + ``execute``);
+  and the process-pool backend, which runs in-process at one slot (a
+  backend only needs ``slots`` + ``execute``);
 * :mod:`~repro.core.campaign.aggregate` — streaming aggregation:
   a :class:`~repro.core.sweep.SweepResult` grown incrementally from
   the outcome stream (never from a materialized grid) plus the
@@ -33,11 +33,7 @@ scheduling order nor backend choice can perturb a result.
 """
 
 from repro.core.campaign.aggregate import CampaignProgress, SweepAggregator
-from repro.core.campaign.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    WorkerBackend,
-)
+from repro.core.campaign.backends import ProcessPoolBackend, WorkerBackend
 from repro.core.campaign.sampler import (
     AdaptiveSampleReport,
     adaptive_token_rate_sweep,
@@ -55,7 +51,6 @@ __all__ = [
     "CampaignScheduler",
     "CampaignService",
     "ProcessPoolBackend",
-    "SerialBackend",
     "SweepAggregator",
     "WorkUnit",
     "WorkerBackend",

@@ -7,20 +7,21 @@ unit — lives in the scheduler, so a backend only implements ``slots``
 and ``execute`` (plus ``execute_batch`` when it can run a coalesced
 grid as one program).
 
-Two backends ship, one per built-in runner (each runner builds its
-own in :meth:`~repro.core.runner.Runner.make_backend`):
+One backend ships, :class:`ProcessPoolBackend`, and both built-in
+runners build it in :meth:`~repro.core.runner.Runner.make_backend`:
+``SerialRunner`` with one slot, which runs every unit in-process, and
+``ProcessPoolRunner`` with ``jobs`` slots, which runs them in worker
+processes (a persistent ``ProcessPoolExecutor`` on the plain path, one
+supervised process per attempt when a retry policy needs hang/crash
+containment). Other backends, such as the tests' fakes, subclass
+:class:`WorkerBackend`.
 
-* :class:`SerialBackend` — in-process, one unit at a time;
-* :class:`ProcessPoolBackend` — worker processes; a persistent
-  ``ProcessPoolExecutor`` on the plain path, one supervised process
-  per attempt when a retry policy needs hang/crash containment.
-
-Both run the same two entry points of :mod:`repro.core.runner`,
-``_summarize_run`` for one unit and ``_batch_run`` for a grid, and
-return only outcomes. Every backend preserves the bit-identical
-guarantee: each run builds its own engine from the spec, so an
-outcome is a pure function of the spec, independent of which backend
-(or how many slots) produced it.
+Either way a unit runs one of two entry points of
+:mod:`repro.core.runner`, ``_summarize_run`` for one unit and
+``_batch_run`` for a grid, and only its outcome comes back. Every
+backend preserves the bit-identical guarantee: each run builds its
+own engine from the spec, so an outcome is a pure function of the
+spec, independent of which backend (or how many slots) produced it.
 """
 
 from __future__ import annotations
@@ -94,29 +95,6 @@ class WorkerBackend:
         """Release pools/processes; called once per campaign, always."""
 
 
-class SerialBackend(WorkerBackend):
-    """In-process execution, one unit at a time.
-
-    Timeouts are enforced with ``SIGALRM`` (the execution happens
-    synchronously on the event-loop thread, which is the main thread,
-    so the deadline context works exactly as in the pre-async runner).
-    """
-
-    slots = 1
-    batch_capable = True
-
-    async def execute(
-        self, spec: ExperimentSpec, timeout_s: Optional[float] = None
-    ) -> "BatchOutcome":
-        with deadline(timeout_s):
-            return _summarize_run(spec)
-
-    async def execute_batch(
-        self, specs: Sequence[ExperimentSpec]
-    ) -> list["BatchOutcome"]:
-        return _batch_run(list(specs))
-
-
 class ProcessPoolBackend(WorkerBackend):
     """Worker-process execution with two containment modes.
 
@@ -133,11 +111,11 @@ class ProcessPoolBackend(WorkerBackend):
     classify. The scheduler coalesces no grid under a retry policy, so
     supervised attempts are always single units.
 
-    Single-spec batches and ``jobs=1`` run in-process, which keeps
-    them usable in environments without working multiprocessing. An
-    in-process unit runs on the event-loop thread under the same
-    ``SIGALRM`` deadline as :class:`SerialBackend`, so a retry policy's
-    ``spec_timeout_s`` holds there too.
+    Single-spec batches and ``jobs=1`` (``SerialRunner``'s backend) run
+    in-process, which keeps them usable in environments without
+    working multiprocessing. An in-process unit runs on the event-loop
+    thread, the main thread, under a ``SIGALRM`` deadline, so a retry
+    policy's ``spec_timeout_s`` holds there too.
     """
 
     batch_capable = True

@@ -12,6 +12,11 @@ stream of outcomes:
 * a unit is answered by the result store when possible (a warm hit
   costs one file read), otherwise executed through the backend under
   the retry policy's attempt loop;
+* a taken unit's queued batch-mates (same grid, see
+  :func:`~repro.core.fastlane.batch_key`) come along with it, and the
+  members that miss the store run as one batch call; a lone unit and
+  such a group go through the same resolution, so each unit's probe,
+  lease, publish and emit are written once;
 * when a store is attached, execution happens under a cross-process
   single-flight lease: two campaigns that reach the same fingerprint
   concurrently produce exactly one simulation — the loser waits on
@@ -54,7 +59,7 @@ from repro.sim.fastpath import front_end_scope
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.campaign.backends import WorkerBackend
-    from repro.core.resultstore import ResultStore
+    from repro.core.resultstore import Lease, ResultStore
     from repro.core.runner import BatchOutcome, Runner
 
 #: How an outcome was obtained: a result-store read (``cache``), a
@@ -167,21 +172,17 @@ class CampaignScheduler:
                         return
                     await self._cond.wait()
                 unit = self._queue.popleft()
-                self._inflight += 1
-                mates = self._drain_batch_mates(unit)
-            group_size = 1 + (len(mates) if mates is not None else 0)
+                units = [unit] + self._drain_batch_mates(unit)
+                self._inflight += len(units)
             try:
-                if mates is None:
-                    await self._process(unit, emit)
-                else:
-                    await self._process_batch([unit] + mates, emit)
+                await self._resolve(units, emit)
             finally:
                 async with self._cond:
-                    self._inflight -= group_size
+                    self._inflight -= len(units)
                     self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Per-unit resolution
+    # Resolution: a lone unit or a coalesced group
 
     def _answer_from_store(
         self, unit: WorkUnit, emit: EmitCallback, source: str = "cache"
@@ -195,71 +196,118 @@ class CampaignScheduler:
         emit(unit, cached, source)
         return True
 
-    async def _process(self, unit: WorkUnit, emit: EmitCallback) -> None:
+    async def _resolve(self, units: list[WorkUnit], emit: EmitCallback) -> None:
+        """Resolve a lone unit or a coalesced group, emitting each once.
+
+        With a store attached, a unit is answered from the store when it
+        can be, and otherwise runs under its single-flight lease: the
+        store is probed again once the lease is held, and a fresh result
+        is published before the lease is released.
+
+        A group's members that still need a run go to the backend as one
+        batch call, even when cache hits leave a single one; each batch
+        call that returns counts one batch group. If the call raises,
+        each member runs on its own under the lease already held, where
+        a genuine per-spec failure still surfaces. A group member whose
+        lease another process holds is resolved after the rest, as a
+        lone unit: probed and contended once more, it counts a
+        single-flight wait and polls the store only if the lease is
+        still held.
+        """
         store = self.store
-        if store is None:
-            outcome = await self._execute(unit)
-            self._count_fresh(unit, outcome)
-            emit(unit, outcome, "fresh")
-            return
-
-        if self._answer_from_store(unit, emit):
-            return
-
-        lease = store.acquire_lease(unit.fingerprint)
-        if lease is None:
-            # Someone else is simulating this fingerprint right now.
-            # Wait for their publish instead of duplicating the work;
-            # if their lease vanishes without an entry (they failed or
-            # quarantined), contend for the lease ourselves.
-            self.stats.single_flight_waits += 1
-            while lease is None:
-                await asyncio.sleep(LEASE_POLL_S)
-                if self._answer_from_store(unit, emit, "single-flight"):
-                    return
-                lease = store.acquire_lease(unit.fingerprint)
+        coalesced = len(units) > 1
+        pending: list[WorkUnit] = []
+        held_elsewhere: list[WorkUnit] = []
+        leases: dict[int, "Lease"] = {}
         try:
-            # Holding the lease: check the store once more (the prior
-            # holder may have published between our miss and our
-            # acquire), then simulate.
-            if self._answer_from_store(unit, emit):
-                return
-            outcome = await self._execute(unit)
-            self._count_fresh(unit, outcome)
-            if not isinstance(outcome, FailureRecord):
-                # Publish before releasing so waiters always find the
-                # entry once the lease is gone.
-                store.put(unit.fingerprint, unit.spec, outcome)
+            for unit in units:
+                if store is not None:
+                    if self._answer_from_store(unit, emit):
+                        continue
+                    lease = store.acquire_lease(unit.fingerprint)
+                    if lease is None and coalesced:
+                        held_elsewhere.append(unit)
+                        continue
+                    if lease is None:
+                        # Someone else is simulating this fingerprint
+                        # right now. Wait for their publish instead of
+                        # duplicating the work; if their lease vanishes
+                        # without an entry (they failed or quarantined),
+                        # contend for the lease ourselves.
+                        self.stats.single_flight_waits += 1
+                        while lease is None:
+                            await asyncio.sleep(LEASE_POLL_S)
+                            if self._answer_from_store(unit, emit, "single-flight"):
+                                break
+                            lease = store.acquire_lease(unit.fingerprint)
+                        if lease is None:
+                            continue
+                    # The prior holder may have published between our
+                    # miss and our acquire.
+                    if self._answer_from_store(unit, emit):
+                        lease.release()
+                        continue
+                    leases[unit.index] = lease
+                pending.append(unit)
+
+            outcomes = None
+            if coalesced and pending:
+                try:
+                    outcomes = await self.backend.execute_batch(
+                        [unit.spec for unit in pending]
+                    )
+                except asyncio.CancelledError:
+                    raise
+                except Exception:
+                    pass  # the call failed, not one spec: run each alone
+                else:
+                    self.stats.batch_groups += 1
+            for i, unit in enumerate(pending):
+                if outcomes is None:
+                    outcome = await self._execute(unit)
+                else:
+                    outcome = outcomes[i]
+                self._count_fresh(unit, outcome, batched=outcomes is not None)
+                if store is not None:
+                    # Publish before releasing so waiters always find
+                    # the entry once the lease is gone.
+                    if not isinstance(outcome, FailureRecord):
+                        store.put(unit.fingerprint, unit.spec, outcome)
+                    leases.pop(unit.index).release()
+                emit(unit, outcome, "fresh")
         finally:
-            lease.release()
-        emit(unit, outcome, "fresh")
+            for lease in leases.values():
+                lease.release()
+
+        for unit in held_elsewhere:
+            await self._resolve([unit], emit)
 
     # ------------------------------------------------------------------
     # Batch coalescing (the array-program lane)
 
-    def _drain_batch_mates(self, unit: WorkUnit) -> Optional[list[WorkUnit]]:
+    def _drain_batch_mates(self, unit: WorkUnit) -> list[WorkUnit]:
         """Pull this unit's batch-mates out of the queue.
 
         Called with ``self._cond`` held, immediately after ``unit`` was
-        taken. Returns ``None`` when coalescing does not apply
-        (``REPRO_FASTPATH=0``, a retry policy, incapable backend,
-        non-qualifying spec, or no mate in the queue); otherwise the
-        non-empty list of mates. A retry policy's deadline, retries and
-        quarantine hold per unit, so it keeps every unit on its own.
+        taken. Returns no mates when coalescing does not apply
+        (``REPRO_FASTPATH=0``, a retry policy, incapable backend or
+        non-qualifying spec) or no mate is queued. A retry policy's
+        deadline, retries and quarantine hold per unit, so it keeps
+        every unit on its own.
 
         Queued units that share the unit's :func:`~repro.core.fastlane.
         batch_key` are removed from the queue (relative order of the
-        survivors is preserved) and move to in-flight accounting; the
-        feeder's window sees no change in queued+inflight totals.
+        survivors is preserved); the caller moves them to in-flight
+        accounting, so the feeder's window sees no change in
+        queued+inflight totals.
         """
         if (
             self.retry is not None
             or fastlane.fastpath_mode() == "0"
             or not self.backend.batch_capable
+            or not fastlane.qualifies_for_batch(unit.spec)
         ):
-            return None
-        if not fastlane.qualifies_for_batch(unit.spec):
-            return None
+            return []
         key = fastlane.batch_key(unit.spec)
         mates: list[WorkUnit] = []
         kept: deque = deque()
@@ -274,84 +322,7 @@ class CampaignScheduler:
             else:
                 kept.append(candidate)
         self._queue = kept
-        self._inflight += len(mates)
-        return mates or None
-
-    async def _process_batch(
-        self, units: list[WorkUnit], emit: EmitCallback
-    ) -> None:
-        """Resolve a coalesced group, per-unit semantics intact.
-
-        Every member keeps the per-unit contract: cache hits never
-        re-simulate, fresh results are published under single-flight
-        leases, and each member emits exactly once with the same
-        ``source`` labels as the per-unit path. Members that cannot be
-        served by the batch call — lease held by another process, or a
-        batch execution error — are re-routed through :meth:`_process`,
-        the per-unit path. Each batch call that returns counts one
-        batch group.
-        """
-        store = self.store
-        pending = list(units)
-        rerouted: list[WorkUnit] = []
-        leases: dict[int, object] = {}
-
-        if store is not None:
-            held = []
-            for unit in pending:
-                if self._answer_from_store(unit, emit):
-                    continue
-                lease = store.acquire_lease(unit.fingerprint)
-                if lease is None:
-                    # Another process is simulating this member right
-                    # now; the per-unit path knows how to wait on it.
-                    rerouted.append(unit)
-                    continue
-                # The prior holder may have published between our miss
-                # and our acquire.
-                if self._answer_from_store(unit, emit):
-                    lease.release()
-                    continue
-                leases[unit.index] = lease
-                held.append(unit)
-            pending = held
-
-        try:
-            outcomes = None
-            if pending:
-                try:
-                    outcomes = await self.backend.execute_batch(
-                        [unit.spec for unit in pending]
-                    )
-                except asyncio.CancelledError:
-                    raise
-                except Exception:
-                    # The batch call itself failed (not any one spec).
-                    # Fall back to per-unit execution, where a genuine
-                    # per-spec failure still surfaces.
-                    outcomes = None
-            if outcomes is None:
-                rerouted.extend(pending)
-            else:
-                self.stats.batch_groups += 1
-                for unit, outcome in zip(pending, outcomes):
-                    self._count_fresh(unit, outcome, batched=True)
-                    lease = leases.pop(unit.index, None)
-                    if store is not None and not isinstance(
-                        outcome, FailureRecord
-                    ):
-                        store.put(unit.fingerprint, unit.spec, outcome)
-                    if lease is not None:
-                        lease.release()
-                    emit(unit, outcome, "fresh")
-        finally:
-            # Leases of rerouted members: released so the per-unit path
-            # (or another process) can contend for them cleanly.
-            for lease in leases.values():
-                lease.release()
-
-        for unit in rerouted:
-            await self._process(unit, emit)
+        return mates
 
     def _count_fresh(
         self, unit: WorkUnit, outcome: "BatchOutcome", batched: bool = False

@@ -456,7 +456,7 @@ class Runner:
 
 
 class SerialRunner(Runner):
-    """In-process, one-at-a-time execution.
+    """In-process, one-at-a-time execution: a one-slot pool backend.
 
     Spec timeouts are enforced with ``SIGALRM`` (main thread, Unix);
     elsewhere timeout enforcement degrades to none and the other retry
@@ -464,9 +464,9 @@ class SerialRunner(Runner):
     """
 
     def make_backend(self, plan_specs):
-        from repro.core.campaign.backends import SerialBackend
+        from repro.core.campaign.backends import ProcessPoolBackend
 
-        return SerialBackend()
+        return ProcessPoolBackend(jobs=1)
 
 
 class ProcessPoolRunner(Runner):

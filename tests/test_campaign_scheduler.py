@@ -14,7 +14,6 @@ import pytest
 from repro.core.campaign import (
     CampaignScheduler,
     ProcessPoolBackend,
-    SerialBackend,
     SweepAggregator,
     WorkUnit,
     WorkerBackend,
@@ -192,10 +191,12 @@ class StubBackend(WorkerBackend):
 
 
 class TestBackendSelection:
-    def test_serial_runner_maps_to_serial_backend(self):
+    def test_serial_runner_maps_to_one_slot_pool_backend(self):
         runner = SerialRunner()
         backend = runner.make_backend(None)
-        assert isinstance(backend, SerialBackend)
+        assert isinstance(backend, ProcessPoolBackend)
+        assert backend.slots == 1
+        assert backend._in_process_mode()
 
     def test_pool_runner_maps_to_pool_backend(self):
         runner = ProcessPoolRunner(jobs=3, retry=RetryPolicy())
