@@ -60,7 +60,12 @@ import time
 from dataclasses import replace
 from typing import Sequence
 
-from repro.sim.fastpath import build_session, front_end_scope, qbone_config
+from repro.sim.fastpath import (
+    build_session,
+    front_end_scope,
+    qbone_config,
+    shaper_profile,
+)
 from repro.video.clips import encode_clip
 
 
@@ -93,14 +98,7 @@ def _run_group(specs: list) -> list:
             # their shaper profile's output, which equal profiles share.
             profiles: dict = {}
             for i in members:
-                spec = specs[i]
-                prof = None
-                if spec0.use_shaper:
-                    prof = (
-                        spec.shaper_rate_bps or spec.token_rate_bps,
-                        cfg.shaper_depth_bytes,
-                    )
-                profiles.setdefault(prof, []).append(i)
+                profiles.setdefault(shaper_profile(specs[i], cfg), []).append(i)
             for prof, lanes in profiles.items():
                 streams.append((front.stream(encoded, cfg, seed, prof), lanes))
 

@@ -633,6 +633,17 @@ def qbone_config(spec) -> QBoneTestbedConfig:
     )
 
 
+def shaper_profile(spec, cfg: QBoneTestbedConfig) -> Optional[tuple[float, float]]:
+    """The edge shaper's ``(rate_bps, depth_bytes)`` for ``spec`` on
+    ``cfg`` (its :func:`qbone_config`), or ``None`` without a shaper:
+    the profile that keys its policer-input stream
+    (:meth:`FrontEndMemo.stream`). An unset shaper rate is the token
+    rate."""
+    if not cfg.use_shaper:
+        return None
+    return (spec.shaper_rate_bps or spec.token_rate_bps, cfg.shaper_depth_bytes)
+
+
 def policer_outcome(
     mask: np.ndarray,
     action: PolicerAction,
@@ -982,28 +993,16 @@ def simulate_qbone_session(spec, encoded: EncodedClip) -> FastPathSession:
     cfg = qbone_config(spec)
     with front_end_scope() as front:
         sched = front.schedule(encoded, cfg)
-        releases = front.releases(encoded, cfg, spec.seed)
+        stream = front.stream(encoded, cfg, spec.seed, shaper_profile(spec, cfg))
 
-    # Optional edge shaper between the jitter box and the policer.
-    if cfg.use_shaper:
-        pol_times, pol_ids = shaper_releases(
-            releases,
-            sched.sizes,
-            cfg.shaper_rate_bps or cfg.token_rate_bps,
-            cfg.shaper_depth_bytes,
-        )
-    else:
-        pol_times, pol_ids = releases, list(range(sched.n_packets))
-
-    # Border policer: one token-bucket scan at the release times.
-    ids = np.asarray(pol_ids, dtype=np.int64)
-    seen_sizes = sched.sizes_arr[ids]
-    seen_fids = sched.fids_arr[ids]
-    sizes = seen_sizes.tolist()
+    # Border policer: one token-bucket scan at the policer-input
+    # instants. The lane scans it itself, not through
+    # PolicerStream.verdicts, because the detection trace needs the fill.
+    sizes = stream.size_list
     fill = bucket_fill(
-        pol_times, sizes, cfg.token_rate_bps, cfg.bucket_depth_bytes
+        stream.times, sizes, cfg.token_rate_bps, cfg.bucket_depth_bytes
     )
-    mask = fill >= seen_sizes
+    mask = fill >= stream.sizes
 
     pol_cols = None
     if spec.capture_trace:
@@ -1020,10 +1019,10 @@ def simulate_qbone_session(spec, encoded: EncodedClip) -> FastPathSession:
             for ok, size in zip(conform, sizes)
         ]
         pol_cols = dict(zip(POLICER_TRACE_COLUMNS, (
-            list(pol_times),
-            list(pol_ids),
-            sizes,
-            seen_fids.tolist(),
+            list(stream.times),
+            stream.ids.tolist(),
+            list(sizes),
+            stream.fids.tolist(),
             [int(DSCP.EF)] * len(sizes),
             ["conform" if ok else miss for ok in conform],
             reasons,
@@ -1031,8 +1030,8 @@ def simulate_qbone_session(spec, encoded: EncodedClip) -> FastPathSession:
             fills,
         )))
     return build_session(
-        cfg, encoded, sched, pol_times, ids, seen_sizes, seen_fids, mask,
-        pol_cols,
+        cfg, encoded, sched, stream.times, stream.ids, stream.sizes,
+        stream.fids, mask, pol_cols,
     )
 
 
