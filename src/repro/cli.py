@@ -44,10 +44,11 @@ Campaign features: ``sweep --adaptive`` runs the cliff-seeking sampler
 ``--cliff-threshold`` sets the quality_score jump that triggers
 refinement. ``--progress`` streams a one-line progress/ETA report to
 stderr, fed by the scheduler's outcome stream. ``recommend --warm``
-binds the search to the warm result store through a
-:class:`~repro.core.campaign.service.CampaignService`, and ``serve``
-runs that service as a JSON-lines request/response loop on
-stdin/stdout. ``admit`` probes 1..N-flow aggregates under one
+turns the result store on, as ``--cache`` does, so the search answers
+from the warm store and simulates only cache misses; ``serve`` runs a
+:class:`~repro.core.campaign.service.CampaignService`, which answers
+the same way, as a JSON-lines request/response loop on stdin/stdout.
+``admit`` probes 1..N-flow aggregates under one
 token bucket and compares QoE-floor admission against a naive
 bandwidth budget (see :mod:`repro.flows.admission`).
 
@@ -365,14 +366,7 @@ def _cmd_recommend(args) -> int:
     store = None
     if use_cache:
         store = ResultStore(args.cache_dir or default_cache_dir())
-    if args.warm:
-        # Service-style path: the search is bound to the warm store and
-        # only cache misses are scheduled (repro serve shares this).
-        from repro.core.campaign import CampaignService
-
-        runner = CampaignService(store, jobs=args.jobs).runner
-    else:
-        runner = make_runner(jobs=args.jobs, store=store)
+    runner = make_runner(jobs=args.jobs, store=store)
     table = recommend_provisioning(
         base,
         depths=depths,
@@ -721,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recommend_parser.add_argument(
         "--warm", action="store_true",
-        help="answer from the warm result store through the campaign "
-        "service; only cache misses are simulated",
+        help="answer from the warm result store (turns --cache on); "
+        "only cache misses are simulated",
     )
     recommend_parser.add_argument("--json", action="store_true", help="emit JSON")
     recommend_parser.set_defaults(func=_cmd_recommend)
