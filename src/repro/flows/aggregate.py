@@ -50,21 +50,19 @@ from repro.core.runner import ResultSummary
 from repro.client.playout import PlayoutClient
 from repro.client.reassembly import DatagramReassembler
 from repro.diffserv.policer import Policer, PolicerStats
-from repro.diffserv.scheduler import PriorityScheduler
 from repro.server.videocharger import VideoChargerServer, message_schedule
 from repro.sim.engine import Engine
 from repro.sim.fastpath import front_end_scope
 from repro.sim.link import Link
 from repro.sim.node import Host, Router
 from repro.sim.tracer import FlowTracer
-from repro.testbeds.crosstraffic import PoissonSource
 from repro.testbeds.jitter import (
     BURST_DELAY_RANGE_S,
     BURST_PROBABILITY,
     CAMPUS_BASE_DELAY_S,
     JitterElement,
 )
-from repro.testbeds.qbone import QBoneTestbedConfig
+from repro.testbeds.qbone import QBoneTestbedConfig, abilene_chain
 from repro.units import mbps
 from repro.video.clips import encode_clip
 
@@ -478,25 +476,8 @@ def run_engine_aggregate(agg: AggregateSpec) -> AggregateSummary:
         clients.append(client)
         client_taps.append(tap)
 
-    # Shared backbone, built back to front (same shape as qbone.py).
-    next_sink: object = demux
-    for hop in range(cfg.backbone_hops, 0, -1):
-        link = Link(
-            engine,
-            rate_bps=cfg.backbone_rate_bps,
-            sink=next_sink,
-            queue=PriorityScheduler(),
-            propagation_delay=cfg.backbone_hop_delay_s,
-            name=f"abilene-{hop}",
-        )
-        if cfg.cross_traffic_rate_bps > 0:
-            PoissonSource(
-                engine,
-                link,
-                rate_bps=cfg.cross_traffic_rate_bps,
-                flow_id=f"cross-hop{hop}",
-            ).start()
-        next_sink = link
+    # The shared backbone, built as the single-flow testbed builds it.
+    next_sink, _ = abilene_chain(engine, cfg, demux)
 
     # Border router; in aggregate mode it polices the merged stream.
     border = Router("border")

@@ -46,6 +46,41 @@ class QBoneTestbedConfig:
     flow_id: str = "video"
 
 
+def abilene_chain(
+    engine: Engine, cfg: QBoneTestbedConfig, sink: object
+) -> tuple[object, list[PoissonSource]]:
+    """The backbone chain into ``sink``: its first hop and cross traffic.
+
+    One priority-queued link per hop, built back to front. With
+    ``cfg.cross_traffic_rate_bps`` set, each hop gets a best-effort
+    Poisson source, started as its link is built; the sources' first
+    events are scheduled in that order, so event sequence numbers
+    depend on it. With no hops the chain is ``sink`` itself.
+    """
+    next_sink = sink
+    sources = []
+    for hop in range(cfg.backbone_hops, 0, -1):
+        link = Link(
+            engine,
+            rate_bps=cfg.backbone_rate_bps,
+            sink=next_sink,
+            queue=PriorityScheduler(),
+            propagation_delay=cfg.backbone_hop_delay_s,
+            name=f"abilene-{hop}",
+        )
+        if cfg.cross_traffic_rate_bps > 0:
+            source = PoissonSource(
+                engine,
+                link,
+                rate_bps=cfg.cross_traffic_rate_bps,
+                flow_id=f"cross-hop{hop}",
+            )
+            source.start()
+            sources.append(source)
+        next_sink = link
+    return next_sink, sources
+
+
 @dataclass
 class QBoneTestbed:
     """Assembled QBone path.
@@ -74,27 +109,9 @@ class QBoneTestbed:
             engine, sink=self.client_host, flow_id=cfg.flow_id, name="client-tap"
         )
 
-        # Backbone chain, built back to front.
-        next_sink = self.client_tap
-        for hop in range(cfg.backbone_hops, 0, -1):
-            link = Link(
-                engine,
-                rate_bps=cfg.backbone_rate_bps,
-                sink=next_sink,
-                queue=PriorityScheduler(),
-                propagation_delay=cfg.backbone_hop_delay_s,
-                name=f"abilene-{hop}",
-            )
-            if cfg.cross_traffic_rate_bps > 0:
-                source = PoissonSource(
-                    engine,
-                    link,
-                    rate_bps=cfg.cross_traffic_rate_bps,
-                    flow_id=f"cross-hop{hop}",
-                )
-                source.start()
-                self.cross_sources.append(source)
-            next_sink = link
+        next_sink, self.cross_sources = abilene_chain(
+            engine, cfg, self.client_tap
+        )
 
         # Border router with the CAR policer at its ingress.
         border = Router("border")
