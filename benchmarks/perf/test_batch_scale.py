@@ -10,9 +10,11 @@ encoding — is timed three ways:
   time all 64 points on every bench run);
 * the scalar fast path, one spec at a time, all 64 points;
 * the batch lane (:func:`repro.core.fastlane.run_batchpath`), the
-  whole grid as one numpy program with the schedule/jitter front end
-  amortized and the token-bucket scan vectorized over the rate x depth
-  axis.
+  whole grid as one call with the schedule/jitter front end computed
+  once per seed, each seed's lanes scanned one by one against its
+  policer-input stream in ascending (depth, rate) order (a lane at or
+  above, in both rate and depth, one seen to forward every packet is
+  not scanned), and one downstream pass per distinct verdict mask.
 
 The headline number is batch points/sec; the speedups only mean
 anything because every batch summary is asserted bit-identical to the

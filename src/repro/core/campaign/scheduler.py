@@ -31,8 +31,9 @@ assembled results stay bit-identical.
 The scheduler also keeps the runner's
 :class:`~repro.core.runner.RunnerStats`, in the calling process. It
 chooses between a lone unit and a batch grid, so it counts the lane of
-each fresh outcome there: a grid member as a batch point, a lone flat
-unit as a fast-path hit or an engine fallback by
+each fresh outcome there: an outcome of a batch call as a batch point,
+a flat unit run on its own (alone, or after its grid's batch call
+raised) as a fast-path hit or an engine fallback by
 :func:`~repro.core.fastlane.qualifies_for_fastpath`. Where the unit
 then ran, in-process or in a worker, does not change the counts.
 """
