@@ -16,7 +16,7 @@ from repro.core.analysis import find_quality_cutoff, nonlinearity_index
 from repro.core.experiment import ExperimentSpec
 from repro.core.report import render_sweep, render_table
 from repro.core.resultstore import ResultStore
-from repro.core.runner import Runner, make_runner
+from repro.core.runner import Runner
 from repro.core.sweep import SweepResult, token_rate_sweep
 from repro.units import mbps, to_mbps
 
@@ -44,7 +44,7 @@ def bench_runner() -> Runner:
     if os.environ.get("REPRO_BENCH_CACHE", "1") != "0":
         store = ResultStore()
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    return make_runner(jobs=jobs, store=store)
+    return Runner(jobs=jobs, store=store)
 
 
 def qbone_figure_sweep(clip: str, encoding_mbps: float, seed: int = 11) -> SweepResult:

@@ -25,7 +25,7 @@ import time
 from repro.core.campaign import adaptive_token_rate_sweep
 from repro.core.experiment import ExperimentSpec
 from repro.core.resultstore import ResultStore
-from repro.core.runner import SerialRunner
+from repro.core.runner import Runner
 from repro.core.sweep import token_rate_sweep
 from repro.units import mbps
 
@@ -66,8 +66,8 @@ def _frontier(sweep) -> dict:
     return out
 
 
-def _timed_sweep(store: ResultStore) -> tuple[float, object, SerialRunner]:
-    runner = SerialRunner(store=store)
+def _timed_sweep(store: ResultStore) -> tuple[float, object, Runner]:
+    runner = Runner(store=store)
     started = time.perf_counter()
     sweep = token_rate_sweep(
         _base_spec(), THROUGHPUT_RATES, THROUGHPUT_DEPTHS, runner=runner
@@ -86,12 +86,12 @@ def test_campaign_scale(tmp_path, record_property):
 
     # Adaptive budget: uniform dense sweep vs the cliff-seeking sampler,
     # both against fresh stores so every evaluation is a real run.
-    uniform_runner = SerialRunner(store=ResultStore(tmp_path / "uniform"))
+    uniform_runner = Runner(store=ResultStore(tmp_path / "uniform"))
     uniform = token_rate_sweep(
         _base_spec(), DENSE_RATES, THROUGHPUT_DEPTHS, runner=uniform_runner
     )
 
-    adaptive_runner = SerialRunner(store=ResultStore(tmp_path / "adaptive"))
+    adaptive_runner = Runner(store=ResultStore(tmp_path / "adaptive"))
     adaptive = adaptive_token_rate_sweep(
         _base_spec(), list(DENSE_RATES), THROUGHPUT_DEPTHS,
         runner=adaptive_runner,

@@ -23,13 +23,7 @@ Quickstart::
 """
 
 from repro.core.experiment import ExperimentSpec, ExperimentResult, run_experiment
-from repro.core.runner import (
-    ProcessPoolRunner,
-    ResultSummary,
-    SerialRunner,
-    make_runner,
-    spec_fingerprint,
-)
+from repro.core.runner import ResultSummary, Runner, make_runner, spec_fingerprint
 from repro.core.resultstore import ResultStore
 from repro.core.sweep import SweepResult, token_rate_sweep
 from repro.core.analysis import find_quality_cutoff, nonlinearity_index
@@ -43,8 +37,7 @@ __all__ = [
     "run_experiment",
     "SweepResult",
     "token_rate_sweep",
-    "SerialRunner",
-    "ProcessPoolRunner",
+    "Runner",
     "ResultSummary",
     "ResultStore",
     "make_runner",

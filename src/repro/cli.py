@@ -11,7 +11,7 @@ Seven subcommands mirror the library's main entry points::
     python -m repro clips
     python -m repro detect    --clip test-300 --rate 1.5 --depth 3000
     python -m repro recommend --clip lost --depths 3000,4500 \
-        [--target-score 0.05 | --target-loss F] [--jobs 4] [--cache | --warm]
+        [--target-score 0.05 | --target-loss F] [--jobs 4] [--cache]
     python -m repro admit --clip lost --rate 4.0 --depth 9000 [--max-flows 4]
     python -m repro serve [--cache-dir DIR] [--jobs 4]
 
@@ -23,11 +23,13 @@ policing token bucket from the trace alone (:mod:`repro.detect`), and
 scores the inference against the configured ground truth;
 ``recommend`` searches for the minimal token rate per bucket depth
 meeting a quality target and classifies each minimum on the paper's
-average-rate↔maximum-rate axis. Sweeps execute through the runner layer: ``--jobs N``
-spreads the batch over worker processes, and ``--cache`` keys each
+average-rate↔maximum-rate axis. ``sweep``, ``recommend``, ``admit``
+and ``serve`` execute through one :class:`~repro.core.runner.Runner`
+built from the options they share: ``--jobs N`` spreads the batch over
+worker processes, and ``--cache`` (or ``--cache-dir DIR``) keys each
 point's result by its spec fingerprint in an on-disk store so a
-repeated sweep performs no simulations (a hit/miss/time-saved line is
-printed after the figure).
+repeated run performs no simulations (a hit/miss/time-saved line is
+printed after the output).
 
 Fault tolerance: ``--max-retries``/``--spec-timeout`` attach a retry
 policy, so a crashing or hanging grid point is retried with backoff
@@ -43,11 +45,11 @@ Campaign features: ``sweep --adaptive`` runs the cliff-seeking sampler
 :mod:`repro.core.campaign.sampler`) instead of the full grid;
 ``--cliff-threshold`` sets the quality_score jump that triggers
 refinement. ``--progress`` streams a one-line progress/ETA report to
-stderr, fed by the scheduler's outcome stream. ``recommend --warm``
-turns the result store on, as ``--cache`` does, so the search answers
-from the warm store and simulates only cache misses; ``serve`` runs a
-:class:`~repro.core.campaign.service.CampaignService`, which answers
-the same way, as a JSON-lines request/response loop on stdin/stdout.
+stderr, fed by the scheduler's outcome stream. ``recommend --cache``
+answers from the warm store and simulates only cache misses; ``serve``
+runs a :class:`~repro.core.campaign.service.CampaignService`, which
+answers the same way, as a JSON-lines request/response loop on
+stdin/stdout.
 ``admit`` probes 1..N-flow aggregates under one
 token bucket and compares QoE-floor admission against a naive
 bandwidth budget (see :mod:`repro.flows.admission`).
@@ -70,7 +72,7 @@ from repro.core.export import result_to_json, sweep_to_csv
 from repro.core.faults import RetryPolicy
 from repro.core.report import render_sweep, render_table
 from repro.core.resultstore import ResultStore, default_cache_dir
-from repro.core.runner import make_runner
+from repro.core.runner import Runner
 from repro.core.sweep import token_rate_sweep, validate_grid
 from repro.units import mbps, to_mbps
 from repro.video.clips import CLIPS, encode_clip
@@ -139,6 +141,38 @@ def _spec_from_args(args, token_rate_mbps: float, depth: float) -> ExperimentSpe
     )
 
 
+def _runner(args) -> Runner:
+    """The campaign runner the shared options ask for.
+
+    ``--cache`` turns the result store on, and left unset ``--cache-dir``
+    does; ``serve`` has no ``--cache`` and always keeps a store.
+    ``--max-retries`` or ``--spec-timeout``, where a subcommand takes
+    them, attach a retry policy.
+    """
+    use_cache = getattr(args, "cache", True)
+    if use_cache is None:
+        use_cache = args.cache_dir is not None
+    max_retries = getattr(args, "max_retries", None)
+    spec_timeout = getattr(args, "spec_timeout", None)
+    retry = None
+    if max_retries is not None or spec_timeout is not None:
+        retry = RetryPolicy(
+            max_retries=2 if max_retries is None else max_retries,
+            spec_timeout_s=spec_timeout,
+        )
+    return Runner(
+        jobs=args.jobs,
+        store=ResultStore(args.cache_dir) if use_cache else None,
+        retry=retry,
+    )
+
+
+def _print_cache_stats(runner: Runner, lead: str = "") -> None:
+    """The ``cache [DIR]: ...`` line, when the runner has a store."""
+    if runner.store is not None:
+        print(f"{lead}cache [{runner.store.cache_dir}]: {runner.stats.describe()}")
+
+
 def _cmd_run(args) -> int:
     spec = _spec_from_args(args, args.rate, args.depth)
     result = run_experiment(spec)
@@ -167,8 +201,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
     if args.resume and not args.journal:
         raise ValueError("--resume requires --journal FILE")
     if args.adaptive and args.journal:
@@ -205,19 +237,7 @@ def _cmd_sweep(args) -> int:
             policing=args.flow_policing,
             cross_traffic_bps=mbps(args.cross),
         )
-    use_cache = (
-        args.cache if args.cache is not None else args.cache_dir is not None
-    )
-    store = None
-    if use_cache:
-        store = ResultStore(args.cache_dir or default_cache_dir())
-    retry = None
-    if args.max_retries is not None or args.spec_timeout is not None:
-        retry = RetryPolicy(
-            max_retries=args.max_retries if args.max_retries is not None else 2,
-            spec_timeout_s=args.spec_timeout,
-        )
-    runner = make_runner(jobs=args.jobs, store=store, retry=retry)
+    runner = _runner(args)
     progress = None
     if args.progress:
         from repro.core.campaign import CampaignProgress
@@ -254,8 +274,7 @@ def _cmd_sweep(args) -> int:
             f"{sampling['grid_points']} grid points "
             f"({100 * sampling['ratio']:.0f}%) in {sampling['rounds']} rounds"
         )
-    if store is not None:
-        print(f"\ncache [{store.cache_dir}]: {runner.stats.describe()}")
+    _print_cache_stats(runner, "\n")
     if args.journal:
         total = len(sweep.points) + len(sweep.failures)
         resumed = total - runner.stats.submitted
@@ -356,17 +375,9 @@ def _cmd_recommend(args) -> int:
 
     from repro.detect import recommend_provisioning
 
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
     depths = [float(d) for d in args.depths.split(",")]
     base = _spec_from_args(args, args.rate_max, depths[0])
-    use_cache = args.warm or (
-        args.cache if args.cache is not None else args.cache_dir is not None
-    )
-    store = None
-    if use_cache:
-        store = ResultStore(args.cache_dir or default_cache_dir())
-    runner = make_runner(jobs=args.jobs, store=store)
+    runner = _runner(args)
     table = recommend_provisioning(
         base,
         depths=depths,
@@ -414,8 +425,7 @@ def _cmd_recommend(args) -> int:
                 else "NOT reproduced"
             )
         )
-    if store is not None:
-        print(f"cache [{store.cache_dir}]: {runner.stats.describe()}")
+    _print_cache_stats(runner)
     return 0
 
 
@@ -425,8 +435,6 @@ def _cmd_admit(args) -> int:
 
     from repro.flows.admission import admission_frontier
 
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
     if args.max_flows < 1:
         raise ValueError(
             f"--max-flows must be at least 1 (got {args.max_flows})"
@@ -436,13 +444,7 @@ def _cmd_admit(args) -> int:
     base = dataclasses.replace(
         _spec_from_args(args, args.rate, args.depth), cross_traffic_bps=0.0
     )
-    use_cache = (
-        args.cache if args.cache is not None else args.cache_dir is not None
-    )
-    store = None
-    if use_cache:
-        store = ResultStore(args.cache_dir or default_cache_dir())
-    runner = make_runner(jobs=args.jobs, store=store)
+    runner = _runner(args)
     frontier = admission_frontier(
         base,
         args.max_flows,
@@ -499,24 +501,16 @@ def _cmd_admit(args) -> int:
         f"bandwidth budget admits {frontier.bandwidth_admitted} — "
         f"policies {verdict}"
     )
-    if store is not None:
-        print(f"cache [{store.cache_dir}]: {runner.stats.describe()}")
+    _print_cache_stats(runner)
     return 0
 
 
 def _cmd_serve(args) -> int:
     from repro.core.campaign import CampaignService
 
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
-    retry = None
-    if args.max_retries is not None or args.spec_timeout is not None:
-        retry = RetryPolicy(
-            max_retries=args.max_retries if args.max_retries is not None else 2,
-            spec_timeout_s=args.spec_timeout,
-        )
-    store = ResultStore(args.cache_dir or default_cache_dir())
-    service = CampaignService(store, jobs=args.jobs, retry=retry)
+    runner = _runner(args)
+    store = runner.store
+    service = CampaignService(store, jobs=runner.jobs, retry=runner.retry)
     print(
         f"serving provisioning queries from {store.cache_dir} "
         f"({len(store)} warm entries); one JSON request per line",
@@ -551,68 +545,94 @@ def _cmd_clips(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse parser for the CLI."""
+    """Construct the argparse parser for the CLI.
+
+    Each option that several subcommands share is defined once, on a
+    parent parser those subcommands list.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of the SIGCOMM 2001 DiffServ/video-quality study",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = commands.add_parser("run", help="run one experiment")
-    _add_spec_arguments(run_parser)
-    run_parser.add_argument("--rate", type=float, required=True, help="token rate (Mbps)")
-    run_parser.add_argument("--depth", type=float, default=3000.0, help="bucket depth (bytes)")
-    run_parser.add_argument("--json", action="store_true", help="emit JSON")
-    run_parser.add_argument(
+    def shared() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    spec = shared()
+    _add_spec_arguments(spec)
+    bucket = shared()
+    bucket.add_argument("--rate", type=float, required=True, help="token rate (Mbps)")
+    bucket.add_argument("--depth", type=float, default=3000.0, help="bucket depth (bytes)")
+    depths = shared()
+    depths.add_argument(
+        "--depths", default="3000,4500", help="comma-separated bucket depths (bytes)"
+    )
+    action = shared()
+    action.add_argument(
+        "--policer-action", default="drop", choices=["drop", "remark"],
+        help="treatment of excess (non-conformant) traffic",
+    )
+    flows = shared()
+    flows.add_argument(
+        "--flow-spacing", type=float, default=0.0, metavar="S",
+        help="stagger aggregate flow starts by S seconds",
+    )
+    flows.add_argument(
+        "--flow-policing", default="aggregate",
+        choices=["aggregate", "per-flow"],
+        help="one shared bucket vs one identical bucket per flow",
+    )
+    jobs = shared()
+    jobs.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for scheduled runs (1 = in-process)",
+    )
+    jobs.add_argument(
+        "--cache-dir", default=None,
+        help=f"result store location (default {default_cache_dir()}; turns the store on)",
+    )
+    cache = shared()
+    cache.add_argument(
+        "--cache", action=argparse.BooleanOptionalAction, default=None,
+        help="reuse/store results in the on-disk cache",
+    )
+    retry = shared()
+    retry.add_argument(
+        "--max-retries", type=int, default=None,
+        help="retries per failing spec before quarantine (enables fault tolerance)",
+    )
+    retry.add_argument(
+        "--spec-timeout", type=float, default=None,
+        help="per-attempt wall-clock budget in seconds (enables fault tolerance)",
+    )
+    json_out = shared()
+    json_out.add_argument("--json", action="store_true", help="emit JSON")
+    profile = shared()
+    profile.add_argument(
         "--profile",
         action="store_true",
         help="run under cProfile; top-20 cumulative functions to stderr",
     )
+
+    run_parser = commands.add_parser(
+        "run", parents=[spec, bucket, json_out, profile], help="run one experiment"
+    )
     run_parser.set_defaults(func=_cmd_run)
 
-    sweep_parser = commands.add_parser("sweep", help="token-rate sweep (one figure)")
-    _add_spec_arguments(sweep_parser)
-    sweep_parser.add_argument(
-        "--rates", required=True, help="comma-separated token rates (Mbps)"
+    sweep_parser = commands.add_parser(
+        "sweep",
+        parents=[spec, depths, flows, jobs, cache, retry, profile],
+        help="token-rate sweep (one figure)",
     )
     sweep_parser.add_argument(
-        "--depths", default="3000,4500", help="comma-separated bucket depths (bytes)"
+        "--rates", required=True, help="comma-separated token rates (Mbps)"
     )
     sweep_parser.add_argument("--csv", help="also write raw CSV here")
     sweep_parser.add_argument(
         "--flows", type=int, default=0, metavar="N",
         help="sweep N-flow aggregates sharing each grid point's "
         "profile instead of a single flow (see repro.flows)",
-    )
-    sweep_parser.add_argument(
-        "--flow-spacing", type=float, default=0.0, metavar="S",
-        help="stagger aggregate flow starts by S seconds (with --flows)",
-    )
-    sweep_parser.add_argument(
-        "--flow-policing", default="aggregate",
-        choices=["aggregate", "per-flow"],
-        help="one shared bucket vs one identical bucket per flow "
-        "(with --flows)",
-    )
-    sweep_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sweep batch (1 = in-process)",
-    )
-    sweep_parser.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=None,
-        help="reuse/store per-point results in the on-disk cache",
-    )
-    sweep_parser.add_argument(
-        "--cache-dir", default=None,
-        help=f"cache location (default {default_cache_dir()}; implies --cache)",
-    )
-    sweep_parser.add_argument(
-        "--max-retries", type=int, default=None,
-        help="retries per failing spec before quarantine (enables fault tolerance)",
-    )
-    sweep_parser.add_argument(
-        "--spec-timeout", type=float, default=None,
-        help="per-attempt wall-clock budget in seconds (enables fault tolerance)",
     )
     sweep_parser.add_argument(
         "--journal", default=None,
@@ -640,46 +660,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true",
         help="stream a one-line progress/ETA report to stderr",
     )
-    sweep_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile; top-20 cumulative functions to stderr",
-    )
     sweep_parser.set_defaults(func=_cmd_sweep)
 
     clips_parser = commands.add_parser("clips", help="list registered clips")
     clips_parser.set_defaults(func=_cmd_clips)
 
     detect_parser = commands.add_parser(
-        "detect", help="infer the policing token bucket from a flow trace"
-    )
-    _add_spec_arguments(detect_parser)
-    detect_parser.add_argument(
-        "--rate", type=float, required=True, help="true token rate (Mbps)"
-    )
-    detect_parser.add_argument(
-        "--depth", type=float, default=3000.0, help="true bucket depth (bytes)"
-    )
-    detect_parser.add_argument(
-        "--policer-action", dest="policer_action", default="drop",
-        choices=["drop", "remark"],
-        help="treatment of excess traffic in the simulated run",
+        "detect",
+        parents=[spec, bucket, action, json_out],
+        help="infer the policing token bucket from a flow trace",
     )
     detect_parser.add_argument(
         "--min-events", type=int, default=5,
         help="non-conformant events required before inferring",
     )
-    detect_parser.add_argument("--json", action="store_true", help="emit JSON")
     detect_parser.set_defaults(func=_cmd_detect)
 
     recommend_parser = commands.add_parser(
         "recommend",
+        parents=[spec, depths, jobs, cache, json_out],
         help="minimal token rate per bucket depth for a quality target",
-    )
-    _add_spec_arguments(recommend_parser)
-    recommend_parser.add_argument(
-        "--depths", default="3000,4500",
-        help="comma-separated bucket depths to provision (bytes)",
     )
     recommend_parser.add_argument(
         "--target-score", type=float, default=0.05,
@@ -701,38 +701,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision", type=float, default=20.0,
         help="bisection precision (kbps)",
     )
-    recommend_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for each probe round (1 = in-process)",
-    )
-    recommend_parser.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=None,
-        help="reuse/store probe results in the on-disk cache",
-    )
-    recommend_parser.add_argument(
-        "--cache-dir", default=None,
-        help=f"cache location (default {default_cache_dir()}; implies --cache)",
-    )
-    recommend_parser.add_argument(
-        "--warm", action="store_true",
-        help="answer from the warm result store (turns --cache on); "
-        "only cache misses are simulated",
-    )
-    recommend_parser.add_argument("--json", action="store_true", help="emit JSON")
     recommend_parser.set_defaults(func=_cmd_recommend)
 
     admit_parser = commands.add_parser(
         "admit",
+        parents=[spec, bucket, action, flows, jobs, cache, json_out],
         help="admitted-flows-vs-QoE frontier: QoE-floor vs bandwidth budget",
-    )
-    _add_spec_arguments(admit_parser)
-    admit_parser.add_argument(
-        "--rate", type=float, required=True,
-        help="aggregate token rate (Mbps)",
-    )
-    admit_parser.add_argument(
-        "--depth", type=float, default=3000.0,
-        help="aggregate bucket depth (bytes)",
     )
     admit_parser.add_argument(
         "--max-flows", type=int, default=4, metavar="N",
@@ -750,54 +724,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=float, default=None,
         help="naive bandwidth budget (Mbps; default: the token rate)",
     )
-    admit_parser.add_argument(
-        "--policer-action", dest="policer_action", default="drop",
-        choices=["drop", "remark"],
-        help="treatment of excess aggregate traffic",
-    )
-    admit_parser.add_argument(
-        "--flow-spacing", type=float, default=0.0, metavar="S",
-        help="stagger probe flow starts by S seconds",
-    )
-    admit_parser.add_argument(
-        "--flow-policing", default="aggregate",
-        choices=["aggregate", "per-flow"],
-        help="one shared bucket vs one identical bucket per flow",
-    )
-    admit_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the probe batch (1 = in-process)",
-    )
-    admit_parser.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=None,
-        help="reuse/store probe results in the on-disk cache",
-    )
-    admit_parser.add_argument(
-        "--cache-dir", default=None,
-        help=f"cache location (default {default_cache_dir()}; implies --cache)",
-    )
-    admit_parser.add_argument("--json", action="store_true", help="emit JSON")
     admit_parser.set_defaults(func=_cmd_admit)
 
     serve_parser = commands.add_parser(
         "serve",
+        parents=[jobs, retry],
         help="long-running provisioning query service (JSON lines on stdin)",
-    )
-    serve_parser.add_argument(
-        "--cache-dir", default=None,
-        help=f"warm store location (default {default_cache_dir()})",
-    )
-    serve_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for scheduled cache misses",
-    )
-    serve_parser.add_argument(
-        "--max-retries", type=int, default=None,
-        help="retries per failing spec before quarantine",
-    )
-    serve_parser.add_argument(
-        "--spec-timeout", type=float, default=None,
-        help="per-attempt wall-clock budget in seconds",
     )
     serve_parser.set_defaults(func=_cmd_serve)
 
@@ -816,6 +748,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         or os.environ.get("REPRO_PROFILE", "") == "1"
     )
     try:
+        # A ValueError here, not an argparse type error, so a bad --jobs
+        # exits 2 like every other domain error.
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
         if profile:
             import cProfile
             import pstats

@@ -3,7 +3,7 @@
 This is the layer a "user" of the paper's study would touch: describe
 a configuration (:class:`~repro.core.experiment.ExperimentSpec`), run
 it end to end (stream → police → receive → render → VQM), sweep the
-token-bucket parameters (`sweep`) — serially or through a process
+token-bucket parameters (`sweep`) — in-process or through a process
 pool, against an on-disk result cache (`runner`, `resultstore`), with
 bounded retries, per-spec timeouts, quarantine, and checkpoint/resume
 (`faults`, `journal`, `chaos`) — and analyze/print the results
@@ -17,11 +17,8 @@ from repro.core.experiment import ExperimentSpec, ExperimentResult, run_experime
 from repro.core.faults import FailureRecord, RetryPolicy
 from repro.core.runner import (
     CACHE_SCHEMA_VERSION,
-    ProcessPoolRunner,
     ResultSummary,
     Runner,
-    SerialRunner,
-    make_runner,
     spec_fingerprint,
 )
 from repro.core.resultstore import ResultStore, default_cache_dir
@@ -69,12 +66,9 @@ __all__ = [
     "SweepAggregator",
     "adaptive_token_rate_sweep",
     "Runner",
-    "SerialRunner",
-    "ProcessPoolRunner",
     "ResultSummary",
     "ResultStore",
     "default_cache_dir",
-    "make_runner",
     "spec_fingerprint",
     "find_quality_cutoff",
     "nonlinearity_index",

@@ -27,7 +27,7 @@ shape:
 
 The runner entry points (:meth:`repro.core.runner.Runner.run_batch`,
 :func:`repro.core.sweep.token_rate_sweep`, ``recommend``) run through
-the scheduler, preserving the serial==parallel bit-identical
+the scheduler, preserving the one-job==many-jobs bit-identical
 guarantee: every outcome is a pure function of its spec, so neither
 scheduling order nor backend choice can perturb a result.
 """

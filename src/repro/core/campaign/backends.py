@@ -7,14 +7,13 @@ unit — lives in the scheduler, so a backend only implements ``slots``
 and ``execute`` (plus ``execute_batch`` when it can run a coalesced
 grid as one program).
 
-One backend ships, :class:`ProcessPoolBackend`, and both built-in
-runners build it in :meth:`~repro.core.runner.Runner.make_backend`:
-``SerialRunner`` with one slot, which runs every unit in-process, and
-``ProcessPoolRunner`` with ``jobs`` slots, which runs them in worker
-processes (a persistent ``ProcessPoolExecutor`` on the plain path, one
-supervised process per attempt when a retry policy needs hang/crash
-containment). Other backends, such as the tests' fakes, subclass
-:class:`WorkerBackend`.
+One backend ships, :class:`ProcessPoolBackend`, which
+:meth:`~repro.core.runner.Runner.make_backend` builds with the
+runner's ``jobs`` slots. At one slot it runs every unit in-process;
+above that it runs them in worker processes (a persistent
+``ProcessPoolExecutor`` on the plain path, one supervised process per
+attempt when a retry policy needs hang/crash containment). Other
+backends, such as the tests' fakes, subclass :class:`WorkerBackend`.
 
 Either way a unit runs one of two entry points of
 :mod:`repro.core.runner`, ``_summarize_run`` for one unit and
@@ -111,7 +110,7 @@ class ProcessPoolBackend(WorkerBackend):
     classify. The scheduler coalesces no grid under a retry policy, so
     supervised attempts are always single units.
 
-    Single-spec batches and ``jobs=1`` (``SerialRunner``'s backend) run
+    Single-spec batches and ``jobs=1`` (a one-job runner's backend) run
     in-process, which keeps them usable in environments without
     working multiprocessing. An in-process unit runs on the event-loop
     thread, the main thread, under a ``SIGALRM`` deadline, so a retry

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import FailureRecord
-from repro.core.runner import Runner, SerialRunner
+from repro.core.runner import Runner
 from repro.core.sweep import SweepResult, validate_grid
 from repro.sim.fastpath import front_end_scope
 
@@ -126,7 +126,7 @@ def adaptive_token_rate_sweep(
     rates, depths = validate_grid(
         token_rates_bps, bucket_depths_bytes, forbid_duplicates=False
     )
-    active = runner or SerialRunner()
+    active = runner or Runner()
 
     n = len(rates)
     # Work in rate-sorted position space per depth; keep the original

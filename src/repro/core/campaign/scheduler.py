@@ -207,9 +207,10 @@ class CampaignScheduler:
 
         A group's members that still need a run go to the backend as one
         batch call, even when cache hits leave a single one; each batch
-        call that returns counts one batch group. If the call raises,
-        each member runs on its own under the lease already held, where
-        a genuine per-spec failure still surfaces. A group member whose
+        call that returns counts one batch group. If the call raises, it
+        counts one batch failure and each member runs on its own under
+        the lease already held, where a genuine per-spec failure still
+        surfaces. A group member whose
         lease another process holds is resolved after the rest, as a
         lone unit: probed and contended once more, it counts a
         single-flight wait and polls the store only if the lease is
@@ -260,7 +261,8 @@ class CampaignScheduler:
                 except asyncio.CancelledError:
                     raise
                 except Exception:
-                    pass  # the call failed, not one spec: run each alone
+                    # The call failed, not one spec: run each alone.
+                    self.stats.batch_failures += 1
                 else:
                     self.stats.batch_groups += 1
             for i, unit in enumerate(pending):

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional, TextIO
 
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import FailureRecord, RetryPolicy
-from repro.core.runner import make_runner
+from repro.core.runner import Runner
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.resultstore import ResultStore
@@ -73,7 +73,7 @@ class CampaignService:
         retry: Optional[RetryPolicy] = None,
     ):
         self.store = store
-        self.runner = make_runner(jobs=jobs, store=store, retry=retry)
+        self.runner = Runner(jobs=jobs, store=store, retry=retry)
         self.queries = 0
 
     # ------------------------------------------------------------------

@@ -28,8 +28,9 @@ from repro.server.transport import TcpReceiver, TcpSender
 from repro.server.videocharger import VideoChargerServer
 from repro.server.wmt import WindowsMediaServer
 from repro.sim.engine import Engine
+from repro.sim.fastpath import qbone_config
 from repro.testbeds.local import LocalTestbed, LocalTestbedConfig
-from repro.testbeds.qbone import QBoneTestbed, QBoneTestbedConfig
+from repro.testbeds.qbone import QBoneTestbed
 from repro.units import mbps
 from repro.video.clips import clip_features, clip_versions, encode_clip
 from repro.vqm.tool import VqmResult, VqmTool
@@ -153,15 +154,7 @@ def _policer_action(name: str) -> PolicerAction:
 
 def _build_testbed(spec: ExperimentSpec, engine: Engine):
     if spec.testbed == "qbone":
-        config = QBoneTestbedConfig(
-            token_rate_bps=spec.token_rate_bps,
-            bucket_depth_bytes=spec.bucket_depth_bytes,
-            policer_action=_policer_action(spec.policer_action),
-            cross_traffic_rate_bps=spec.cross_traffic_bps,
-            use_shaper=spec.use_shaper,
-            shaper_rate_bps=spec.shaper_rate_bps,
-        )
-        return QBoneTestbed(engine, config)
+        return QBoneTestbed(engine, qbone_config(spec))
     if spec.testbed == "af":
         af_config = AfBottleneckConfig(
             committed_rate_bps=spec.token_rate_bps,
@@ -355,7 +348,7 @@ def _run_engine_experiment(spec: ExperimentSpec) -> ExperimentResult:
         testbed.client_host.attach(recovery.receiver)
     # The policer tells the client about drops so the loss-report
     # feedback channel sees them (adaptation experiments).
-    testbed.policer.set_drop_listener(client.note_policer_drop)
+    testbed.policer.add_drop_listener(client.note_policer_drop)
     trace_log = None
     if spec.capture_trace:
         from repro.sim.tracer import TraceLog

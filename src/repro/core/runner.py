@@ -12,11 +12,10 @@ the batch the unit of work:
   that crosses process and cache boundaries — the headline numbers of
   one run without the traces and client records that make
   :class:`~repro.core.experiment.ExperimentResult` heavyweight.
-* :class:`SerialRunner` runs a batch in-process;
-  :class:`ProcessPoolRunner` fans the batch out over worker processes.
-  Each run builds its own engine from the spec, so a spec's result is
-  a pure function of the spec and the two runners produce
-  bitwise-identical summaries.
+* :class:`Runner` runs a batch in-process at one job and fans it out
+  over worker processes above that. Each run builds its own engine
+  from the spec, so a spec's result is a pure function of the spec and
+  every job count produces bitwise-identical summaries.
 
 Since the campaign refactor, a runner no longer executes its batch
 directly: :meth:`Runner.run_batch` and :meth:`Runner.run_stream` feed
@@ -28,7 +27,7 @@ the user-facing handle: it owns the execution strategy (the worker
 backend it builds in :meth:`Runner.make_backend`), the result store,
 the retry policy, and the stats. The scheduler fills the stats in the
 calling process, lane counts included, so a pooled campaign reports
-exactly what a serial one does.
+exactly what an in-process one does.
 
 Fault tolerance (see :mod:`repro.core.faults`): attach a
 :class:`~repro.core.faults.RetryPolicy` and a batch survives its own
@@ -240,6 +239,8 @@ class RunnerStats:
     fastpath_fallbacks: int = 0
     batch_points: int = 0
     batch_groups: int = 0
+    # Batch calls that raised; their members then ran one by one.
+    batch_failures: int = 0
 
     def describe(self) -> str:
         """One-line cache/throughput report."""
@@ -266,6 +267,8 @@ class RunnerStats:
                 f", {self.batch_points} batched"
                 f" in {self.batch_groups} grids"
             )
+        if self.batch_failures:
+            line += f", {self.batch_failures} failed batch calls"
         return line
 
 
@@ -383,24 +386,34 @@ def _supervised_worker(conn, spec: ExperimentSpec) -> None:
 
 
 class Runner:
-    """Base class: the user-facing handle on campaign execution.
+    """The user-facing handle on campaign execution.
 
-    A runner bundles an execution strategy with the result store, the
-    retry policy, and a stats object; :meth:`run_batch` and
+    A runner bundles ``jobs`` execution slots with the result store,
+    the retry policy, and a stats object; :meth:`run_batch` and
     :meth:`run_stream` hand all of it to the campaign scheduler, which
     owns the bounded in-flight window, batch coalescing, cache lookups,
-    single-flight leases, retries, and quarantine.
+    single-flight leases, retries, and quarantine. ``window`` bounds
+    queued+in-flight units.
 
-    ``window`` bounds queued+in-flight units. Subclasses supply the
-    execution strategy by implementing :meth:`make_backend`.
+    :meth:`make_backend` builds a
+    :class:`~repro.core.campaign.backends.ProcessPoolBackend` with
+    ``jobs`` slots: at one slot every unit runs in-process, above it in
+    worker processes (the backend says how a dying or hung worker
+    degrades). Each run builds its own engine from the spec, so results
+    are bitwise-identical at every job count. Subclasses may override
+    :meth:`make_backend` to supply another execution strategy.
     """
 
     def __init__(
         self,
+        jobs: int = 1,
         store: Optional["ResultStore"] = None,
         retry: Optional[RetryPolicy] = None,
         window: Optional[int] = None,
     ):
+        if jobs < 1:
+            raise ValueError(f"need at least one worker (jobs={jobs})")
+        self.jobs = jobs
         self.store = store
         self.retry = retry
         self.window = window
@@ -448,59 +461,10 @@ class Runner:
     ) -> "WorkerBackend":
         """Build this runner's worker backend for one campaign.
 
-        ``plan_specs`` (the batch about to run, when known) lets a
-        backend size itself and pre-warm worker caches. The scheduler
+        ``plan_specs`` (the batch about to run, when known) lets the
+        pool size itself and pre-warm worker caches. The scheduler
         closes the backend when the campaign ends.
         """
-        raise NotImplementedError
-
-
-class SerialRunner(Runner):
-    """In-process, one-at-a-time execution: a one-slot pool backend.
-
-    Spec timeouts are enforced with ``SIGALRM`` (main thread, Unix);
-    elsewhere timeout enforcement degrades to none and the other retry
-    machinery still applies.
-    """
-
-    def make_backend(self, plan_specs):
-        from repro.core.campaign.backends import ProcessPoolBackend
-
-        return ProcessPoolBackend(jobs=1)
-
-
-class ProcessPoolRunner(Runner):
-    """Fan a batch out over worker processes.
-
-    Workers build their own engine per spec, so results are a pure
-    function of the spec — independent of worker count and
-    bitwise-identical to :class:`SerialRunner` output.
-
-    Two degradation paths keep a campaign alive when workers die:
-
-    * without a retry policy, a batch whose pool breaks (a worker
-      segfaulted or was OOM-killed) finishes in-process instead of
-      aborting;
-    * with a retry policy, each attempt runs in its own supervised
-      process — a hung worker is terminated at the deadline, a dead
-      one is detected by its exit code, and both are retried/
-      quarantined per the policy. If processes cannot be spawned at
-      all, execution degrades to in-process attempts.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        store: Optional["ResultStore"] = None,
-        retry: Optional[RetryPolicy] = None,
-        window: Optional[int] = None,
-    ):
-        super().__init__(store=store, retry=retry, window=window)
-        if jobs < 1:
-            raise ValueError(f"need at least one worker (jobs={jobs})")
-        self.jobs = jobs
-
-    def make_backend(self, plan_specs):
         from repro.core.campaign.backends import ProcessPoolBackend
 
         return ProcessPoolBackend(
@@ -511,13 +475,5 @@ class ProcessPoolRunner(Runner):
         )
 
 
-def make_runner(
-    jobs: int = 1,
-    store: Optional["ResultStore"] = None,
-    retry: Optional[RetryPolicy] = None,
-    window: Optional[int] = None,
-) -> Runner:
-    """The natural runner for a job count: serial for 1, pooled above."""
-    if jobs <= 1:
-        return SerialRunner(store=store, retry=retry, window=window)
-    return ProcessPoolRunner(jobs, store=store, retry=retry, window=window)
+#: Another name for :class:`Runner`, which ``perfbench/workloads.py`` imports.
+make_runner = Runner

@@ -5,13 +5,13 @@ token rate, one curve pair per bucket depth. :func:`token_rate_sweep`
 builds the full (rate × depth) cross product, streams it through a
 :class:`~repro.core.runner.Runner` (and thus through the campaign
 scheduler), and returns a :class:`SweepResult` exposing the series in
-figure-ready form. Pass a
-:class:`~repro.core.runner.ProcessPoolRunner` to spread the grid over
-worker processes, or a cache-backed runner to make repeated sweeps
-nearly free. The result is assembled incrementally from the outcome
-stream by a :class:`~repro.core.campaign.aggregate.SweepAggregator`,
-ordered by submission index — so serial and pooled runs of the same
-grid produce bit-identical results.
+figure-ready form. Pass a runner with ``jobs`` above one to spread
+the grid over worker processes, or a cache-backed runner to make
+repeated sweeps nearly free. The result is assembled incrementally
+from the outcome stream by a
+:class:`~repro.core.campaign.aggregate.SweepAggregator`, ordered by
+submission index — so in-process and pooled runs of the same grid
+produce bit-identical results.
 
 Fault tolerance: with a retry-policy-equipped runner, specs that fail
 all retries arrive as :class:`SweepFailure` entries in
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import FailureRecord
-from repro.core.runner import ResultSummary, Runner, SerialRunner, spec_fingerprint
+from repro.core.runner import ResultSummary, Runner, spec_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.campaign.aggregate import CampaignProgress
@@ -175,7 +175,7 @@ def token_rate_sweep(
     """Run ``base_spec`` at every (rate, depth) combination.
 
     The whole cross product streams through ``runner`` (a fresh
-    :class:`SerialRunner` by default) and the campaign scheduler, so
+    one-job :class:`Runner` by default) and the campaign scheduler, so
     parallel runners see all the work at once and cache-backed runners
     answer repeated points without simulating.
 
@@ -197,7 +197,7 @@ def token_rate_sweep(
         token_rates_bps, bucket_depths_bytes, forbid_duplicates=False
     )
     specs = sweep_specs(base_spec, token_rates_bps, bucket_depths_bytes)
-    active = runner or SerialRunner()
+    active = runner or Runner()
 
     from repro.core.campaign.aggregate import SweepAggregator
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.faults import FailureRecord
-from repro.core.runner import ResultSummary, Runner, SerialRunner
+from repro.core.runner import ResultSummary, Runner
 from repro.sim.fastpath import front_end_scope
 from repro.units import mbps
 from repro.video.clips import encode_clip
@@ -192,7 +192,7 @@ def recommend_provisioning(
         metric, bound = "lost_frame_fraction", target_lost_frames
     else:
         metric, bound = "quality_score", target_quality_score
-    runner = runner or SerialRunner()
+    runner = runner or Runner()
     # Probes never need traces; keeping the flag off also keeps their
     # fingerprints shared with ordinary sweeps of the same grid.
     base = dataclasses.replace(base_spec, capture_trace=False)

@@ -46,18 +46,14 @@ class AfMarker:
         self.meter = SrTcmMeter(cir_bps, cbs_bytes, ebs_bytes)
         self.colors_to_dscp = colors_to_dscp or dict(AF1_BY_COLOR)
         self.stats = PolicerStats()
-        self._on_drop = None  # parity with Policer wiring
         self._trace = None
 
-    def set_drop_listener(self, listener) -> None:
+    def add_drop_listener(self, listener, flow_id=None) -> None:
         """Accept a drop callback for API parity with ``Policer``.
 
-        The marker never drops (it only colors), so the listener is
-        simply stored and never fired. When it ever were, it would
-        receive a :class:`~repro.diffserv.policer.PolicerDrop` record,
-        matching the policer's enriched listener contract.
+        The marker never drops (it only colors), so the listener never
+        fires.
         """
-        self._on_drop = listener
 
     def set_trace_sink(self, sink) -> None:
         """Accept a per-packet trace tap (parity with ``Policer``).

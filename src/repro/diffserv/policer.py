@@ -105,10 +105,10 @@ class Policer:
         Codepoint applied to conformant packets (EF by default).
     demote_dscp:
         Codepoint for :attr:`PolicerAction.DEMOTE`.
-    on_drop:
-        Optional callback fired with a :class:`PolicerDrop` record for
-        each dropped packet, used by experiments to attribute frame
-        loss to the policer.
+
+    Drop listeners (:meth:`add_drop_listener`) receive a
+    :class:`PolicerDrop` record for each dropped packet, which is how
+    experiments attribute frame loss to the policer.
     """
 
     def __init__(
@@ -119,7 +119,6 @@ class Policer:
         action: PolicerAction = PolicerAction.DROP,
         conform_dscp: DSCP = DSCP.EF,
         demote_dscp: DSCP = DSCP.AF12,
-        on_drop: Optional[Callable[[PolicerDrop], None]] = None,
     ):
         self.engine = engine
         self.bucket = TokenBucket(rate_bps, depth_bytes)
@@ -127,36 +126,25 @@ class Policer:
         self.conform_dscp = conform_dscp
         self.demote_dscp = demote_dscp
         self.stats = PolicerStats()
-        self._on_drop = on_drop
         self._drop_listeners: list[
             tuple[Optional[str], Callable[[PolicerDrop], None]]
         ] = []
         self._trace: Optional[Callable[[PacketTraceEvent], None]] = None
-
-    def set_drop_listener(
-        self, listener: Optional[Callable[[PolicerDrop], None]]
-    ) -> None:
-        """Install (or clear, with None) the drop callback after the fact.
-
-        Experiments wire the client's loss-attribution hook here once
-        the testbed and client both exist; constructing the policer
-        with ``on_drop`` is equivalent.
-        """
-        self._on_drop = listener
 
     def add_drop_listener(
         self,
         listener: Callable[[PolicerDrop], None],
         flow_id: Optional[str] = None,
     ) -> None:
-        """Register an additional drop callback, optionally flow-filtered.
+        """Register a drop callback, optionally flow-filtered.
 
-        Unlike :meth:`set_drop_listener` (a single slot, kept for the
-        single-flow experiments), added listeners accumulate: a shared
+        Listeners accumulate and fire in registration order: a shared
         aggregate policer carries one per flow. With ``flow_id`` set,
         the listener fires only for drops whose packet belongs to that
         flow — how each flow's client attributes its own losses on a
-        bucket it shares with N-1 neighbours.
+        bucket it shares with N-1 neighbours. Experiments wire the
+        client's loss-attribution hook here once the testbed and client
+        both exist.
         """
         self._drop_listeners.append((flow_id, listener))
 
@@ -198,11 +186,7 @@ class Policer:
                     self._trace_event(packet, now, dscp_in, "conform", fill)
                 )
             return packet
-        if fill is None and (
-            self._on_drop is not None
-            or self._drop_listeners
-            or self._trace is not None
-        ):
+        if fill is None and (self._drop_listeners or self._trace is not None):
             # try_consume already refilled at ``now``; this only reads.
             fill = self.bucket.tokens_at(now)
         if self.action is PolicerAction.DROP:
@@ -214,7 +198,7 @@ class Policer:
                 self._trace(
                     self._trace_event(packet, now, dscp_in, "drop", fill)
                 )
-            if self._on_drop is not None or self._drop_listeners:
+            if self._drop_listeners:
                 drop = PolicerDrop(
                     packet=packet,
                     time=now,
@@ -223,8 +207,6 @@ class Policer:
                     token_deficit=packet.size - fill,
                     bucket_fill=fill,
                 )
-                if self._on_drop is not None:
-                    self._on_drop(drop)
                 for want_flow, listener in self._drop_listeners:
                     if want_flow is None or want_flow == packet.flow_id:
                         listener(drop)

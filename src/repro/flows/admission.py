@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.faults import FailureRecord
-from repro.core.runner import Runner, SerialRunner
+from repro.core.runner import Runner
 from repro.flows.aggregate import AggregateSpec, AggregateSummary
 from repro.flows.measure import DEFAULT_WINDOW_S, measure_aggregate
 from repro.sim.fastpath import front_end_scope
@@ -203,7 +203,7 @@ class AdmissionController:
 
     def __init__(self, policy, runner: Optional[Runner] = None):
         self.policy = policy
-        self.runner = runner or SerialRunner()
+        self.runner = runner or Runner()
         self.active: dict = {}  # label -> flow spec, insertion-ordered
 
     def replay(self, events: Sequence[SessionEvent]) -> list:
@@ -320,7 +320,7 @@ def admission_frontier(
     """
     if max_flows < 1:
         raise ValueError("max_flows must be at least 1")
-    runner = runner or SerialRunner()
+    runner = runner or Runner()
     budget = float(budget_bps) if budget_bps is not None else float(
         token_rate_bps
     )

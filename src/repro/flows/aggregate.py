@@ -514,7 +514,7 @@ def run_engine_aggregate(agg: AggregateSpec) -> AggregateSummary:
             )
             edge.add_ingress_stage(policer)
             edge.set_default_route(border)
-            policer.set_drop_listener(clients[i].note_policer_drop)
+            policer.add_drop_listener(clients[i].note_policer_drop)
             per_flow_stats[flow_ids[i]] = policer.stats
             first_hop = edge
         else:

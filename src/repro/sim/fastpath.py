@@ -619,7 +619,12 @@ def shaper_releases(
 
 
 def qbone_config(spec) -> QBoneTestbedConfig:
-    """The QBone testbed configuration a qualifying spec runs on."""
+    """The QBone testbed configuration ``spec`` runs on, in every lane.
+
+    The engine builds its QBone testbed from it too, so the lanes read
+    one mapping. A spec qualifying for a fast lane has no cross
+    traffic, so its config keeps the default rate of 0.
+    """
     return QBoneTestbedConfig(
         token_rate_bps=spec.token_rate_bps,
         bucket_depth_bytes=spec.bucket_depth_bytes,
@@ -628,6 +633,7 @@ def qbone_config(spec) -> QBoneTestbedConfig:
             if spec.policer_action == "drop"
             else PolicerAction.REMARK_BE
         ),
+        cross_traffic_rate_bps=spec.cross_traffic_bps,
         use_shaper=spec.use_shaper,
         shaper_rate_bps=spec.shaper_rate_bps,
     )

@@ -21,14 +21,7 @@ from repro.core.campaign import (
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import FailureRecord, RetryPolicy
 from repro.core.resultstore import ResultStore
-from repro.core.runner import (
-    ProcessPoolRunner,
-    ResultSummary,
-    Runner,
-    SerialRunner,
-    make_runner,
-    spec_fingerprint,
-)
+from repro.core.runner import ResultSummary, Runner, spec_fingerprint
 from repro.core.sweep import token_rate_sweep
 from repro.units import mbps
 
@@ -192,14 +185,14 @@ class StubBackend(WorkerBackend):
 
 class TestBackendSelection:
     def test_serial_runner_maps_to_one_slot_pool_backend(self):
-        runner = SerialRunner()
+        runner = Runner()
         backend = runner.make_backend(None)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.slots == 1
         assert backend._in_process_mode()
 
     def test_pool_runner_maps_to_pool_backend(self):
-        runner = ProcessPoolRunner(jobs=3, retry=RetryPolicy())
+        runner = Runner(jobs=3, retry=RetryPolicy())
         backend = runner.make_backend(None)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.slots == 3
@@ -228,9 +221,9 @@ class TestDeterminism:
         )
 
     def test_serial_pooled_identical(self):
-        serial = self.sweep_with(SerialRunner())
-        pooled = self.sweep_with(ProcessPoolRunner(jobs=2))
-        narrow = self.sweep_with(ProcessPoolRunner(jobs=2, window=2))
+        serial = self.sweep_with(Runner())
+        pooled = self.sweep_with(Runner(jobs=2))
+        narrow = self.sweep_with(Runner(jobs=2, window=2))
         assert serial == pooled == narrow
         assert serial.points  # not vacuous
 
@@ -247,7 +240,7 @@ class TestBatchGrouping:
 
     def test_sixteen_point_serial_sweep_runs_as_two_grids(self, monkeypatch):
         monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        runner = make_runner(jobs=1)
+        runner = Runner(jobs=1)
         sweep = token_rate_sweep(
             fast_spec(), self.RATES, (3000.0, 4500.0), runner=runner
         )
@@ -255,6 +248,7 @@ class TestBatchGrouping:
         # The default window (8 units for one slot) bounds each grid.
         assert runner.stats.batch_groups == 2
         assert runner.stats.batch_points == 16
+        assert runner.stats.batch_failures == 0
 
 
 class GridBackend(WorkerBackend):
@@ -366,6 +360,7 @@ class TestGroupResolution:
         stats = scheduler.stats
         assert stats.single_flight_waits == 1
         assert (stats.batch_groups, stats.batch_points) == (1, 2)
+        assert stats.batch_failures == 0
         assert stats.fastpath_hits == (0 if published else 1)
         assert list((tmp_path / "cache").glob("*.lock")) == []
 
@@ -385,6 +380,7 @@ class TestGroupResolution:
         stats = scheduler.stats
         assert stats.fastpath_hits == 3
         assert (stats.batch_groups, stats.batch_points) == (0, 0)
+        assert stats.batch_failures == 1
         assert list((tmp_path / "cache").glob("*.lock")) == []
 
     def test_lone_cold_member_of_a_warm_grid_runs_as_a_batch(self, tmp_path):
@@ -401,6 +397,7 @@ class TestGroupResolution:
         stats = scheduler.stats
         assert stats.cache_hits == 2
         assert (stats.batch_groups, stats.batch_points) == (1, 1)
+        assert stats.batch_failures == 0
         assert stats.fastpath_hits == 0
 
 
@@ -436,5 +433,5 @@ class TestAggregator:
 
 class TestRunnerParityKnobs:
     def test_make_runner_threads_scheduler_knobs(self):
-        runner = make_runner(jobs=2, window=9)
+        runner = Runner(jobs=2, window=9)
         assert runner.window == 9

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.experiment import ExperimentSpec
 from repro.core.resultstore import LEASE_STALE_S, Lease, ResultStore
-from repro.core.runner import SerialRunner, spec_fingerprint
+from repro.core.runner import Runner, spec_fingerprint
 from repro.units import mbps
 
 
@@ -40,7 +40,7 @@ def store_one(store: ResultStore):
     """Simulate one fast spec into the store; returns (fp, summary)."""
     spec = fast_spec()
     fingerprint = spec_fingerprint(spec)
-    runner = SerialRunner(store=store)
+    runner = Runner(store=store)
     [summary] = runner.run_batch([spec])
     return fingerprint, summary
 
@@ -234,7 +234,7 @@ class TestLockFilesUnavailable:
     ):
         store = ResultStore(tmp_path)
         specs = [fast_spec(token_rate_bps=mbps(r)) for r in rates]
-        runner = SerialRunner(store=store)
+        runner = Runner(store=store)
         summaries = runner.run_batch(specs)
         assert runner.stats.simulated == len(specs)
         for spec, summary in zip(specs, summaries):
@@ -248,7 +248,7 @@ WORKER_SCRIPT = textwrap.dedent(
 
     from repro.core.experiment import ExperimentSpec
     from repro.core.resultstore import ResultStore
-    from repro.core.runner import SerialRunner
+    from repro.core.runner import Runner
     from repro.core.sweep import sweep_specs
     from repro.units import mbps
 
@@ -258,7 +258,7 @@ WORKER_SCRIPT = textwrap.dedent(
     )
     rates = [mbps(1.6), mbps(1.8), mbps(2.0)]
     specs = sweep_specs(base, rates, (3000.0, 4500.0))
-    runner = SerialRunner(store=ResultStore(cache_dir))
+    runner = Runner(store=ResultStore(cache_dir))
     rows = []
 
     def emit(unit, outcome, source):

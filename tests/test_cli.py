@@ -154,10 +154,6 @@ class TestSweepCommand:
         assert "cache [" in capsys.readouterr().out
         assert len(list((tmp_path / "c").glob("*.json"))) == 2
 
-    def test_bad_jobs_exits_2(self, capsys):
-        assert main(sweep_args("--jobs", "0")) == 2
-        assert "--jobs" in capsys.readouterr().err
-
 
 def chaos_plan_for(tmp_path, rate_mbps, rule):
     """A plan targeting the sweep_args() grid point at ``rate_mbps``."""
@@ -353,10 +349,6 @@ class TestRecommendCommand:
         assert first == second
         assert len(list((tmp_path / "c").glob("*.json"))) > 0
 
-    def test_bad_jobs_exits_2(self, capsys):
-        assert main(RECOMMEND_ARGS + ["--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
     def test_inverted_rate_window_exits_2(self, capsys):
         args = RECOMMEND_ARGS + ["--rate-min", "3.0", "--rate-max", "2.0"]
         assert main(args) == 2
@@ -490,7 +482,7 @@ class TestCampaignCliFeatures:
         assert "pts/s" in captured.err
 
     def test_recommend_warm_second_run_is_all_cache(self, tmp_path, capsys):
-        args = RECOMMEND_ARGS + ["--warm", "--cache-dir", str(tmp_path / "c")]
+        args = RECOMMEND_ARGS + ["--cache", "--cache-dir", str(tmp_path / "c")]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "paper finding" in first
@@ -523,6 +515,31 @@ class TestCampaignCliFeatures:
         assert response["source"] == "fresh"
         assert "served 1 requests" in captured.err
 
-    def test_serve_bad_jobs_exits_2(self, capsys):
-        assert main(["serve", "--jobs", "0"]) == 2
+
+#: One invocation per subcommand that runs campaigns through a runner.
+CAMPAIGN_ARGS = {
+    "sweep": sweep_args(),
+    "recommend": RECOMMEND_ARGS,
+    "admit": ADMIT_ARGS,
+    "serve": ["serve"],
+}
+
+
+class TestSharedCampaignOptions:
+    """The options sweep, recommend, admit and serve share."""
+
+    @pytest.mark.parametrize("command", sorted(CAMPAIGN_ARGS))
+    def test_bad_jobs_exits_2(self, command, capsys):
+        assert main(CAMPAIGN_ARGS[command] + ["--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "recommend", "admit"])
+    def test_cache_dir_alone_prints_cache_line(self, command, tmp_path, capsys):
+        cache = tmp_path / "c"
+        assert main(CAMPAIGN_ARGS[command] + ["--cache-dir", str(cache)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith(f"cache [{cache}]: ") for line in lines)
+
+    def test_recommend_warm_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(RECOMMEND_ARGS + ["--warm"])

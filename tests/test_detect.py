@@ -336,7 +336,8 @@ def make_packet(engine, size=1500, frame_id=None):
 class TestPolicerDropRecords:
     def test_drop_record_carries_bucket_state(self, engine):
         drops = []
-        policer = Policer(engine, mbps(1), 3000, on_drop=drops.append)
+        policer = Policer(engine, mbps(1), 3000)
+        policer.add_drop_listener(drops.append)
         for _ in range(3):
             policer(make_packet(engine))
         assert len(drops) == 1
@@ -350,7 +351,8 @@ class TestPolicerDropRecords:
 
     def test_oversize_reason(self, engine):
         drops = []
-        policer = Policer(engine, mbps(1), 3000, on_drop=drops.append)
+        policer = Policer(engine, mbps(1), 3000)
+        policer.add_drop_listener(drops.append)
         policer(make_packet(engine, size=4000))
         assert drops[0].reason == DROP_REASON_OVERSIZE
         assert drops[0].bucket_fill == pytest.approx(3000.0)
@@ -359,9 +361,9 @@ class TestPolicerDropRecords:
     def test_remark_emits_no_drop_records(self, engine):
         drops = []
         policer = Policer(
-            engine, mbps(1), 3000,
-            action=PolicerAction.REMARK_BE, on_drop=drops.append,
+            engine, mbps(1), 3000, action=PolicerAction.REMARK_BE
         )
+        policer.add_drop_listener(drops.append)
         for _ in range(4):
             policer(make_packet(engine))
         assert drops == []

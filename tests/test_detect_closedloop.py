@@ -12,7 +12,7 @@ so they run under the ``detect`` marker: ``make test-detect``.
 import pytest
 
 from repro.core.experiment import ExperimentSpec, run_experiment
-from repro.core.runner import SerialRunner, make_runner
+from repro.core.runner import Runner
 from repro.detect import detect_policing, recommend_provisioning
 from repro.detect.detector import CODE_NO_LOSS, CODE_POLICED
 from repro.units import mbps
@@ -104,14 +104,14 @@ class TestRunnerTraceTransport:
     SPECS = [grid_spec(1.4, 3000.0), grid_spec(1.5, 4500.0)]
 
     def test_serial_runner_carries_trace(self):
-        summaries = SerialRunner().run_batch(self.SPECS)
+        summaries = Runner().run_batch(self.SPECS)
         for summary in summaries:
             assert summary.flow_trace is not None
             assert detect_policing(summary.flow_trace).policed
 
     def test_pooled_runner_matches_serial(self):
-        serial = SerialRunner().run_batch(self.SPECS)
-        pooled = make_runner(jobs=2).run_batch(self.SPECS)
+        serial = Runner().run_batch(self.SPECS)
+        pooled = Runner(jobs=2).run_batch(self.SPECS)
         assert serial == pooled  # includes the flow_trace payloads
 
 

@@ -57,7 +57,8 @@ class TestPolicerDrop:
 
     def test_on_drop_callback(self, engine):
         dropped = []
-        policer = Policer(engine, mbps(1), 3000, on_drop=dropped.append)
+        policer = Policer(engine, mbps(1), 3000)
+        policer.add_drop_listener(dropped.append)
         for _ in range(3):
             policer(make_packet(engine))
         assert len(dropped) == 1
@@ -69,11 +70,11 @@ class TestPolicerDrop:
     def test_set_drop_listener_after_construction(self, engine):
         dropped = []
         policer = Policer(engine, mbps(1), 3000)
-        policer.set_drop_listener(dropped.append)
+        policer.add_drop_listener(dropped.append)
         for _ in range(3):
             policer(make_packet(engine))
         assert len(dropped) == 1
-        policer.set_drop_listener(None)
+        policer.clear_drop_listeners()
         policer(make_packet(engine))
         assert len(dropped) == 1  # cleared listener no longer fires
 

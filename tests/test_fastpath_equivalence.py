@@ -305,7 +305,7 @@ class TestCacheInterchangeability:
 
     def test_engine_cache_serves_fastpath_and_back(self, tmp_path, monkeypatch):
         from repro.core.resultstore import ResultStore
-        from repro.core.runner import SerialRunner
+        from repro.core.runner import Runner
 
         specs = [
             _spec(clip="test-300", rate=2.0),
@@ -315,13 +315,13 @@ class TestCacheInterchangeability:
 
         # Engine populates the cache...
         monkeypatch.setenv(fastlane.FASTPATH_ENV, "0")
-        first = SerialRunner(store=store)
+        first = Runner(store=store)
         engine_side = first.run_batch(specs)
         assert first.stats.simulated == 2
 
         # ...and the fast path reads those exact entries back.
         monkeypatch.setenv(fastlane.FASTPATH_ENV, "1")
-        second = SerialRunner(store=store)
+        second = Runner(store=store)
         cached = second.run_batch(specs)
         assert second.stats.cache_hits == 2
         assert second.stats.simulated == 0
@@ -331,11 +331,11 @@ class TestCacheInterchangeability:
         # A fast-path run into an empty store writes entries the
         # engine then hits: same fingerprints, same summaries.
         other = ResultStore(tmp_path / "reverse")
-        third = SerialRunner(store=other)
+        third = Runner(store=other)
         fast_side = third.run_batch(specs)
         assert third.stats.simulated == 2
         monkeypatch.setenv(fastlane.FASTPATH_ENV, "0")
-        fourth = SerialRunner(store=other)
+        fourth = Runner(store=other)
         replayed = fourth.run_batch(specs)
         assert fourth.stats.cache_hits == 2
         for a, b in zip(fast_side, replayed):
@@ -404,21 +404,21 @@ class TestBatchEquivalence:
         self, tmp_path, monkeypatch
     ):
         from repro.core.resultstore import ResultStore
-        from repro.core.runner import CACHE_SCHEMA_VERSION, SerialRunner
+        from repro.core.runner import CACHE_SCHEMA_VERSION, Runner
 
         # Batch-produced entries must be read back by serial/engine
         # runs: same fingerprints, same schema, same summaries.
         assert CACHE_SCHEMA_VERSION == 3
 
         grid = _batch_grid()
-        first = SerialRunner(store=ResultStore(tmp_path), window=len(grid))
+        first = Runner(store=ResultStore(tmp_path), window=len(grid))
         batch_side = first.run_batch(grid)
         assert first.stats.simulated == len(grid)
         assert first.stats.batch_points == len(grid)
         assert first.stats.batch_groups >= 1
 
         monkeypatch.setenv(fastlane.FASTPATH_ENV, "0")
-        second = SerialRunner(store=ResultStore(tmp_path))
+        second = Runner(store=ResultStore(tmp_path))
         replayed = second.run_batch(grid)
         assert second.stats.cache_hits == len(grid)
         assert second.stats.simulated == 0
@@ -450,16 +450,16 @@ class TestBatchEquivalence:
             _assert_identical(_summary(spec, "1", monkeypatch), wide_side)
 
     def test_mode_zero_disables_coalescing(self, monkeypatch):
-        from repro.core.runner import make_runner
+        from repro.core.runner import Runner
 
         # REPRO_FASTPATH=0 is the control arm: no grid reaches the
         # batch lane and no point takes the scalar fast path.
         grid = _batch_grid(clip="test-150")[:4]
-        auto_runner = make_runner(jobs=1)
+        auto_runner = Runner(jobs=1)
         auto = auto_runner.run_batch(grid)
         assert auto_runner.stats.batch_points == len(grid)
         monkeypatch.setenv(fastlane.FASTPATH_ENV, "0")
-        runner = make_runner(jobs=1)
+        runner = Runner(jobs=1)
         engine_side = runner.run_batch(grid)
         assert runner.stats.batch_points == 0
         assert runner.stats.fastpath_hits == 0

@@ -23,12 +23,7 @@ from repro.core.faults import (
     deadline,
 )
 from repro.core.resultstore import ResultStore
-from repro.core.runner import (
-    ProcessPoolRunner,
-    SerialRunner,
-    spec_fingerprint,
-    validate_summary,
-)
+from repro.core.runner import Runner, spec_fingerprint, validate_summary
 from repro.core.sweep import sweep_specs, token_rate_sweep
 from repro.units import mbps
 
@@ -168,12 +163,12 @@ class TestChaosPlan:
 class TestSerialFaultTolerance:
     def test_exception_retried_to_success(self, tmp_path):
         spec = fast_spec()
-        clean = SerialRunner().run_batch([spec])
+        clean = Runner().run_batch([spec])
         plan = chaos.ChaosPlan(tmp_path).add(
             spec_fingerprint(spec), chaos.ChaosRule("raise", times=1)
         )
         with plan.installed():
-            runner = SerialRunner(retry=quick_policy(max_retries=2))
+            runner = Runner(retry=quick_policy(max_retries=2))
             [summary] = runner.run_batch([spec])
         assert summary == clean[0]
         assert runner.stats.retries == 1
@@ -181,12 +176,12 @@ class TestSerialFaultTolerance:
 
     def test_crash_retried_to_success(self, tmp_path):
         spec = fast_spec()
-        clean = SerialRunner().run_batch([spec])
+        clean = Runner().run_batch([spec])
         plan = chaos.ChaosPlan(tmp_path).add(
             spec_fingerprint(spec), chaos.ChaosRule("crash", times=1)
         )
         with plan.installed():
-            runner = SerialRunner(retry=quick_policy())
+            runner = Runner(retry=quick_policy())
             [summary] = runner.run_batch([spec])
         assert summary == clean[0]
 
@@ -197,7 +192,7 @@ class TestSerialFaultTolerance:
         )
         started = time.monotonic()
         with plan.installed():
-            runner = SerialRunner(retry=quick_policy(spec_timeout_s=0.3))
+            runner = Runner(retry=quick_policy(spec_timeout_s=0.3))
             [outcome] = runner.run_batch([spec])
         assert time.monotonic() - started < 10.0
         assert isinstance(outcome, FailureRecord)
@@ -209,13 +204,13 @@ class TestSerialFaultTolerance:
         """A retry policy runs a batchable grid unit by unit, so each
         member keeps its own deadline."""
         hanger, healthy = fast_spec(token_rate_bps=mbps(2.0)), fast_spec()
-        clean = SerialRunner().run_batch([healthy])
+        clean = Runner().run_batch([healthy])
         plan = chaos.ChaosPlan(tmp_path).add(
             spec_fingerprint(hanger), chaos.ChaosRule("hang", hang_s=3.0)
         )
         started = time.monotonic()
         with plan.installed():
-            runner = SerialRunner(
+            runner = Runner(
                 retry=RetryPolicy(max_retries=0, spec_timeout_s=0.5)
             )
             outcomes = runner.run_batch([hanger, healthy])
@@ -230,7 +225,7 @@ class TestSerialFaultTolerance:
             spec_fingerprint(spec), chaos.ChaosRule("garbage")
         )
         with plan.installed():
-            runner = SerialRunner(retry=quick_policy())
+            runner = Runner(retry=quick_policy())
             [outcome] = runner.run_batch([spec])
         assert isinstance(outcome, FailureRecord)
         assert outcome.kind == "poison"
@@ -239,12 +234,12 @@ class TestSerialFaultTolerance:
     def test_quarantine_does_not_abort_batch(self, tmp_path):
         """The failing spec is the only slot that degrades."""
         bad, good = fast_spec(token_rate_bps=mbps(2.0)), fast_spec()
-        clean = SerialRunner().run_batch([good])
+        clean = Runner().run_batch([good])
         plan = chaos.ChaosPlan(tmp_path).add(
             spec_fingerprint(bad), chaos.ChaosRule("raise")
         )
         with plan.installed():
-            runner = SerialRunner(retry=quick_policy(max_retries=0))
+            runner = Runner(retry=quick_policy(max_retries=0))
             outcomes = runner.run_batch([bad, good])
         assert isinstance(outcomes[0], FailureRecord)
         assert outcomes[1] == clean[0]
@@ -256,7 +251,7 @@ class TestSerialFaultTolerance:
             spec_fingerprint(spec), chaos.ChaosRule("raise")
         )
         with plan.installed():
-            runner = SerialRunner(store=store, retry=quick_policy(max_retries=0))
+            runner = Runner(store=store, retry=quick_policy(max_retries=0))
             [outcome] = runner.run_batch([spec])
         assert isinstance(outcome, FailureRecord)
         assert len(store) == 0
@@ -269,7 +264,7 @@ class TestSerialFaultTolerance:
         )
         with plan.installed():
             with pytest.raises(chaos.ChaosError):
-                SerialRunner().run_batch([spec])
+                Runner().run_batch([spec])
 
     def test_stats_describe_mentions_fault_counts(self, tmp_path):
         spec = fast_spec()
@@ -277,7 +272,7 @@ class TestSerialFaultTolerance:
             spec_fingerprint(spec), chaos.ChaosRule("raise")
         )
         with plan.installed():
-            runner = SerialRunner(retry=quick_policy())
+            runner = Runner(retry=quick_policy())
             runner.run_batch([spec])
         line = runner.stats.describe()
         assert "1 retries" in line
@@ -293,13 +288,13 @@ class TestPoolFaultTolerance:
         hanger = fast_spec(token_rate_bps=mbps(2.2))
         healthy = fast_spec(token_rate_bps=mbps(1.8))
         specs = [crasher, hanger, healthy]
-        clean = SerialRunner().run_batch([crasher, healthy])
+        clean = Runner().run_batch([crasher, healthy])
 
         plan = chaos.ChaosPlan(tmp_path)
         plan.add(spec_fingerprint(crasher), chaos.ChaosRule("crash", times=1))
         plan.add(spec_fingerprint(hanger), chaos.ChaosRule("hang", hang_s=60.0))
         with plan.installed():
-            runner = ProcessPoolRunner(
+            runner = Runner(
                 jobs=2, retry=quick_policy(spec_timeout_s=2.0)
             )
             outcomes = runner.run_batch(specs)
@@ -315,7 +310,7 @@ class TestPoolFaultTolerance:
             spec_fingerprint(spec), chaos.ChaosRule("raise")
         )
         with plan.installed():
-            runner = ProcessPoolRunner(jobs=2, retry=quick_policy(max_retries=0))
+            runner = Runner(jobs=2, retry=quick_policy(max_retries=0))
             [outcome] = runner.run_batch([spec, fast_spec(seed=4)])[:1]
         assert isinstance(outcome, FailureRecord)
         assert outcome.kind == "exception"
@@ -324,12 +319,12 @@ class TestPoolFaultTolerance:
     def test_broken_pool_falls_back_to_serial(self, tmp_path):
         """A worker dying mid-map degrades the batch, not the campaign."""
         specs = [fast_spec(token_rate_bps=mbps(r)) for r in (2.0, 2.2)]
-        clean = SerialRunner().run_batch(specs)
+        clean = Runner().run_batch(specs)
         plan = chaos.ChaosPlan(tmp_path).add(
             spec_fingerprint(specs[0]), chaos.ChaosRule("crash", times=1)
         )
         with plan.installed():
-            runner = ProcessPoolRunner(jobs=2)  # no retry policy: plain path
+            runner = Runner(jobs=2)  # no retry policy: plain path
             outcomes = runner.run_batch(specs)
         assert outcomes == clean
         assert runner.stats.fallbacks == 1
@@ -342,7 +337,7 @@ class TestPoolFaultTolerance:
         )
         started = time.monotonic()
         with plan.installed():
-            runner = ProcessPoolRunner(
+            runner = Runner(
                 jobs=2, retry=RetryPolicy(max_retries=0, spec_timeout_s=0.5)
             )
             [outcome] = runner.run_batch([spec])
@@ -362,13 +357,13 @@ class TestPoolFaultTolerance:
         monkeypatch.setattr(backends.multiprocessing, "get_context", NoProcesses)
         hanger = fast_spec(token_rate_bps=mbps(2.0))
         healthy = fast_spec()
-        clean = SerialRunner().run_batch([healthy])
+        clean = Runner().run_batch([healthy])
         plan = chaos.ChaosPlan(tmp_path).add(
             spec_fingerprint(hanger), chaos.ChaosRule("hang", hang_s=3.0)
         )
         started = time.monotonic()
         with plan.installed():
-            runner = ProcessPoolRunner(
+            runner = Runner(
                 jobs=2, retry=RetryPolicy(max_retries=0, spec_timeout_s=0.5)
             )
             outcomes = runner.run_batch([hanger, healthy])
@@ -402,7 +397,7 @@ class TestChaosAcceptance:
         plan.add(fingerprints[0], chaos.ChaosRule("crash", times=1))
         plan.add(fingerprints[1], chaos.ChaosRule("hang", hang_s=30.0))
         with plan.installed():
-            runner = SerialRunner(
+            runner = Runner(
                 retry=quick_policy(max_retries=2, spec_timeout_s=0.5)
             )
             sweep = token_rate_sweep(
@@ -423,7 +418,7 @@ class TestChaosAcceptance:
             assert point.result == clean_by_rate[point.token_rate_bps]
 
         # Resume with the chaos gone: only the quarantined spec re-runs.
-        resumed_runner = SerialRunner()
+        resumed_runner = Runner()
         resumed = token_rate_sweep(
             base,
             rates,
@@ -440,7 +435,7 @@ class TestChaosAcceptance:
         ]
 
         # A second resume is pure journal replay: zero work.
-        idle_runner = SerialRunner()
+        idle_runner = Runner()
         replay = token_rate_sweep(
             base,
             rates,

@@ -22,12 +22,7 @@ import pytest
 
 from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec, run_experiment
-from repro.core.runner import (
-    ResultSummary,
-    SerialRunner,
-    make_runner,
-    spec_fingerprint,
-)
+from repro.core.runner import ResultSummary, Runner, spec_fingerprint
 from repro.core.resultstore import ResultStore
 from repro.diffserv.policer import Policer, PolicerAction
 from repro.flows import (
@@ -150,7 +145,7 @@ class TestAggregateSpec:
             AggregateSpec(flows=(_flow(),), **{field: value})
 
     def test_admission_frontier_rejects_bad_rate_before_running(self):
-        class Refuse(SerialRunner):
+        class Refuse(Runner):
             def run_batch(self, specs):
                 raise AssertionError("a bad profile reached the runner")
 
@@ -512,7 +507,7 @@ class TestSummaryExport:
 
     def test_cache_round_trip_preserves_type(self, tmp_path):
         store = ResultStore(tmp_path)
-        runner = SerialRunner(store=store)
+        runner = Runner(store=store)
         agg = IDENTITY_CORPUS[0]
         first = runner.run_batch([agg])[0]
         again = runner.run_batch([agg])[0]
@@ -522,8 +517,8 @@ class TestSummaryExport:
 
     def test_serial_pool_determinism(self, tmp_path):
         batch = [IDENTITY_CORPUS[0], IDENTITY_CORPUS[2]]
-        serial = SerialRunner().run_batch(batch)
-        pooled = make_runner(jobs=2).run_batch(batch)
+        serial = Runner().run_batch(batch)
+        pooled = Runner(jobs=2).run_batch(batch)
         for a, b in zip(serial, pooled):
             _assert_aggregate_identical(a, b)
 
@@ -578,7 +573,7 @@ class TestAdmission:
             max_flows=2,
             token_rate_bps=mbps(3.5),
             bucket_depth_bytes=3000.0,
-            runner=SerialRunner(store=ResultStore(tmp_path)),
+            runner=Runner(store=ResultStore(tmp_path)),
         )
         assert frontier.qoe_admitted == 1
         assert frontier.bandwidth_admitted == 2
@@ -595,7 +590,7 @@ class TestAdmission:
             max_flows=1,
             token_rate_bps=mbps(3.5),
             bucket_depth_bytes=3000.0,
-            runner=SerialRunner(store=ResultStore(tmp_path)),
+            runner=Runner(store=ResultStore(tmp_path)),
         )
         payload = json.loads(json.dumps(frontier.to_dict()))
         assert payload["qoe_admitted"] == 1

@@ -30,12 +30,7 @@ import pytest
 from repro.client.renderer import DisplayTrace
 from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec, run_experiment
-from repro.core.runner import (
-    ProcessPoolRunner,
-    ResultSummary,
-    SerialRunner,
-    make_runner,
-)
+from repro.core.runner import ResultSummary, Runner
 from repro.core.sweep import token_rate_sweep
 from repro.detect.recommend import recommend_provisioning
 from repro.flows import AggregateSpec, admission_frontier, multipath, run_aggregate
@@ -82,7 +77,7 @@ def calls(monkeypatch):
     return calls
 
 
-class RecordingRunner(SerialRunner):
+class RecordingRunner(Runner):
     """A serial runner that keeps every call's specs and outcomes."""
 
     def __init__(self):
@@ -124,7 +119,7 @@ class TestOneFrontEndPerRequest:
         assert calls.counts == ONCE
 
     def test_sweep_windows_share_it(self, calls):
-        runner = make_runner(jobs=1)
+        runner = Runner(jobs=1)
         rates = [mbps(r) for r in (1.5, 1.6, 1.7, 1.8, 1.9, 2.0, 2.1, 2.2)]
         sweep = token_rate_sweep(BASE, rates, (3000.0, 4500.0), runner=runner)
         assert len(sweep.points) == 16
@@ -134,7 +129,7 @@ class TestOneFrontEndPerRequest:
     def test_frontier_aggregates_share_one_schedule(self, calls):
         base = ExperimentSpec(clip="test-150", encoding_rate_bps=mbps(1.7))
         frontier = admission_frontier(
-            base, 3, mbps(4.0), 9000.0, runner=make_runner(jobs=1), seed=4
+            base, 3, mbps(4.0), 9000.0, runner=Runner(jobs=1), seed=4
         )
         assert len(frontier.points) == 3
         assert calls.counts == {"compute_schedule": 1}
@@ -145,9 +140,9 @@ class TestOneFrontEndPerRequest:
         assert calls.counts == {"compute_schedule": 1}
 
     def test_the_next_request_computes_again(self, calls):
-        recommend_provisioning(BASE, runner=SerialRunner())
+        recommend_provisioning(BASE, runner=Runner())
         first = dict(calls.counts)
-        recommend_provisioning(BASE, runner=SerialRunner())
+        recommend_provisioning(BASE, runner=Runner())
         assert calls.counts == {name: 2 * n for name, n in first.items()}
         # Outside a request nothing is shared: each solo run computes.
         spec = BASE.with_token_bucket(mbps(2.0), 4500.0)
@@ -226,7 +221,7 @@ class TestOneStreamRecordPerRequest:
         self, stream_calls
     ):
         sweep = token_rate_sweep(
-            LOST, LOST_RATES, (3000.0, 4500.0), runner=make_runner(jobs=1)
+            LOST, LOST_RATES, (3000.0, 4500.0), runner=Runner(jobs=1)
         )
         assert len(sweep.points) == 16
         wanted = []
@@ -270,7 +265,7 @@ class TestOneStreamRecordPerRequest:
         # Past REPLAY_MAX_DROP_SHARE a replay costs more than a plain
         # pass, so that outcome runs backbone.
         rates = [mbps(r) for r in (0.8, 1.6, 2.4)]
-        sweep = token_rate_sweep(BASE, rates, (4500.0,), runner=make_runner(jobs=1))
+        sweep = token_rate_sweep(BASE, rates, (4500.0,), runner=Runner(jobs=1))
         [stream] = set(stream_calls.streams)
         drops = [p.result.dropped_packets for p in sweep.points]
         n = len(stream.size_list)
@@ -288,7 +283,7 @@ class TestOneStreamRecordPerRequest:
     def test_the_next_request_builds_again(self, stream_calls):
         rates = [mbps(r) for r in (1.8, 2.4)]
         for _ in range(2):
-            token_rate_sweep(BASE, rates, (4500.0,), runner=make_runner(jobs=1))
+            token_rate_sweep(BASE, rates, (4500.0,), runner=Runner(jobs=1))
         assert stream_calls.runs == 2
         assert len(set(map(id, stream_calls.streams))) == 2
 
@@ -305,7 +300,7 @@ class TestOutputsUnchanged:
     def test_sweep_points_equal_solo_runs(self):
         rates = [mbps(r) for r in (1.5, 1.6, 1.7, 1.8, 1.9, 2.0, 2.1, 2.2)]
         sweep = token_rate_sweep(
-            BASE, rates, (3000.0, 4500.0), runner=make_runner(jobs=1)
+            BASE, rates, (3000.0, 4500.0), runner=Runner(jobs=1)
         )
         for point in sweep.points:
             spec = BASE.with_token_bucket(
@@ -314,13 +309,13 @@ class TestOutputsUnchanged:
             assert point.result == ResultSummary.from_result(run_experiment(spec))
 
     def test_table_equals_the_process_pool_one(self):
-        serial = recommend_provisioning(BASE, runner=SerialRunner())
-        pooled = recommend_provisioning(BASE, runner=ProcessPoolRunner(jobs=2))
+        serial = recommend_provisioning(BASE, runner=Runner())
+        pooled = recommend_provisioning(BASE, runner=Runner(jobs=2))
         assert serial == pooled
 
     def test_shared_lists_are_unchanged_after_the_request(self, calls):
-        recommend_provisioning(BASE, runner=SerialRunner())
-        recommend_provisioning(BASE, depths=(4500.0,), runner=SerialRunner())
+        recommend_provisioning(BASE, runner=Runner())
+        recommend_provisioning(BASE, depths=(4500.0,), runner=Runner())
         assert calls.made
         for value, snapshot in calls.made:
             assert _same(value, snapshot)
@@ -370,7 +365,7 @@ class TestOneCalibrationPerWindow:
     """test-150 has one segment, so each session calibrates once."""
 
     def test_aggregate_through_the_runner(self, calibrations):
-        [summary] = make_runner(jobs=1).run_batch([_no_drop_aggregate(6)])
+        [summary] = Runner(jobs=1).run_batch([_no_drop_aggregate(6)])
         assert summary.packet_drop_fraction == 0.0
         assert calibrations.counts == {"_calibrate": 6, "calibrate_segment": 1}
 

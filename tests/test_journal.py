@@ -11,7 +11,7 @@ from repro.core.journal import (
     SweepJournal,
     sweep_fingerprint,
 )
-from repro.core.runner import ResultSummary, SerialRunner
+from repro.core.runner import ResultSummary, Runner
 from repro.core.sweep import sweep_specs, token_rate_sweep
 from repro.units import mbps
 
@@ -170,7 +170,7 @@ class TestSweepResume:
         base = fast_spec()
         rates = [mbps(2.0), mbps(2.2)]
         path = tmp_path / "j.jsonl"
-        first = SerialRunner()
+        first = Runner()
         full = token_rate_sweep(
             base, rates, (4500.0,), runner=first, journal_path=path
         )
@@ -180,7 +180,7 @@ class TestSweepResume:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
 
-        second = SerialRunner()
+        second = Runner()
         resumed = token_rate_sweep(
             base, rates, (4500.0,), runner=second, journal_path=path, resume=True
         )
@@ -196,7 +196,7 @@ class TestSweepResume:
         rates = [mbps(2.0), mbps(2.2)]
         path = tmp_path / "j.jsonl"
         token_rate_sweep(base, rates, (4500.0,), journal_path=path)
-        idle = SerialRunner()
+        idle = Runner()
         token_rate_sweep(
             base, rates, (4500.0,), runner=idle, journal_path=path, resume=True
         )
@@ -224,7 +224,7 @@ class TestSweepResume:
         lines = path.read_text().splitlines()
         lines[-1] = lines[-1][: len(lines[-1]) // 2]
         path.write_text("\n".join(lines) + "\n")
-        rerun = SerialRunner()
+        rerun = Runner()
         token_rate_sweep(
             base, rates, (4500.0,), runner=rerun, journal_path=path, resume=True
         )

@@ -11,7 +11,7 @@ from repro.core.journal import (
     sweep_fingerprint,
 )
 from repro.core.faults import FailureRecord
-from repro.core.runner import SerialRunner, spec_fingerprint
+from repro.core.runner import Runner, spec_fingerprint
 from repro.core.sweep import sweep_specs, token_rate_sweep
 from repro.units import mbps
 
@@ -145,7 +145,7 @@ class TestSweepIntegration:
         lines = journal_lines(path)
         assert [line["kind"] for line in lines] == ["header", "checkpoint"]
 
-        resumed_runner = SerialRunner()
+        resumed_runner = Runner()
         again = token_rate_sweep(
             fast_spec(),
             self.RATES,

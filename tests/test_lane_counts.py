@@ -3,7 +3,8 @@
 ``RunnerStats`` counts which lane served each simulated unit: the
 scalar fast path (``fastpath_hits``), the event engine
 (``fastpath_fallbacks``) or a batch grid (``batch_points`` in
-``batch_groups`` calls). Where a unit ran, in-process or in a pool
+``batch_groups`` calls, with ``batch_failures`` counting batch calls
+that raised). Where a unit ran, in-process or in a pool
 worker, plain or supervised, must not change the counts, and
 ``REPRO_FASTPATH=0`` sends every unit to the engine uncounted.
 """
@@ -14,7 +15,7 @@ from repro.core import fastlane
 from repro.core.experiment import ExperimentSpec
 from repro.core.faults import RetryPolicy
 from repro.core.resultstore import ResultStore
-from repro.core.runner import ProcessPoolRunner, SerialRunner
+from repro.core.runner import Runner
 from repro.units import mbps
 
 
@@ -39,9 +40,9 @@ def _specs() -> list:
 
 
 RUNNERS = {
-    "serial": SerialRunner,
-    "pool": lambda: ProcessPoolRunner(jobs=2),
-    "supervised-pool": lambda: ProcessPoolRunner(
+    "serial": Runner,
+    "pool": lambda: Runner(jobs=2),
+    "supervised-pool": lambda: Runner(
         jobs=2, retry=RetryPolicy(max_retries=0)
     ),
 }
@@ -53,13 +54,14 @@ def _lane_counts(stats) -> tuple:
         stats.fastpath_fallbacks,
         stats.batch_points,
         stats.batch_groups,
+        stats.batch_failures,
         stats.simulated,
     )
 
 
 @pytest.mark.parametrize(
     "mode, expected",
-    [("auto", (2, 1, 0, 0, 3)), ("0", (0, 0, 0, 0, 3))],
+    [("auto", (2, 1, 0, 0, 0, 3)), ("0", (0, 0, 0, 0, 0, 3))],
     ids=["auto", "engine-only"],
 )
 def test_pooled_lane_counts_equal_serial(monkeypatch, mode, expected):
@@ -77,10 +79,10 @@ def test_pooled_lane_counts_equal_serial(monkeypatch, mode, expected):
 def test_serial_lane_counts_with_a_store(monkeypatch, tmp_path):
     monkeypatch.setenv(fastlane.FASTPATH_ENV, "auto")
     store = ResultStore(tmp_path / "store")
-    cold = SerialRunner(store=store)
+    cold = Runner(store=store)
     outcomes = cold.run_batch(_specs())
-    assert _lane_counts(cold.stats) == (2, 1, 0, 0, 3)
-    warm = SerialRunner(store=store)
+    assert _lane_counts(cold.stats) == (2, 1, 0, 0, 0, 3)
+    warm = Runner(store=store)
     assert warm.run_batch(_specs()) == outcomes
-    assert _lane_counts(warm.stats) == (0, 0, 0, 0, 0)
+    assert _lane_counts(warm.stats) == (0, 0, 0, 0, 0, 0)
     assert warm.stats.cache_hits == 3

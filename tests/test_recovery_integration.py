@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.export import result_to_dict, spec_to_dict
-from repro.core.runner import ProcessPoolRunner, SerialRunner
+from repro.core.runner import Runner
 from repro.units import mbps
 
 pytestmark = pytest.mark.recovery
@@ -118,8 +118,8 @@ class TestDeterminism:
                 adaptation=True,
             ),
         ]
-        serial = SerialRunner().run_batch(specs)
-        pooled = ProcessPoolRunner(jobs=2).run_batch(specs)
+        serial = Runner().run_batch(specs)
+        pooled = Runner(jobs=2).run_batch(specs)
         assert serial == pooled
         assert any(s.repairs_sent > 0 for s in serial)
 

@@ -10,13 +10,7 @@ import pytest
 import repro.core.runner as runner_mod
 from repro.core.experiment import ExperimentSpec
 from repro.core.resultstore import ResultStore, default_cache_dir
-from repro.core.runner import (
-    ProcessPoolRunner,
-    ResultSummary,
-    SerialRunner,
-    make_runner,
-    spec_fingerprint,
-)
+from repro.core.runner import ResultSummary, Runner, spec_fingerprint
 from repro.core.sweep import token_rate_sweep
 from repro.units import mbps
 
@@ -140,7 +134,7 @@ class TestRunners:
         from repro.core.experiment import run_experiment
 
         spec = fast_spec()
-        [summary] = SerialRunner().run_batch([spec])
+        [summary] = Runner().run_batch([spec])
         direct = run_experiment(spec)
         assert summary.quality_score == direct.quality_score
         assert summary.lost_frame_fraction == direct.lost_frame_fraction
@@ -153,17 +147,13 @@ class TestRunners:
             fast_spec(token_rate_bps=mbps(2.2)),
             fast_spec(token_rate_bps=mbps(1.8), bucket_depth_bytes=3000),
         ]
-        serial = SerialRunner().run_batch(specs)
-        pooled = ProcessPoolRunner(jobs=2).run_batch(specs)
+        serial = Runner().run_batch(specs)
+        pooled = Runner(jobs=2).run_batch(specs)
         assert serial == pooled
 
     def test_pool_rejects_zero_jobs(self):
         with pytest.raises(ValueError):
-            ProcessPoolRunner(jobs=0)
-
-    def test_make_runner_picks_by_jobs(self):
-        assert isinstance(make_runner(jobs=1), SerialRunner)
-        assert isinstance(make_runner(jobs=2), ProcessPoolRunner)
+            Runner(jobs=0)
 
 
 class TestWarmPlan:
@@ -251,15 +241,15 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         spec = fast_spec()
         fingerprint = spec_fingerprint(spec)
-        [fresh] = SerialRunner(store=store).run_batch([spec])
+        [fresh] = Runner(store=store).run_batch([spec])
         (tmp_path / f"{fingerprint}.json").write_text("\x00garbage")
-        healer = SerialRunner(store=store)
+        healer = Runner(store=store)
         [again] = healer.run_batch([spec])
         assert healer.stats.cache_hits == 0
         assert healer.stats.simulated == 1
         assert again == fresh
         # The entry was rewritten: a third run hits cleanly.
-        third = SerialRunner(store=store)
+        third = Runner(store=store)
         third.run_batch([spec])
         assert third.stats.cache_hits == 1
 
@@ -294,12 +284,12 @@ class TestCachedSweeps:
         depths = (3000.0, 4500.0)
         store = ResultStore(tmp_path)
 
-        cold = SerialRunner(store=store)
+        cold = Runner(store=store)
         first = token_rate_sweep(fast_spec(), rates, depths, runner=cold)
         assert cold.stats.simulated == len(first.points) == 4
         assert cold.stats.cache_hits == 0
 
-        warm = SerialRunner(store=store)
+        warm = Runner(store=store)
         second = token_rate_sweep(fast_spec(), rates, depths, runner=warm)
         assert warm.stats.simulated == 0
         assert warm.stats.cache_hits == len(second.points) == 4
@@ -309,8 +299,8 @@ class TestCachedSweeps:
 
     def test_cache_is_spec_sensitive(self, tmp_path):
         store = ResultStore(tmp_path)
-        SerialRunner(store=store).run_batch([fast_spec()])
-        other = SerialRunner(store=store)
+        Runner(store=store).run_batch([fast_spec()])
+        other = Runner(store=store)
         other.run_batch([fast_spec(seed=4)])
         assert other.stats.simulated == 1
         assert other.stats.cache_hits == 0
@@ -318,14 +308,14 @@ class TestCachedSweeps:
     def test_pool_runner_uses_cache(self, tmp_path):
         store = ResultStore(tmp_path)
         specs = [fast_spec(token_rate_bps=mbps(2.0)), fast_spec()]
-        fresh = SerialRunner(store=store).run_batch(specs)
-        pooled = ProcessPoolRunner(jobs=2, store=store)
+        fresh = Runner(store=store).run_batch(specs)
+        pooled = Runner(jobs=2, store=store)
         assert pooled.run_batch(specs) == fresh
         assert pooled.stats.simulated == 0
         assert pooled.stats.cache_hits == 2
 
     def test_stats_describe_mentions_counts(self, tmp_path):
-        runner = SerialRunner(store=ResultStore(tmp_path))
+        runner = Runner(store=ResultStore(tmp_path))
         runner.run_batch([fast_spec()])
         line = runner.stats.describe()
         assert "1 simulated" in line

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.client.renderer import DisplayTrace
 from repro.core.experiment import ExperimentSpec
-from repro.core.runner import make_runner
+from repro.core.runner import Runner
 from repro.core.sweep import token_rate_sweep
 from repro.video.clips import clip_features
 from repro.units import mbps
@@ -524,7 +524,7 @@ class TestSessionCorpus:
         )
         rates = [mbps(r) for r in (1.2, 1.5, 1.65, 2.2)]
         sweep = token_rate_sweep(
-            base, rates, (3000.0, 4500.0), runner=make_runner(jobs=1)
+            base, rates, (3000.0, 4500.0), runner=Runner(jobs=1)
         )
         assert len(sweep.points) == 8
         self._assert_oracle(searches)
@@ -532,7 +532,7 @@ class TestSessionCorpus:
     @pytest.mark.slow
     def test_lost_sweep(self, searches):
         sweep = token_rate_sweep(
-            LOST, LOST_RATES, (3000.0, 4500.0), runner=make_runner(jobs=1)
+            LOST, LOST_RATES, (3000.0, 4500.0), runner=Runner(jobs=1)
         )
         assert len(sweep.points) == 16
         self._assert_oracle(searches)
@@ -548,7 +548,7 @@ class TestSessionCorpus:
             return score_rows(windows, da, da_sq_sum)
 
         monkeypatch.setattr(calibration, "_score_rows", counted)
-        token_rate_sweep(LOST, LOST_RATES, (3000.0,), runner=make_runner(jobs=1))
+        token_rate_sweep(LOST, LOST_RATES, (3000.0,), runner=Runner(jobs=1))
         windows = sum(_lag_windows(args) for args, _ in searches)
         assert windows > 10_000
         assert sum(rows) < 0.05 * windows
